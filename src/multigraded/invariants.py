@@ -22,7 +22,7 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .newton import NewtonPolyhedron
-from .regions import Region, build_g, build_kinked_f, epigraph_region, region_intersect
+from .regions import build_kinked_f, region_intersect, thm2_regions
 from .systems import CeilingSystem, DirectionView, SystemExpr, restrict_direction
 
 QUANTITIES = ("ord0", "arn", "mult")
@@ -143,10 +143,6 @@ def ceiling_closed_forms(system: CeilingSystem, v) -> GeometricInvariants:
 
 
 # -- the kinked intersection construction ---------------------------------------
-
-
-def thm2_regions(n_kinks: int) -> tuple[Region, Region]:
-    return epigraph_region(build_kinked_f(n_kinks)), epigraph_region(build_g())
 
 
 def thm2_ord0(r, s, n_kinks: int) -> Fraction:

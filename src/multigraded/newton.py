@@ -293,15 +293,21 @@ def orthant_hull_3d(points):
 
 
 def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
-    """Extreme points of {x >= 0 : <a, x> >= c for all facets} (k = 2 or 3).
+    """Extreme points of {x >= 0 : <a, x> >= c for all facets} (k <= 3), sorted.
 
-    All facet normals must be componentwise nonnegative, so the region
-    has recession cone the full orthant and every basic feasible point is
-    a vertex.
+    All facet normals must be nonzero and componentwise nonnegative, so the
+    region has recession cone the full orthant.  k = 2 reads the vertices
+    off an upper envelope of lines in O(m log m) (``_envelope_vertices_2d``);
+    k = 3 still enumerates every triple of constraints and keeps the
+    feasible basic points, O(m^4).
     """
     if k == 1:
         c = max((Fraction(c) for _, c in facets), default=Fraction(0))
         return ((max(c, Fraction(0)),),)
+    if k == 2:
+        return _envelope_vertices_2d(facets)
+    if k != 3:
+        raise UnsupportedDimension(f"vertex enumeration in dimension {k}")
     constraints = [(tuple(a), Fraction(c)) for a, c in facets]
     for i in range(k):
         constraints.append((tuple(1 if j == i else 0 for j in range(k)), Fraction(0)))
@@ -310,25 +316,51 @@ def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
         return all(x >= 0 for x in q) and all(_dot(a, q) >= c for a, c in facets)
 
     found = set()
-    if k == 2:
-        for (a1, c1), (a2, c2) in combinations(constraints, 2):
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if det == 0:
-                continue
-            x = Fraction(c1 * a2[1] - c2 * a1[1], det)
-            y = Fraction(a1[0] * c2 - a2[0] * c1, det)
-            if feasible((x, y)):
-                found.add((x, y))
-    elif k == 3:
-        for rows in combinations(constraints, 3):
-            mat = [r[0] for r in rows]
-            rhs = [r[1] for r in rows]
-            q = _solve3(mat, rhs)
-            if q is not None and feasible(q):
-                found.add(q)
-    else:
-        raise UnsupportedDimension(f"vertex enumeration in dimension {k}")
+    for rows in combinations(constraints, 3):
+        mat = [r[0] for r in rows]
+        rhs = [r[1] for r in rows]
+        q = _solve3(mat, rhs)
+        if q is not None and feasible(q):
+            found.add(q)
     return tuple(sorted(found))
+
+
+def _envelope_vertices_2d(facets) -> tuple[Point, ...]:
+    """Vertices of {x, y >= 0 : a0 x + a1 y >= c}, by increasing x.
+
+    With nonnegative normals the region is {x >= wall, y >= F(x)}, where
+    wall is the largest c/a0 of a facet with a1 = 0 (or 0) and F is the
+    upper envelope of the lines y = (c - a0 x)/a1 and y = 0.  Its vertices
+    are (wall, F(wall)) and the breakpoints of F right of the wall.
+    """
+    wall = Fraction(0)
+    best: dict[Fraction, Fraction] = {Fraction(0): Fraction(0)}  # slope -> intercept
+    for (a0, a1), c in facets:
+        if a1 == 0:
+            wall = max(wall, Fraction(c) / a0)
+            continue
+        slope, icept = Fraction(-a0) / a1, Fraction(c) / a1
+        if slope not in best or icept > best[slope]:
+            best[slope] = icept
+    # lines by increasing slope: the order in which they appear left to right
+    hull: list[tuple[Fraction, Fraction]] = []
+    for m3, b3 in sorted(best.items()):
+        while len(hull) >= 2:
+            (m1, b1), (m2, b2) = hull[-2], hull[-1]
+            # hull[-1] leaves the envelope when the new line meets hull[-2]
+            # at or left of where hull[-1] does (cross-multiplied, m1 < m2 < m3)
+            if (b1 - b3) * (m2 - m1) > (b1 - b2) * (m3 - m1):
+                break
+            hull.pop()
+        hull.append((m3, b3))
+    breaks = [(b1 - b2) / (m2 - m1) for (m1, b1), (m2, b2) in zip(hull, hull[1:])]
+    first = 0
+    while first < len(breaks) and breaks[first] <= wall:
+        first += 1
+    m, b = hull[first]
+    verts = [(wall, m * wall + b)]
+    verts.extend((x, m * x + b) for x, (m, b) in zip(breaks[first:], hull[first + 1:]))
+    return tuple(verts)
 
 
 def _solve3(mat, rhs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iterprod
 from math import ceil
 
@@ -102,12 +103,14 @@ class PiecewiseLinearConvexFn:
         return self.slopes[j]
 
 
+@lru_cache(maxsize=64)
 def build_kinked_f(n_kinks: int) -> PiecewiseLinearConvexFn:
     """The steep line -2x + 2 plus n_kinks hinge terms max(0, (e_i - x))/2^(i+2).
 
     Kink abscissae e_i run through the dyadic enumeration of (0,1); the
     slope jump at e_i is exactly 2^-(i+2), and the total lift of the value
     at 0 stays below 1, so the function keeps slope <= -2 and intercept 1.
+    The result is frozen, so it is built once per n_kinks and shared.
     """
     eps = dyadic_sequence(n_kinks)
     weights = [Fraction(1, 2 ** (i + 2)) for i in range(1, n_kinks + 1)]
@@ -178,11 +181,22 @@ def epigraph_region(fn: PiecewiseLinearConvexFn) -> Region:
     return Region(2, tuple(verts), tuple(_chain_facets_2d(verts)), provenance="epigraph")
 
 
+@lru_cache(maxsize=64)
+def thm2_regions(n_kinks: int) -> tuple[Region, Region]:
+    """The Theorem 2 pair (P, Q): the epigraphs of the kinked boundary
+    ``build_kinked_f(n_kinks)`` and of the line ``build_g()``; built once per
+    n_kinks and shared (both regions are frozen)."""
+    return epigraph_region(build_kinked_f(n_kinks)), epigraph_region(build_g())
+
+
 def region_scale(region: Region, t) -> Region:
     return region.scale(t)
 
 
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> Region:
+    """P intersect Q from the union of their facets: in k = 2 an O(m log m)
+    line envelope, in k = 3 an enumeration of constraint triples (see
+    ``vertices_from_halfspaces``)."""
     if p.dim != q.dim:
         raise DimensionMismatch("regions in different dimensions")
     merged = sorted(set(p.facets) | set(q.facets))

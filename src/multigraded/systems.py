@@ -31,6 +31,7 @@ from .regions import (
     lattice_generators,
     region_intersect,
     region_minkowski,
+    thm2_regions,
 )
 
 _CACHE_MAX = 4096
@@ -323,11 +324,8 @@ def verify_gradedness(system: SystemExpr, window) -> GradednessReport:
 def kinked_intersection_system(n_kinks: int) -> Intersect:
     """The Z^2-graded system pr1* A intersect pr2* B, where A and B are the
     lattice systems of the kinked epigraph P and the line epigraph Q."""
-    from .regions import build_g, build_kinked_f, epigraph_region
-
-    p = RegionSystem(epigraph_region(build_kinked_f(n_kinks)))
-    q = RegionSystem(epigraph_region(build_g()))
-    return Intersect(Pullback([(1, 0)], p), Pullback([(0, 1)], q))
+    p, q = thm2_regions(n_kinks)
+    return Intersect(Pullback([(1, 0)], RegionSystem(p)), Pullback([(0, 1)], RegionSystem(q)))
 
 
 def ceiling_system(cone: ConeRep, base: MonomialIdeal | None = None) -> CeilingSystem:

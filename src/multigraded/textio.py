@@ -59,6 +59,20 @@ def parse_q(token: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}") from exc
 
 
+def _token(tokens, i: int, usage: str) -> str:
+    """tokens[i], or a ParseError naming the expected form of a truncated line."""
+    if i >= len(tokens):
+        raise ParseError(f"truncated line {' '.join(tokens)!r}; expected {usage!r}")
+    return tokens[i]
+
+
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {token!r}") from exc
+
+
 def _clean(text: str) -> list[tuple[int, list[str]]]:
     """(indent, tokens) per meaningful line, comments stripped."""
     out = []
@@ -121,7 +135,8 @@ def parse_region(text: str) -> Region:
         raise ParseError("empty region file")
     first = lines[0][1]
     if first[0] == "kinked":
-        return epigraph_region(build_kinked_f(int(first[1])))
+        n_kinks = _parse_int(_token(first, 1, "kinked <N>"), "kink count")
+        return epigraph_region(build_kinked_f(n_kinks))
     if first[0] == "appendix":
         raise ParseError(
             "appendix bodies are symmetric convex bodies, not orthant regions; "
@@ -130,7 +145,7 @@ def parse_region(text: str) -> Region:
     head = " ".join(first)
     if not head.startswith("k="):
         raise ParseError("region file must start with 'k=<int>' or a shorthand")
-    k = int(head.split("=", 1)[1])
+    k = _parse_int(head.split("=", 1)[1], "dimension")
     body = lines[1:]
     if body and body[0][1][0] == "epigraph":
         if k != 2:
@@ -176,7 +191,7 @@ def parse_cone(text: str) -> ConeRep:
     lines = _clean(text)
     if not lines or lines[0][1][0] != "rank":
         raise ParseError("cone file must start with 'rank <int>'")
-    rank = int(lines[0][1][1])
+    rank = _parse_int(_token(lines[0][1], 1, "rank <int>"), "rank")
     kinds = {tokens[0] for _, tokens in lines[1:]}
     if not kinds:
         return ConeRep.full(rank)
@@ -257,10 +272,10 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         return IdealPowers([load_ideal(base_dir / t) for t in tokens[1:]]), end
     if head == "region":
         need_children(0)
-        return RegionSystem(load_region(base_dir / tokens[1])), end
+        return RegionSystem(load_region(base_dir / _token(tokens, 1, "region <file>"))), end
     if head == "ceiling":
         need_children(0)
-        cone = load_cone(base_dir / tokens[1])
+        cone = load_cone(base_dir / _token(tokens, 1, "ceiling <conefile>"))
         base = None
         if len(tokens) > 2:
             if tokens[2] != "base" or len(tokens) != 4:
@@ -275,7 +290,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
                 rows.append(current)
                 current = []
             else:
-                current.append(int(t))
+                current.append(_parse_int(t, "pullback entry"))
         rows.append(current)
         child, _ = _parse_node(lines, kids[0], base_dir)
         return Pullback(rows, child), end
@@ -287,9 +302,10 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
     if head == "truncate":
         need_children(1)
         child, _ = _parse_node(lines, kids[0], base_dir)
-        if tokens[1] == "cone":
-            cone = load_cone(base_dir / tokens[2])
-        elif tokens[1] == "halfspace":
+        kind = _token(tokens, 1, "truncate cone <file> | truncate halfspace a1 ...")
+        if kind == "cone":
+            cone = load_cone(base_dir / _token(tokens, 2, "truncate cone <file>"))
+        elif kind == "halfspace":
             groups, current = [], []
             for t in tokens[2:]:
                 if t == ";":
@@ -305,7 +321,8 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
     if head == "colon":
         need_children(1)
         child, _ = _parse_node(lines, kids[0], base_dir)
-        return ColonSystem(child, load_ideal(base_dir / tokens[1])), end
+        ideal = load_ideal(base_dir / _token(tokens, 1, "colon <idealfile>"))
+        return ColonSystem(child, ideal), end
     raise ParseError(f"unknown system node {head!r}")
 
 
@@ -313,11 +330,26 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write-then-rename so a failed run never leaves a partial file."""
+    """Write a unique temp file beside the target, then rename it over the
+    target, so neither a failed run nor a concurrent one writing the same
+    path ever leaves a partial file."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            # O_EXCL makes the name ours alone; mode 0o666 lets the umask
+            # decide the permissions, as for a plain open()
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def csv_text(header, rows) -> str:

@@ -1,10 +1,16 @@
 """CLI commands, file formats, exit codes, deterministic output."""
 
 import io
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import multigraded
 from multigraded.cli import main
 from multigraded.monomial import minimalize
 from multigraded.textio import (
@@ -16,6 +22,7 @@ from multigraded.textio import (
     parse_ideal,
     parse_region,
     parse_system,
+    write_text_atomic,
 )
 
 
@@ -24,6 +31,15 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_module(argv, cwd):
+    """The CLI in a fresh interpreter, as a user runs it: exit code and stderr."""
+    src = str(Path(multigraded.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "multigraded", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 IDEAL_A = "# example\nk=2\n2 0\n0 3\n"
@@ -123,6 +139,68 @@ class TestFormats:
         bad.write_text("intersect\n  pullback 1 0\n")
         with pytest.raises(ParseError):
             parse_system(bad)
+
+
+class TestTruncatedInput:
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"k.region": "kinked\n", "t.system": "region k.region\n"},
+            {"t.system": "region\n"},
+            {"c.cone": "rank\n", "t.system": "ceiling c.cone\n"},
+        ],
+        ids=["kinked-without-n", "region-without-path", "rank-without-int"],
+    )
+    def test_exit_2_with_one_line_message(self, tmp_path, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        proc = run_module(["system", "eval", "t.system", "--at", "1"], tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: truncated line")
+        assert proc.stderr.count("\n") == 1
+
+    def test_every_truncation_is_an_input_error(self, tmp_path):
+        # each line of each file cut after every token prefix: exit 0 when
+        # the cut still parses, 2 otherwise, and never an uncaught exception
+        files = {
+            "i.ideal": "k=2\n2 0\n0 3\n",
+            "k.region": "kinked 2\n",
+            "e.region": "k=2\nepigraph\nbreakpoint 0 1 -1/2\n",
+            "c.cone": "rank 2\nhalfspace 1 0\n",
+            "f.cone": "rank 2\nform 1\n",
+            "s.system": (
+                "colon i.ideal\n"
+                "  truncate cone c.cone\n"
+                "    intersect\n"
+                "      pullback 1 0\n"
+                "        region k.region\n"
+                "      product\n"
+                "        pullback 0 1\n"
+                "          region e.region\n"
+                "        ceiling f.cone base i.ideal\n"
+            ),
+        }
+        argv = ["system", "eval", str(tmp_path / "s.system"), "--at", "3,2,1"]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli(argv)[0] == 0
+        for name, text in files.items():
+            lines = text.splitlines()
+            for i, line in enumerate(lines):
+                indent = line[: len(line) - len(line.lstrip())]
+                tokens = line.split()
+                for j in range(len(tokens)):
+                    cut = lines[:i] + [indent + " ".join(tokens[:j])] + lines[i + 1:]
+                    (tmp_path / name).write_text("\n".join(cut) + "\n")
+                    with redirect_stderr(io.StringIO()):
+                        assert run_cli(argv)[0] in (0, 2), (name, cut)
+            (tmp_path / name).write_text(text)
+
+    @pytest.mark.parametrize("text", ["kinked x\n", "k=two\nhalfspace 1 1 >= 1\n"])
+    def test_bad_integer_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_region(text)
 
 
 class TestIdealInfo:
@@ -248,3 +326,45 @@ class TestDeterminism:
         run_cli(argv)
         assert out_csv.read_bytes() == first
         assert not (tmp_path / "x.csv.tmp").exists()
+
+
+class TestAtomicWrite:
+    def test_full_text_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        text = "a,b\n" + "1,2\n" * 5000
+        write_text_atomic(target, text)
+        assert target.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_text_atomic(target, None)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_concurrent_writers_never_collide(self, tmp_path):
+        # with one shared temp name, a writer's rename can find its temp file
+        # already renamed away by another writer
+        target = tmp_path / "out.csv"
+        texts = [f"{i}\n" * 20000 for i in range(4)]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(15):
+                    write_text_atomic(target, text)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

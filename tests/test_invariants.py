@@ -172,6 +172,15 @@ class TestThm2Ord0:
                 assert cross is not None
                 assert cross[1] == thm2_ord0(r, s, 1)
 
+    @pytest.mark.parametrize("n_kinks", [8, 16])
+    def test_routes_agree_at_real_sizes(self, n_kinks):
+        grid = [F(3, 4) + F(3 * i, 20) for i in range(6)]
+        for r in grid:
+            for s in grid:
+                cross = thm2_crossing(r, s, n_kinks)
+                assert cross is not None
+                assert thm2_ord0(r, s, n_kinks) == cross[1]
+
     def test_domain(self):
         with pytest.raises(EvaluationOutOfDomain):
             thm2_ord0(0, 1, 1)
@@ -208,6 +217,21 @@ class TestDiffQuotient:
         assert (dq.left, dq.right) == (F(2, 3), F(9, 13))
         assert dq.gap == F(1, 39)
         assert dq.stable
+
+    def test_thm2_kink_slopes_closed_form(self):
+        # ord0 = s + x/2 where f(x) + x/2 = s (r = 1), so d ord0/ds =
+        # 1 + 1/(2 f' + 1); raising s moves the crossing left, so the left
+        # slope in s takes f' right of the kink and the right slope f' left of it
+        f = build_kinked_f(8)
+        kinks = thm2_kink_locations(1, 8, 0, 10)
+        assert [x0 for _, x0 in kinks] == sorted(f.kinks, reverse=True)
+        for s0, x0 in kinks:
+            j = f.kinks.index(x0) + 1
+            f_left, f_right = f.slopes[j - 1], f.slopes[j]
+            dq = diff_quotient_scan(lambda s: thm2_ord0(1, s, 8), s0)
+            assert dq.stable
+            assert dq.left == 1 + 1 / (2 * f_right + 1)
+            assert dq.right == 1 + 1 / (2 * f_left + 1)
 
     def test_gauge_kink_ray(self):
         # the two first-quadrant edges of the single-term body support the

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iterprod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multigraded.errors import (
     NegativeWeight,
@@ -13,7 +16,13 @@ from multigraded.errors import (
     ZeroIdeal,
 )
 from multigraded.monomial import MonomialIdeal, minimalize
-from multigraded.newton import convex_hull, from_vertices, newton_polyhedron
+from multigraded.newton import (
+    convex_hull,
+    from_vertices,
+    newton_polyhedron,
+    vertices_from_halfspaces,
+)
+from multigraded.regions import region_from_halfspaces, region_intersect
 
 
 def ideal(*gens, k=2):
@@ -216,3 +225,50 @@ class TestFromVertices:
         p = newton_polyhedron(ideal((3, 0), (1, 1), (0, 2)))
         q = from_vertices(p.vertices)
         assert (q.vertices, q.facets) == (p.vertices, p.facets)
+
+
+def brute_vertices_2d(facets):
+    """Reference: every feasible crossing of two constraint lines (axes included)."""
+    lines = [(tuple(a), Fraction(c)) for a, c in facets] + [((1, 0), 0), ((0, 1), 0)]
+    found = set()
+    for (a, c), (b, d) in combinations(lines, 2):
+        det = a[0] * b[1] - a[1] * b[0]
+        if det == 0:
+            continue
+        q = (Fraction(c * b[1] - d * a[1], det), Fraction(a[0] * d - b[0] * c, det))
+        if min(q) >= 0 and all(u * q[0] + v * q[1] >= e for (u, v), e in facets):
+            found.add(q)
+    return tuple(sorted(found))
+
+
+# small entries make duplicate, parallel and axis-parallel facets common;
+# the appended draws repeat facets of the list verbatim
+NORMALS = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda a: a != (0, 0))
+FACETS = st.lists(
+    st.tuples(NORMALS, st.fractions(min_value=-2, max_value=12, max_denominator=4)),
+    min_size=1,
+    max_size=8,
+).flatmap(lambda fs: st.lists(st.sampled_from(fs), max_size=3).map(lambda dup: fs + dup))
+
+
+class TestVerticesFromHalfspaces2d:
+    @settings(max_examples=150, deadline=None)
+    @given(FACETS)
+    @example([((1, 2), 2), ((1, 2), 2), ((2, 4), 3)])  # duplicate and parallel facets
+    @example([((0, 1), 3)])  # a0 = 0 only: the complement is unbounded
+    @example([((1, 0), Fraction(5, 2)), ((0, 2), 3)])  # a1 = 0, a0 = 0, no sloped facet
+    @example([((1, 0), Fraction(7, 3)), ((1, 1), 2), ((3, 1), 3)])  # wall right of crossings
+    @example([((1, 1), 2), ((2, 1), 3), ((3, 1), 4)])  # three facets through (1, 1)
+    @example([((1, 3), -1), ((2, 0), 0)])  # only vacuous facets: the origin
+    def test_matches_pairwise_enumeration(self, facets):
+        got = vertices_from_halfspaces(2, facets)
+        assert got == brute_vertices_2d(facets)
+        assert all(type(x) is Fraction for v in got for x in v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FACETS, FACETS)
+    def test_region_intersection(self, fp, fq):
+        p, q = region_from_halfspaces(2, fp), region_from_halfspaces(2, fq)
+        meet = region_intersect(p, q)
+        assert meet == region_from_halfspaces(2, p.facets + q.facets)
+        assert meet == region_intersect(q, p)
