@@ -12,7 +12,7 @@ from .invariants import (
     thm2_ord0,
 )
 from .monomial import MonomialIdeal, minimalize
-from .newton import NewtonPolyhedron, convex_hull, newton_polyhedron
+from .newton import NewtonPolyhedron, newton_polyhedron
 from .regions import (
     PiecewiseLinearConvexFn,
     Region,

@@ -222,6 +222,24 @@ class MonomialIdeal:
             for x in range(pures[0]):
                 total += min(g[1] for g in self.gens if g[0] <= x)
             return total
+        if self.dim == 3:
+            # column heights: h(x, y) is the least z of a generator at or
+            # below (x, y), capped by the z pure power; prefix minima over
+            # x (the row carried in `heights`) and y (the running `h`)
+            a, b, c = pures
+            at = {}
+            for x, y, z in self.gens:
+                if x < a and y < b and z < at.get((x, y), c):
+                    at[x, y] = z
+            heights = [c] * b
+            total = 0
+            for x in range(a):
+                h = c
+                for y in range(b):
+                    h = min(h, heights[y], at.get((x, y), c))
+                    heights[y] = h
+                total += sum(heights)
+            return total
         count = 0
         for point in iterprod(*(range(m) for m in pures)):
             if not any(dominates(point, g) for g in self.gens):
@@ -229,10 +247,18 @@ class MonomialIdeal:
         return count
 
     def newton(self):
-        """Newton polyhedron of the ideal (exact, k <= 3)."""
-        from .newton import newton_polyhedron
+        """Newton polyhedron of the ideal (exact, k <= 3).
 
-        return newton_polyhedron(self)
+        Built on the first call and kept on this instance, so arn, lct,
+        multiplicity and a printout of one ideal share a single hull.
+        """
+        poly = self.__dict__.get("_newton")
+        if poly is None:
+            from .newton import newton_polyhedron
+
+            poly = newton_polyhedron(self)
+            object.__setattr__(self, "_newton", poly)  # frozen: not a field
+        return poly
 
     def arn(self) -> Fraction:
         """Arnold multiplicity: diagonal scaling at which lambda*(1,...,1) enters

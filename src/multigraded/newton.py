@@ -7,14 +7,19 @@ having all components >= 0.  Facets with c = 0 (the coordinate planes)
 are never stored: for points in the orthant they are vacuous, and
 membership tests check nonnegativity separately.
 
+One exact routine per dimension builds the polyhedron: a sorted
+staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
+incremental beneath-beyond hull with integer orientation tests that
+treats the axis directions as points at infinity.  The 3D covolume is a
+sum of cones from the origin over the facets.
+
 Everything is exact rational arithmetic; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
 
@@ -174,7 +179,11 @@ class NewtonPolyhedron:
         return min(sum(a * b for a, b in zip(wt, v)) for v in self.vertices)
 
     def covolume(self) -> Fraction:
-        """Exact volume of orthant \\ P; raises if the complement is unbounded."""
+        """Exact volume of orthant \\ P; raises if the complement is unbounded.
+
+        k = 2 is the shoelace area under the staircase chain; k = 3 sums,
+        over the facets, the cones from the origin (``_covolume_3d``).
+        """
         if self.dim == 1:
             return Fraction(self.vertices[0][0])
         if self.dim == 2:
@@ -242,54 +251,89 @@ def from_vertices(points) -> NewtonPolyhedron:
 
 
 def orthant_hull_3d(points):
-    """Vertices and facets of conv(points) + orthant in R^3.
+    """Vertices and facets of conv(points) + orthant in R^3, for points >= 0.
 
-    Facet normals arise only from planes spanned by generator triples,
-    generator pairs plus an axis direction, or a single generator plus two
-    axis directions; all candidates are enumerated and filtered exactly.
+    Beneath-beyond incremental hull (the deterministic form of the
+    Clarkson-Shor randomized incremental construction) in homogeneous
+    integer coordinates: a point p becomes (L p, L), with L the lcm of its
+    denominators, and the axis directions e_i become points at infinity
+    (e_i, 0).  Starting from the tetrahedron e_1, e_2, e_3, p_0, each point
+    in lex order removes the triangles it sees strictly (the sign of an
+    integer 4x4 determinant) and joins their horizon to itself; O(n F)
+    tests for n points and F triangles.  At the end the face at infinity
+    (w = 0) is dropped and coplanar triangles merge by primitive normal.
+
+    Vertices are input tuples.  A facet's c is <a, p> for the lex-first
+    input point p on it, so c has that point's type; facets with c <= 0
+    are not stored.  A point is a vertex when the normals of its facets,
+    with e_i wherever its i-th coordinate is 0, have rank 3.
     """
     pts = sorted(set(map(tuple, points)))
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    normals = set()
-    for i in range(3):
-        normals.add(tuple(axes[i]))
-    for p, q in combinations(pts, 2):
-        d = tuple(a - b for a, b in zip(q, p))
-        for e in axes:
-            n = _cross3(d, e)
-            for cand in (n, tuple(-x for x in n)):
-                if any(x != 0 for x in cand) and all(x >= 0 for x in cand):
-                    normals.add(primitive(cand))
-    for p, q, r in combinations(pts, 3):
-        n = _cross3(
-            tuple(a - b for a, b in zip(q, p)),
-            tuple(a - b for a, b in zip(r, p)),
-        )
-        for cand in (n, tuple(-x for x in n)):
-            if any(x != 0 for x in cand) and all(x >= 0 for x in cand):
-                normals.add(primitive(cand))
-
-    facets = []
-    tight_normals: dict[Point, list] = {p: [] for p in pts}
-    for n in sorted(normals):
-        c = min(_dot(n, p) for p in pts)
-        tight = [p for p in pts if _dot(n, p) == c]
-        zero_axes = [axes[i] for i in range(3) if n[i] == 0]
-        t0 = tight[0]
-        spanning = [tuple(a - b for a, b in zip(t, t0)) for t in tight[1:]] + zero_axes
-        if _rank(spanning) != 2:
-            continue
-        for p in tight:
-            tight_normals[p].append(n)
-        if c > 0:
-            facets.append((n, c))
-
-    verts = []
+    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     for p in pts:
-        ns = list(tight_normals[p]) + [axes[i] for i in range(3) if p[i] == 0]
-        if _rank(ns) == 3:
+        den = lcm(*(x.denominator for x in p))
+        gens.append(tuple(x.numerator * (den // x.denominator) for x in p) + (den,))
+    # strictly inside the first tetrahedron, hence inside every later hull
+    inner = tuple(map(sum, zip(*gens[:4])))
+
+    def triangle(i, j, k):
+        n = _plane(gens[i], gens[j], gens[k])
+        if _dot(n, inner) < 0:
+            n = tuple(-x for x in n)
+        return i, j, k, n
+
+    # triangles (i < j < k, inward normal n): <n, g> >= 0 for every point g taken
+    tris = [triangle(0, 1, 2), triangle(0, 1, 3), triangle(0, 2, 3), triangle(1, 2, 3)]
+    for q in range(4, len(gens)):
+        g0, g1, g2, g3 = gens[q]
+        kept, horizon = [], {}
+        for t in tris:
+            n = t[3]
+            if n[0] * g0 + n[1] * g1 + n[2] * g2 + n[3] * g3 >= 0:
+                kept.append(t)
+                continue
+            i, j, k = t[:3]
+            for edge in ((i, j), (j, k), (i, k)):
+                horizon[edge] = edge not in horizon
+        kept.extend(triangle(i, j, q) for (i, j), once in horizon.items() if once)
+        tris = kept
+
+    first: dict[tuple, int] = {}  # primitive normal -> lex-first point on it
+    incident: dict[int, set] = {}
+    for t in tris:
+        ends = [i for i in t[:3] if i >= 3]
+        if not ends:
+            continue  # the face at infinity
+        n = t[3][:3]
+        g = gcd(*n)
+        a = tuple(x // g for x in n)
+        first[a] = min(first.get(a, ends[0]), ends[0])
+        for i in ends:
+            incident.setdefault(i, set()).add(a)
+    facets = []
+    for a, i in first.items():
+        c = _dot(a, pts[i - 3])
+        if c > 0:
+            facets.append((a, c))
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    verts = []
+    for i, normals in incident.items():
+        p = pts[i - 3]
+        if _rank([*normals, *(axes[j] for j in range(3) if p[j] == 0)]) == 3:
             verts.append(p)
     return tuple(sorted(verts)), tuple(sorted(facets))
+
+
+def _plane(a, b, c):
+    """n with <n, x> = det(a, b, c, x) for 4-vectors (cofactors of the last row)."""
+    m01, m02, m03 = a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[0] * b[3] - a[3] * b[0]
+    m12, m13, m23 = a[1] * b[2] - a[2] * b[1], a[1] * b[3] - a[3] * b[1], a[2] * b[3] - a[3] * b[2]
+    return (
+        -(c[1] * m23 - c[2] * m13 + c[3] * m12),
+        c[0] * m23 - c[2] * m03 + c[3] * m02,
+        -(c[0] * m13 - c[1] * m03 + c[3] * m01),
+        c[0] * m12 - c[1] * m02 + c[2] * m01,
+    )
 
 
 def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
@@ -387,196 +431,33 @@ def _det3(m):
 # -- 3d volume ----------------------------------------------------------------
 
 
-def _angular_sort(points, normal):
-    """Cyclic order of coplanar points around their centroid, exact."""
-    n = len(points)
-    cx = [sum(Fraction(p[i]) for p in points) / n for i in range(3)]
-    vecs = [tuple(Fraction(p[i]) - cx[i] for i in range(3)) for p in points]
-    ref = vecs[0]
-
-    def half(w):
-        s = _dot(normal, _cross3(ref, w))
-        if s != 0:
-            return 0 if s > 0 else 1
-        return 0 if _dot(ref, w) > 0 else 1
-
-    def cmp(iu, iv):
-        hu, hv = half(vecs[iu]), half(vecs[iv])
-        if hu != hv:
-            return -1 if hu < hv else 1
-        s = _dot(normal, _cross3(vecs[iu], vecs[iv]))
-        return -1 if s > 0 else (1 if s < 0 else 0)
-
-    order = sorted(range(n), key=cmp_to_key(cmp))
-    return [points[i] for i in order]
-
-
-def _polytope_volume_3d(planes) -> Fraction:
-    """Volume of a bounded full-dimensional {x : <a,x> >= c} polytope."""
-    uniq = {}
-    for a, c in planes:
-        uniq[(tuple(a), Fraction(c))] = None
-    plist = list(uniq)
-
-    def feasible(q):
-        return all(_dot(a, q) >= c for a, c in plist)
-
-    verts = set()
-    for rows in combinations(plist, 3):
-        q = _solve3([r[0] for r in rows], [r[1] for r in rows])
-        if q is not None and feasible(q):
-            verts.add(q)
-    verts = sorted(verts)
-    if len(verts) < 4:
-        return Fraction(0)
-    centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(3))
-    total = Fraction(0)
-    for a, c in plist:
-        tight = [v for v in verts if _dot(a, v) == c]
-        if len(tight) < 3:
-            continue
-        t0 = tight[0]
-        if _rank([tuple(x - y for x, y in zip(t, t0)) for t in tight[1:]]) != 2:
-            continue
-        ring = _angular_sort(tight, a)
-        for i in range(1, len(ring) - 1):
-            u = tuple(x - y for x, y in zip(ring[0], centroid))
-            v = tuple(x - y for x, y in zip(ring[i], centroid))
-            w = tuple(x - y for x, y in zip(ring[i + 1], centroid))
-            total += abs(_det3([u, v, w]))
-    return total / 6
-
-
 def _covolume_3d(vertices, facets) -> Fraction:
+    """Volume of orthant minus P as a sum of cones from the origin.
+
+    Each stored facet <a, x> >= c (c > 0) contributes the cone over its
+    vertex ring, fanned as |det(r_0, r_i, r_{i+1})| / 6.  When every axis
+    meets P, such facets have strictly positive normals, so they are
+    compact and their cones tile the complement.
+    """
     for i in range(3):
         if not any(all(v[j] == 0 for j in range(3) if j != i) for v in vertices):
             raise UnboundedComplement(f"axis {i} never enters the polyhedron")
-    if (0, 0, 0) in [tuple(v) for v in vertices]:
-        return Fraction(0)
-    bound = max(max(Fraction(x) for x in v) for v in vertices)
-    planes = [(a, Fraction(c)) for a, c in facets]
-    for i in range(3):
-        e = tuple(1 if j == i else 0 for j in range(3))
-        planes.append((e, Fraction(0)))
-        planes.append((tuple(-x for x in e), -bound))
-    return bound**3 - _polytope_volume_3d(planes)
+    total = Fraction(0)
+    for a, c in facets:
+        ring = _ring([v for v in vertices if _dot(a, v) == c])
+        for i in range(1, len(ring) - 1):
+            total += abs(_det3((ring[0], ring[i], ring[i + 1])))
+    return total / 6
 
 
-# -- standalone convex hulls (bounded, any sign) ------------------------------
+def _ring(points):
+    """Cyclic order of the vertices of a compact facet (a_z > 0).
 
-
-@dataclass(frozen=True)
-class Hull:
-    """Exact convex hull of a finite point set; facets empty when degenerate."""
-
-    dim: int
-    vertices: tuple[Point, ...]
-    facets: tuple[Facet, ...] = ()
-    degenerate: bool = field(default=False, compare=False)
-
-
-def convex_hull(points, k: int | None = None) -> Hull:
-    """Exact hull for k <= 3; collinear/coplanar inputs come back flagged."""
-    pts = sorted(set(map(tuple, points)))
-    if not pts:
-        raise ValueError("need at least one point")
-    if k is None:
-        k = len(pts[0])
-    if any(len(p) != k for p in pts):
-        raise DimensionMismatch("points of mixed dimension")
-    if k > 3:
-        raise UnsupportedDimension("exact hulls are limited to k <= 3")
-    base = pts[0]
-    rank = _rank([tuple(a - b for a, b in zip(p, base)) for p in pts[1:]])
-    if k == 1:
-        verts = (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
-        return Hull(1, verts, degenerate=rank < 1)
-    if k == 2:
-        if rank < 2:
-            return Hull(2, (pts[0],) if rank == 0 else (pts[0], pts[-1]), degenerate=True)
-        verts = _hull_2d(pts)
-        return Hull(2, tuple(verts), tuple(_polygon_facets(verts)))
-    if rank < 3:
-        if rank == 0:
-            return Hull(3, (pts[0],), degenerate=True)
-        if rank == 1:
-            ends = max(
-                combinations(pts, 2),
-                key=lambda pq: sum((a - b) ** 2 for a, b in zip(*pq)),
-            )
-            return Hull(3, tuple(sorted(ends)), degenerate=True)
-        return Hull(3, _planar_hull_3d(pts), degenerate=True)
-    return _hull_3d(pts)
-
-
-def _hull_2d(pts) -> list[Point]:
-    """Andrew monotone chain, counterclockwise from the lex-smallest point."""
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _polygon_facets(verts) -> list[Facet]:
-    facets = []
-    n = len(verts)
-    for i in range(n):
-        (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % n]
-        a = (-(y2 - y1), x2 - x1)
-        facets.append(_normalize_facet(a, a[0] * x1 + a[1] * y1))
-    return sorted(facets)
-
-
-def _planar_hull_3d(pts) -> tuple[Point, ...]:
-    base = pts[0]
-    dirs = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
-    u = next(d for d in dirs if any(x != 0 for x in d))
-    v = next(d for d in dirs if _rank([u, d]) == 2)
-    coords = []
-    for p in pts:
-        d = tuple(a - b for a, b in zip(p, base))
-        # planar coordinates via dot products against the (u, v) frame
-        g = [[_dot(u, u), _dot(u, v)], [_dot(v, u), _dot(v, v)]]
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        s = Fraction(_dot(d, u) * g[1][1] - _dot(d, v) * g[0][1], det)
-        t = Fraction(g[0][0] * _dot(d, v) - g[1][0] * _dot(d, u), det)
-        coords.append(((s, t), p))
-    plane_pts = sorted({c for c, _ in coords})
-    back = {}
-    for c, p in coords:
-        back[c] = p
-    if _rank([tuple(a - b for a, b in zip(c, plane_pts[0])) for c in plane_pts[1:]]) < 2:
-        ends = (back[plane_pts[0]], back[plane_pts[-1]])
-        return tuple(sorted(ends))
-    return tuple(sorted(back[c] for c in _hull_2d(plane_pts)))
-
-
-def _hull_3d(pts) -> Hull:
-    facets = {}
-    for p, q, r in combinations(pts, 3):
-        n = _cross3(
-            tuple(a - b for a, b in zip(q, p)),
-            tuple(a - b for a, b in zip(r, p)),
-        )
-        if all(x == 0 for x in n):
-            continue
-        n = primitive(n)
-        c = _dot(n, p)
-        if all(_dot(n, s) >= c for s in pts):
-            facets[(n, c)] = None
-        elif all(_dot(n, s) <= c for s in pts):
-            m = tuple(-x for x in n)
-            facets[(m, -c)] = None
-    flist = sorted(facets)
-    verts = []
-    for p in pts:
-        tight = [a for a, c in flist if _dot(a, p) == c]
-        if _rank(tight) == 3:
-            verts.append(p)
-    return Hull(3, tuple(sorted(verts)), tuple(flist))
+    Projected to (x, y) they stay in convex position; sorted, the ones
+    right of the chord from the first to the last come before it.
+    """
+    pts = sorted(points)
+    lo, hi = pts[0], pts[-1]
+    right = [p for p in pts[1:-1] if _cross2(lo, hi, p) < 0]
+    left = [p for p in pts[1:-1] if _cross2(lo, hi, p) > 0]
+    return [lo, *right, hi, *reversed(left)]

@@ -23,7 +23,6 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .monomial import MonomialIdeal
-from .newton import newton_polyhedron
 from .regions import (
     Region,
     as_region,
@@ -120,7 +119,7 @@ class IdealPowers(SystemExpr):
         ideal = self.eval(tuple(v))
         if ideal.is_zero:
             raise ZeroIdealInDirection(f"zero ideal at {v}")
-        return as_region(newton_polyhedron(ideal), provenance="limit")
+        return as_region(ideal.newton(), provenance="limit")
 
 
 class RegionSystem(SystemExpr):
@@ -178,7 +177,7 @@ class CeilingSystem(SystemExpr):
         t = self.deficiency(tuple(v))
         if t == 0:
             return full_orthant(self.ambient_dim)
-        return as_region(newton_polyhedron(self.base), provenance="limit").scale(t)
+        return as_region(self.base.newton(), provenance="limit").scale(t)
 
 
 class Pullback(SystemExpr):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import multigraded
+from multigraded import newton
 from multigraded.cli import main
 from multigraded.monomial import minimalize
 from multigraded.textio import (
@@ -237,6 +238,29 @@ class TestIdealInfo:
     def test_missing_file_exit_2(self):
         code, _ = run_cli(["ideal", "info", "/nonexistent/there.ideal"])
         assert code == 2
+
+    def test_hull_built_once_per_invocation(self, tmp_path, monkeypatch):
+        # arn, lct, mult and the polyhedron printout all read one hull; a
+        # second invocation re-parses the file and builds it again
+        path = tmp_path / "shell.ideal"
+        path.write_text("k=3\n4 0 0\n0 4 0\n0 0 4\n1 1 1\n2 1 0\n0 2 1\n")
+        calls = []
+        build = newton.orthant_hull_3d
+        monkeypatch.setattr(newton, "orthant_hull_3d", lambda pts: calls.append(1) or build(pts))
+        first = run_cli(["ideal", "info", str(path)])
+        assert first[0] == 0 and len(calls) == 1
+        assert run_cli(["ideal", "info", str(path)]) == first
+        assert len(calls) == 2
+
+    def test_cube_of_maximal_ideal_power_30(self, tmp_path):
+        path = tmp_path / "m30.ideal"
+        path.write_text("k=3\n" + "".join(
+            f"{x} {y} {30 - x - y}\n" for x in range(31) for y in range(31 - x)))
+        code, out = run_cli(["ideal", "info", str(path)])
+        assert code == 0
+        for line in ("generators: 496", "ord0 = 30", "arn = 10", "mult = 27000",
+                     "colength = 4960"):
+            assert line in out.splitlines()
 
 
 class TestSystemCommands:

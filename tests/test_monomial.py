@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product as iterprod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigraded.errors import (
     DimensionMismatch,
@@ -196,6 +198,21 @@ class TestColength:
         # staircase [0,2)x[0,3)x[0,4) minus the 1x2x3 block above (1,1,1)
         a = minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)], 3)
         assert a.colength() == 24 - 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+                 max_size=10),
+    )
+    def test_three_variables_matches_box_scan(self, pures, extra):
+        a, b, c = pures
+        gens = [(a, 0, 0), (0, b, 0), (0, 0, c), *extra]
+        ideal3 = minimalize(gens, 3)
+        if ideal3.is_unit:
+            return
+        box = iterprod(*(range(e) for e in ideal3.pure_power_exponents()))
+        assert ideal3.colength() == sum(1 for p in box if not ideal3.contains_monomial(p))
 
 
 class TestWeightedOrder:

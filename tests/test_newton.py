@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from itertools import product as iterprod
 
@@ -17,9 +18,12 @@ from multigraded.errors import (
 )
 from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import (
-    convex_hull,
+    NewtonPolyhedron,
+    _rank,
     from_vertices,
     newton_polyhedron,
+    orthant_hull_3d,
+    primitive,
     vertices_from_halfspaces,
 )
 from multigraded.regions import region_from_halfspaces, region_intersect
@@ -189,37 +193,6 @@ class TestMinkowskiProperty:
                     assert pab.contains_point(tuple(x + y for x, y in zip(u, v)))
 
 
-class TestConvexHull:
-    def test_square(self):
-        h = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert set(h.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-        assert not h.degenerate
-        assert h.vertices[0] == (0, 0)
-
-    def test_collinear(self):
-        h = convex_hull([(0, 0), (2, 0), (1, 0)])
-        assert h.vertices == ((0, 0), (2, 0)) and h.degenerate
-
-    def test_triangle(self):
-        h = convex_hull([(2, 0), (0, 3), (1, 1)])
-        assert set(h.vertices) == {(2, 0), (0, 3), (1, 1)}
-
-    def test_cube(self):
-        pts = list(iterprod((0, 1), repeat=3))
-        h = convex_hull(pts)
-        assert set(h.vertices) == set(pts)
-        assert len(h.facets) == 6 and not h.degenerate
-
-    def test_coplanar_3d(self):
-        h = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)])
-        assert h.degenerate
-        assert set(h.vertices) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 0)}
-
-    def test_dimension_cap(self):
-        with pytest.raises(UnsupportedDimension):
-            convex_hull([(0, 0, 0, 0)])
-
-
 class TestFromVertices:
     def test_reconstruction_round_trip(self):
         p = newton_polyhedron(ideal((3, 0), (1, 1), (0, 2)))
@@ -272,3 +245,190 @@ class TestVerticesFromHalfspaces2d:
         meet = region_intersect(p, q)
         assert meet == region_from_halfspaces(2, p.facets + q.facets)
         assert meet == region_intersect(q, p)
+
+
+# -- 3D hull and covolume against brute-force references ---------------------
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det(u, v, w):
+    return _dot(u, _cross(v, w))
+
+
+def brute_orthant_hull_3d(points):
+    """Reference: every plane through a generator triple, a generator pair and
+    an axis, or one generator and two axes is a candidate normal; keep those
+    whose tight set spans a 2-dimensional face (O(n^4))."""
+    pts = sorted(set(map(tuple, points)))
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cands = [_cross(_sub(q, p), e) for p, q in combinations(pts, 2) for e in axes]
+    cands += [_cross(_sub(q, p), _sub(r, p)) for p, q, r in combinations(pts, 3)]
+    normals = set(axes)
+    for n in cands:
+        for cand in (n, tuple(-x for x in n)):
+            if any(cand) and min(cand) >= 0:
+                normals.add(primitive(cand))
+    facets, tight_normals = [], {p: [] for p in pts}
+    for n in sorted(normals):
+        c = min(_dot(n, p) for p in pts)
+        tight = [p for p in pts if _dot(n, p) == c]
+        spanning = [_sub(t, tight[0]) for t in tight[1:]] + [e for e, x in zip(axes, n) if x == 0]
+        if _rank(spanning) != 2:
+            continue
+        for p in tight:
+            tight_normals[p].append(n)
+        if c > 0:
+            facets.append((n, c))
+    verts = [p for p in pts
+             if _rank(tight_normals[p] + [e for e, x in zip(axes, p) if x == 0]) == 3]
+    return tuple(sorted(verts)), tuple(sorted(facets))
+
+
+def _solve(rows, rhs):
+    d = _det(*rows)
+    if d == 0:
+        return None
+    cols = list(zip(*rows))
+    out = []
+    for j in range(3):
+        swapped = [rhs if i == j else cols[i] for i in range(3)]
+        out.append(Fraction(_det(*zip(*swapped))) / d)
+    return tuple(out)
+
+
+def _angular_sort(points, normal):
+    """Cyclic order of coplanar points around their centroid."""
+    n = len(points)
+    cx = [sum(Fraction(p[i]) for p in points) / n for i in range(3)]
+    vecs = [tuple(Fraction(p[i]) - cx[i] for i in range(3)) for p in points]
+
+    def half(w):
+        s = _dot(normal, _cross(vecs[0], w))
+        return (0 if s > 0 else 1) if s != 0 else (0 if _dot(vecs[0], w) > 0 else 1)
+
+    def cmp(iu, iv):
+        hu, hv = half(vecs[iu]), half(vecs[iv])
+        if hu != hv:
+            return -1 if hu < hv else 1
+        s = _dot(normal, _cross(vecs[iu], vecs[iv]))
+        return -1 if s > 0 else (1 if s < 0 else 0)
+
+    return [points[i] for i in sorted(range(n), key=cmp_to_key(cmp))]
+
+
+def brute_covolume_3d(vertices, facets):
+    """Reference: clip P to the box [0, B]^3 (B the largest vertex coordinate),
+    enumerate the clipped polytope's vertices from plane triples, and
+    subtract its volume (a centroid fan over every face) from B^3."""
+    for i in range(3):
+        if not any(all(v[j] == 0 for j in range(3) if j != i) for v in vertices):
+            raise UnboundedComplement(f"axis {i} never enters the polyhedron")
+    if (0, 0, 0) in vertices:
+        return Fraction(0)
+    bound = max(Fraction(x) for v in vertices for x in v)
+    planes = [(a, Fraction(c)) for a, c in facets]
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        planes += [(e, Fraction(0)), (tuple(-x for x in e), -bound)]
+    planes = list(dict.fromkeys(planes))
+    corners = set()
+    for rows in combinations(planes, 3):
+        q = _solve([r[0] for r in rows], [r[1] for r in rows])
+        if q is not None and all(_dot(a, q) >= c for a, c in planes):
+            corners.add(q)
+    corners = sorted(corners)
+    centroid = tuple(sum(v[i] for v in corners) / len(corners) for i in range(3))
+    inside = Fraction(0)
+    for a, c in planes:
+        tight = [v for v in corners if _dot(a, v) == c]
+        if len(tight) < 3 or _rank([_sub(t, tight[0]) for t in tight[1:]]) != 2:
+            continue
+        ring = [_sub(v, centroid) for v in _angular_sort(tight, a)]
+        inside += sum(abs(_det(ring[0], ring[i], ring[i + 1])) for i in range(1, len(ring) - 1))
+    return bound**3 - inside / 6
+
+
+def _outcome(f):
+    try:
+        return repr(f())
+    except UnboundedComplement:
+        return "UnboundedComplement"
+
+
+COORD = st.integers(0, 5)
+POINT = st.tuples(COORD, COORD, COORD)
+# raw point sets: duplicates (re-drawn from the list), dominated points,
+# zero coordinates and single points are all common at this size
+RAW = st.lists(POINT, min_size=1, max_size=9).flatmap(
+    lambda ps: st.lists(st.sampled_from(ps), max_size=3).map(lambda dup: ps + dup))
+PURES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).map(
+    lambda d: [(d[0], 0, 0), (0, d[1], 0), (0, 0, d[2])])
+# cofinite int antichains: pure powers plus extra points, minimalized
+ANTICHAIN = st.tuples(PURES, st.lists(POINT, max_size=9)).map(
+    lambda pe: list(minimalize(pe[0] + pe[1], 3).gens))
+# ints, integral Fractions such as Fraction(3, 1), and proper fractions
+MIXED_COORD = st.one_of(COORD, st.fractions(0, 5, max_denominator=3))
+MIXED = st.lists(st.tuples(MIXED_COORD, MIXED_COORD, MIXED_COORD), min_size=1, max_size=8)
+
+
+class TestOrthantHull3d:
+    def _agree(self, points):
+        got, want = orthant_hull_3d(points), brute_orthant_hull_3d(points)
+        # repr, so that int vs Fraction (and which input tuple) counts
+        assert repr(got) == repr(want)
+        p = NewtonPolyhedron(3, *got)
+        assert _outcome(p.covolume) == _outcome(lambda: brute_covolume_3d(*want))
+        return p
+
+    @settings(max_examples=150, deadline=None)
+    @given(ANTICHAIN)
+    @example([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    @example([(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 0)])
+    # a hexagonal facet x+y+z >= 6: its ring order matters to the fan
+    @example([(7, 0, 0), (0, 7, 0), (0, 0, 7), (1, 2, 3), (1, 3, 2), (2, 1, 3),
+              (2, 3, 1), (3, 1, 2), (3, 2, 1)])
+    def test_int_antichains(self, gens):
+        p = self._agree(gens)
+        assert p == newton_polyhedron(minimalize(gens, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(RAW)
+    @example([(2, 3, 1)])  # a single point: three axis facets
+    @example([(0, 0, 0), (1, 2, 3)])  # the origin swallows everything
+    @example([(0, 0, 2), (0, 1, 1), (0, 2, 0), (0, 1, 1)])  # collinear, duplicated
+    @example([(1, 1, 1), (2, 2, 2), (1, 1, 1), (3, 0, 4)])  # dominated points
+    def test_raw_point_sets(self, points):
+        self._agree(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(MIXED)
+    @example([(Fraction(3), 0, 0), (0, 3, 0), (0, 0, Fraction(3, 2))])
+    @example([(1, 2, 3), (Fraction(1), 2, 3), (0, Fraction(7, 2), 1)])  # equal tuples, mixed types
+    def test_mixed_int_fraction_points(self, points):
+        self._agree(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ANTICHAIN, st.fractions(Fraction(1, 4), 4, max_denominator=4))
+    def test_covolume_scales_by_t_cubed(self, gens, t):
+        p = newton_polyhedron(minimalize(gens, 3))
+        assert p.scale(t).covolume() == t**3 * p.covolume()
+
+    @pytest.mark.parametrize("exps", [(1, 1, 1), (2, 3, 5), (7, 1, 4), (12, 11, 9)])
+    def test_multiplicity_of_pure_powers(self, exps):
+        a, b, c = exps
+        ideal3 = minimalize([(a, 0, 0), (0, b, 0), (0, 0, c)], 3)
+        assert ideal3.multiplicity() == a * b * c
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    def test_multiplicity_of_maximal_power(self, d):
+        assert MonomialIdeal.maximal(3).power(d).multiplicity() == d**3
