@@ -63,3 +63,8 @@ class EvaluationOutOfDomain(MultigradedError):
 
 class MonotonicityError(MultigradedError):
     """A schedule sample sequence failed to be monotone nonincreasing."""
+
+
+class TooManyGeneratorPairs(MultigradedError):
+    """A product or intersection would combine more generator pairs than
+    ``monomial.MAX_GENERATOR_PAIRS`` allows."""

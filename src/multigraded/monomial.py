@@ -11,6 +11,7 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterprod
@@ -19,11 +20,18 @@ from .errors import (
     DimensionMismatch,
     NegativeWeight,
     NotCofinite,
+    TooManyGeneratorPairs,
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
 
 Vec = tuple[int, ...]
+
+# Largest generator-pair count a product or intersection may combine (about
+# two seconds of work).  Past it lie runaway schedules, such as doubling
+# powers of a k=3 ideal, whose next squarings run for minutes at hundreds
+# of MB; they are refused up front.
+MAX_GENERATOR_PAIRS = 2_000_000
 
 
 def dominates(v: Vec, w: Vec) -> bool:
@@ -32,6 +40,8 @@ def dominates(v: Vec, w: Vec) -> bool:
 
 
 def _check_vectors(gens, k: int) -> list[Vec]:
+    if k < 1:
+        raise ValueError("ambient dimension must be >= 1")
     out = []
     for v in gens:
         t = tuple(v)
@@ -43,26 +53,72 @@ def _check_vectors(gens, k: int) -> list[Vec]:
     return out
 
 
-def _antichain(vecs: list[Vec]) -> list[Vec]:
-    """Minimal elements of vecs under componentwise <=."""
-    if not vecs:
-        return []
-    k = len(vecs[0])
+def _antichain(vecs, k: int) -> list[Vec]:
+    """Minimal elements of vecs under componentwise <=, lex-sorted."""
+    uniq = set(vecs)
     if k == 2:
         # staircase sweep: lex sort, keep strictly decreasing second coord
         out = []
         best = None
-        for v in sorted(set(vecs)):
+        for v in sorted(uniq):
             if best is None or v[1] < best:
                 out.append(v)
                 best = v[1]
         return out
-    # general: a vector is only dominated by one of smaller or equal total degree
+    if k == 3:
+        # 3-D maxima sweep (Kung, Luccio & Preparata, JACM 1975), O(N log N):
+        # in (z, x, y) order every vector that can dominate v comes before v,
+        # so v is minimal iff no kept (x, y) lies below its own.  The kept
+        # (x, y) pairs reduce to a staircase, x increasing and y strictly
+        # decreasing, searched and updated with bisect.
+        xs: list[int] = []
+        ys: list[int] = []
+        out = []
+        for z, x, y in sorted((v[2], v[0], v[1]) for v in uniq):
+            i = bisect_right(xs, x)
+            if i and ys[i - 1] <= y:
+                continue
+            lo, hi = bisect_left(xs, x, 0, i), i
+            while hi < len(ys) and ys[hi] >= y:
+                hi += 1
+            xs[lo:hi] = [x]
+            ys[lo:hi] = [y]
+            out.append((x, y, z))
+        return sorted(out)
+    # k = 1 and k >= 4: quadratic filter in degree order (a vector is only
+    # dominated by one of smaller or equal total degree)
     kept: list[Vec] = []
-    for v in sorted(set(vecs), key=lambda t: (sum(t), t)):
+    for v in sorted(uniq, key=lambda t: (sum(t), t)):
         if not any(dominates(v, w) for w in kept):
             kept.append(v)
-    return kept
+    return sorted(kept)
+
+
+def _trusted(k: int, gens: tuple[Vec, ...]) -> MonomialIdeal:
+    """The nonzero ideal on gens, which must already be a lex-sorted
+    antichain of valid exponent vectors; skips the check in
+    ``MonomialIdeal.__post_init__``, which would only repeat the work."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "dim", k)  # frozen: as the dataclass __init__ does
+    object.__setattr__(ideal, "gens", gens)
+    object.__setattr__(ideal, "is_zero", False)
+    return ideal
+
+
+def _minimal(vecs, k: int) -> MonomialIdeal:
+    """Canonical ideal on an iterable of valid exponent vectors (the zero
+    ideal if it is empty), antichained once."""
+    mins = _antichain(vecs, k)
+    return _trusted(k, tuple(mins)) if mins else MonomialIdeal.zero(k)
+
+
+def _check_pairs(a: MonomialIdeal, b: MonomialIdeal, what: str) -> None:
+    pairs = len(a.gens) * len(b.gens)
+    if pairs > MAX_GENERATOR_PAIRS:
+        raise TooManyGeneratorPairs(
+            f"{what} of ideals with {len(a.gens)} and {len(b.gens)} generators "
+            f"needs {pairs} generator pairs, over the limit of {MAX_GENERATOR_PAIRS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,12 +130,9 @@ class MonomialIdeal:
     is_zero: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
         if self.is_zero and self.gens:
             raise ValueError("zero ideal carries no generators")
-        mins = _antichain(_check_vectors(self.gens, self.dim))
-        if tuple(sorted(mins)) != self.gens:
+        if tuple(_antichain(_check_vectors(self.gens, self.dim), self.dim)) != self.gens:
             raise ValueError("generators must be a lex-sorted antichain")
 
     # -- constructors ------------------------------------------------------
@@ -126,8 +179,9 @@ class MonomialIdeal:
             raise DimensionMismatch("ideals in different ambient dimensions")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.dim)
-        sums = [tuple(a + b for a, b in zip(v, w)) for v in self.gens for w in other.gens]
-        return minimalize(sums, self.dim)
+        _check_pairs(self, other, "product")
+        sums = (tuple(a + b for a, b in zip(v, w)) for v in self.gens for w in other.gens)
+        return _minimal(sums, self.dim)
 
     __mul__ = product
 
@@ -136,8 +190,9 @@ class MonomialIdeal:
             raise DimensionMismatch("ideals in different ambient dimensions")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.dim)
-        maxes = [tuple(max(a, b) for a, b in zip(v, w)) for v in self.gens for w in other.gens]
-        return minimalize(maxes, self.dim)
+        _check_pairs(self, other, "intersection")
+        maxes = (tuple(max(a, b) for a, b in zip(v, w)) for v in self.gens for w in other.gens)
+        return _minimal(maxes, self.dim)
 
     def colon(self, other: MonomialIdeal) -> MonomialIdeal:
         """(self : other), intersecting the colons by each generator of other."""
@@ -149,8 +204,8 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.dim)
         result = None
         for w in other.gens:
-            shifted = [tuple(max(a - b, 0) for a, b in zip(v, w)) for v in self.gens]
-            part = minimalize(shifted, self.dim)
+            shifted = (tuple(max(a - b, 0) for a, b in zip(v, w)) for v in self.gens)
+            part = _minimal(shifted, self.dim)
             result = part if result is None else result.intersect(part)
         return result
 
@@ -298,7 +353,4 @@ def minimalize(gens, k: int) -> MonomialIdeal:
     Empty input yields the zero ideal (an empty generating set generates
     the zero ideal, not the unit ideal).
     """
-    vecs = _check_vectors(gens, k)
-    if not vecs:
-        return MonomialIdeal.zero(k)
-    return MonomialIdeal(k, tuple(sorted(_antichain(vecs))))
+    return _minimal(_check_vectors(gens, k), k)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iterprod
-from math import ceil
+from math import ceil, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -22,11 +21,10 @@ from .errors import (
     NonpositiveScale,
     UnsupportedDimension,
 )
-from .monomial import MonomialIdeal, minimalize
+from .monomial import MonomialIdeal, _trusted, minimalize
 from .newton import (
     NewtonPolyhedron,
     _chain_facets_2d,
-    _dot,
     from_vertices,
     vertices_from_halfspaces,
 )
@@ -220,8 +218,9 @@ def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> Region:
 def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
     """Minimal generators of the ideal of all lattice points of m * region.
 
-    k = 2 uses a staircase column scan of the scaled boundary; k = 3 scans
-    a bounding box with a domination filter (O(B^3)).
+    k = 2 uses a staircase column scan of the scaled boundary; k = 3 a
+    column scan that reads each generator off the column heights of the
+    bounding box, O(B^2) columns (``_lattice_generators_3d``).
     """
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
@@ -253,18 +252,44 @@ def _lattice_generators_2d(scaled: NewtonPolyhedron) -> MonomialIdeal:
 
 
 def _lattice_generators_3d(scaled: NewtonPolyhedron) -> MonomialIdeal:
+    """Minimal lattice points of scaled within the box [0, b_x] x [0, b_y] x [0, b_z].
+
+    Column (x, y) holds the points z >= h(x, y), where h is the least z >= 0
+    meeting every facet with a_z > 0 (never above b_z); a column breaking a
+    facet with a_z = 0 holds none.  h is nonincreasing in x and y, so
+    (x, y, h) is a minimal generator exactly when h lies strictly below
+    both h(x - 1, y) and h(x, y - 1); the scan emits the lex-sorted
+    antichain directly, with no domination filter.
+    """
     bounds = []
     for i in range(3):
         per_axis = [ceil(Fraction(c, a[i])) + 1 for a, c in scaled.facets if a[i] > 0]
         bounds.append(max(per_axis) if per_axis else 0)
-    points = [
-        p
-        for p in iterprod(*(range(b + 1) for b in bounds))
-        if all(_dot(a, p) >= c for a, c in scaled.facets)
-    ]
-    if not points:
+    bx, by, bz = bounds
+    flat, sloped = [], []
+    for a, c in scaled.facets:
+        # scaled to integers: a_x x + a_y y + a_z z >= c
+        q = [Fraction(t) for t in (*a, c)]
+        scale = lcm(*(t.denominator for t in q))
+        ax, ay, az, cc = (int(t * scale) for t in q)
+        (sloped if az > 0 else flat).append((ax, ay, az, cc))
+    empty = bz + 1  # the height of a column holding no point
+    gens = []
+    below = [empty] * (by + 1)  # h(x - 1, y) for every y
+    for x in range(bx + 1):
+        left = empty  # h(x, y - 1)
+        for y in range(by + 1):
+            if any(ax * x + ay * y < cc for ax, ay, _, cc in flat):
+                h = empty
+            else:
+                # -(-n // az) is ceil(n / az) for n = cc - ax x - ay y
+                h = max([0] + [-((ax * x + ay * y - cc) // az) for ax, ay, az, cc in sloped])
+            if h < left and h < below[y]:
+                gens.append((x, y, h))
+            below[y] = left = h
+    if not gens:
         raise EmptyRegion("no lattice points in the scan box")
-    return minimalize(points, 3)
+    return _trusted(3, tuple(gens))
 
 
 # -- the appendix construction ---------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import multigraded
 from multigraded import newton
 from multigraded.cli import main
-from multigraded.monomial import minimalize
+from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
 from multigraded.textio import (
     ParseError,
     fmt_dec,
@@ -261,6 +262,26 @@ class TestIdealInfo:
         for line in ("generators: 496", "ord0 = 30", "arn = 10", "mult = 27000",
                      "colength = 4960"):
             assert line in out.splitlines()
+
+
+class TestRefusal:
+    def test_runaway_power_schedule_exits_2_with_the_limit(self, tmp_path):
+        # 11 generators in k=3; the doubling schedule at the default length
+        # reaches I^256, whose squarings would run for minutes at hundreds of MB
+        gens = ["0 0 6", "0 4 5", "0 5 3", "0 6 0", "1 5 2", "2 1 5", "2 5 1",
+                "3 4 4", "4 0 1", "4 1 0", "6 0 0"]
+        (tmp_path / "a.ideal").write_text("k=3\n" + "\n".join(gens) + "\n")
+        (tmp_path / "s.system").write_text("powers a.ideal\n")
+        start = time.perf_counter()
+        proc = run_module(["system", "invariants", "s.system", "--direction", "1",
+                           "--quantity", "all", "--schedule", "doubling",
+                           "--method", "both"], tmp_path)
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: product of ideals with")
+        assert f"over the limit of {MAX_GENERATOR_PAIRS}" in proc.stderr
 
 
 class TestSystemCommands:

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigraded import monomial
 from multigraded.errors import (
     DimensionMismatch,
     NotCofinite,
+    TooManyGeneratorPairs,
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
-from multigraded.monomial import MonomialIdeal, minimalize
+from multigraded.monomial import MonomialIdeal, dominates, minimalize
+from multigraded.regions import lattice_generators, region_from_halfspaces
 
 
 def ideal(*gens, k=2):
@@ -28,6 +31,20 @@ def members(a, box):
         for p in iterprod(*(range(box) for _ in range(a.dim)))
         if a.contains_monomial(p)
     }
+
+
+def quadratic_antichain(vecs):
+    """Reference: the quadratic domination filter in degree order, lex-sorted."""
+    kept = []
+    for v in sorted(set(vecs), key=lambda t: (sum(t), t)):
+        if not any(dominates(v, w) for w in kept):
+            kept.append(v)
+    return sorted(kept)
+
+
+vectors3 = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=40
+)
 
 
 def random_cofinite(rng, max_exp=6, extra=3):
@@ -63,6 +80,79 @@ class TestMinimalize:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             minimalize([(1, -1)], 2)
+
+
+class TestAntichain3:
+    """The k = 3 sweep against the quadratic filter it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors3)
+    def test_sweep_matches_quadratic_filter(self, vecs):
+        # entries 0..4 over up to 40 draws: duplicates and zeros are common
+        assert monomial._antichain(vecs, 3) == quadratic_antichain(vecs)
+        if vecs:
+            assert list(minimalize(vecs, 3).gens) == quadratic_antichain(vecs)
+
+    def test_examples(self):
+        vecs = [(1, 1, 1), (1, 1, 1), (0, 2, 5), (2, 0, 0), (2, 0, 1), (0, 0, 3), (1, 1, 0)]
+        assert monomial._antichain(vecs, 3) == [(0, 0, 3), (1, 1, 0), (2, 0, 0)]
+        assert monomial._antichain([(3, 0, 0), (0, 3, 0), (0, 0, 3)], 3) == [
+            (0, 0, 3), (0, 3, 0), (3, 0, 0),
+        ]
+
+
+class TestValidation:
+    """The public constructor checks everything; the internal routes check once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vectors3.filter(bool))
+    def test_public_constructor_rejects_bad_generators(self, vecs):
+        gens = minimalize(vecs, 3).gens
+        assert MonomialIdeal(3, gens) == minimalize(vecs, 3)
+        g = gens[0]
+        with pytest.raises(ValueError):  # dominated by g
+            MonomialIdeal(3, tuple(sorted(gens + ((g[0] + 1, g[1], g[2]),))))
+        with pytest.raises(ValueError):  # repeated
+            MonomialIdeal(3, (g,) + gens)
+        with pytest.raises(ValueError):  # negative
+            MonomialIdeal(3, ((-1, g[1], g[2]),) + gens[1:])
+        with pytest.raises(DimensionMismatch):
+            MonomialIdeal(3, gens + ((g[0], g[1]),))
+        if len(gens) > 1:
+            with pytest.raises(ValueError):  # unsorted
+                MonomialIdeal(3, tuple(reversed(gens)))
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError):
+            minimalize([()], 0)
+        with pytest.raises(ValueError):
+            MonomialIdeal(0, ((),))
+
+    def test_antichain_once_per_result(self, monkeypatch):
+        calls = []
+        antichain = monomial._antichain
+        monkeypatch.setattr(monomial, "_antichain",
+                            lambda vecs, k: calls.append(k) or antichain(vecs, k))
+        a = minimalize([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1), (2, 2, 2)], 3)
+        assert calls == [3]
+        a.product(a)
+        a.intersect(MonomialIdeal.maximal(3))
+        assert calls == [3, 3, 3, 3]  # maximal(3) is one more minimalize
+        calls.clear()
+        lattice_generators(region_from_halfspaces(3, [((1, 2, 3), 6)]), 4)
+        assert calls == []  # the column scan emits the antichain directly
+
+
+class TestGeneratorPairLimit:
+    def test_product_and_intersection_refused_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(monomial, "MAX_GENERATOR_PAIRS", 3)
+        a = ideal((2, 0), (0, 3))
+        b = ideal((1, 0), (0, 1))
+        with pytest.raises(TooManyGeneratorPairs, match="over the limit of 3"):
+            a.product(b)
+        with pytest.raises(TooManyGeneratorPairs, match="over the limit of 3"):
+            a.intersect(b)
+        assert a.product(ideal((1, 1))) == ideal((3, 1), (1, 4))  # 2 pairs
 
 
 class TestProduct:

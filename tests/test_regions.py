@@ -1,11 +1,16 @@
 """Region builders, region algebra, lattice generators, and the gauge body."""
 
 from fractions import Fraction
+from itertools import product as iterprod
+from math import ceil, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multigraded.errors import DimensionMismatch, NonpositiveScale
+from multigraded.errors import DimensionMismatch, EmptyRegion, NonpositiveScale
 from multigraded.monomial import minimalize
+from multigraded.newton import NewtonPolyhedron
 from multigraded.regions import (
     PiecewiseLinearConvexFn,
     appendix_boundary,
@@ -21,6 +26,51 @@ from multigraded.regions import (
 )
 
 F = Fraction
+
+
+def box_scan_generators(region, m):
+    """Reference for k = 3: every lattice point of the bounding box of m * region
+    that meets all facets, reduced by ``minimalize`` (the scan the column scan
+    replaced; the k = 3 sweep inside ``minimalize`` is checked against the
+    quadratic filter in test_monomial.py)."""
+    scaled = region.scale(m) if m != 1 else region
+    bounds = []
+    for i in range(3):
+        per_axis = [ceil(F(c, a[i])) + 1 for a, c in scaled.facets if a[i] > 0]
+        bounds.append(max(per_axis) if per_axis else 0)
+    points = [
+        p
+        for p in iterprod(*(range(b + 1) for b in bounds))
+        if all(sum(x * y for x, y in zip(a, p)) >= c for a, c in scaled.facets)
+    ]
+    if not points:
+        raise EmptyRegion("no lattice points in the scan box")
+    return minimalize(points, 3)
+
+
+def lagrange(points, x):
+    """Value at x and leading coefficient of the interpolating polynomial."""
+    value, lead = F(0), F(0)
+    for i, (xi, yi) in enumerate(points):
+        denom = 1
+        num = F(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                denom *= xi - xj
+                num *= x - xj
+        value += num / denom
+        lead += F(yi, denom)
+    return value, lead
+
+
+halfspaces3 = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(any),
+        st.fractions(min_value=F(1, 3), max_value=5, max_denominator=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestDyadics:
@@ -159,6 +209,61 @@ class TestLatticeGenerators:
             [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 3
         )
         assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(halfspaces3, st.integers(1, 4))
+    def test_column_scan_matches_box_scan(self, facets, m):
+        # normals with a_z = 0 and Fraction right-hand sides are drawn often
+        p = region_from_halfspaces(3, facets)
+        assert repr(lattice_generators(p, m)) == repr(box_scan_generators(p, m))
+
+    @pytest.mark.parametrize("facets", [
+        [((0, 0, 1), F(5, 2))],
+        [((1, 0, 0), 2), ((0, 1, 1), 3)],
+        [((2, 1, 0), F(7, 3)), ((0, 0, 1), 1), ((1, 1, 1), F(9, 2))],
+        [((1, 2, 3), 6), ((3, 2, 1), 6), ((2, 3, 1), 6)],
+    ], ids=["single-facet", "vertical-facet", "fraction-rhs", "roadmap-probe"])
+    def test_column_scan_examples(self, facets):
+        p = region_from_halfspaces(3, facets)
+        for m in (1, 2, 3):
+            assert repr(lattice_generators(p, m)) == repr(box_scan_generators(p, m))
+
+    def test_no_lattice_point_in_the_box(self):
+        # a facet no point meets (zero normal, positive right-hand side)
+        p = NewtonPolyhedron(3, ((0, 0, 0),), (((0, 0, 0), 1),))
+        for m in (1, 2):
+            with pytest.raises(EmptyRegion):
+                lattice_generators(p, m)
+            with pytest.raises(EmptyRegion):
+                box_scan_generators(p, m)
+
+    def test_roadmap_probe_at_scale_32(self):
+        p = region_from_halfspaces(3, [((1, 2, 3), 6), ((3, 2, 1), 6), ((2, 3, 1), 6)])
+        ideal = lattice_generators(p, 32)
+        assert len(ideal.gens) == 5083 and ideal.colength() == 326976
+
+
+class TestEhrhartOracle:
+    """n -> colength of the lattice ideal of n P is a polynomial of degree k
+    for a lattice polyhedron P, with leading coefficient covol(P); so
+    k! * lead is the multiplicity, through the scan and the colength, not
+    the covolume."""
+
+    @pytest.mark.parametrize("gens", [
+        [(2, 0), (1, 1), (0, 3)],
+        [(5, 0), (2, 1), (0, 4)],
+        [(3, 0), (1, 2), (0, 7)],
+        [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
+        [(3, 0, 0), (0, 4, 0), (0, 0, 2), (1, 1, 0), (0, 2, 1)],
+        [(4, 0, 0), (0, 3, 0), (0, 0, 5), (2, 1, 1), (1, 0, 2)],
+    ])
+    def test_interpolated_colength(self, gens):
+        ideal = minimalize(gens, len(gens[0]))
+        k, body = ideal.dim, ideal.newton()
+        counts = [(n, lattice_generators(body, n).colength()) for n in range(1, k + 3)]
+        predicted, lead = lagrange(counts[:-1], k + 2)
+        assert predicted == counts[-1][1]
+        assert factorial(k) * lead == ideal.multiplicity()
 
 
 class TestPiecewiseLinearValidation:
