@@ -15,7 +15,6 @@ from .monomial import MonomialIdeal, minimalize
 from .newton import NewtonPolyhedron, newton_polyhedron
 from .regions import (
     PiecewiseLinearConvexFn,
-    Region,
     appendix_boundary,
     build_g,
     build_kinked_f,
@@ -24,7 +23,6 @@ from .regions import (
     region_from_halfspaces,
     region_intersect,
     region_minkowski,
-    region_scale,
 )
 from .systems import (
     CeilingSystem,
@@ -35,9 +33,7 @@ from .systems import (
     Pullback,
     RegionSystem,
     Truncate,
-    ceiling_system,
     kinked_intersection_system,
-    restrict_direction,
     verify_gradedness,
 )
 

@@ -42,10 +42,6 @@ class ConeRep:
         return ConeRep(rank, halfspaces=hs, fullspace=not hs)
 
     @staticmethod
-    def from_rays(rank: int, rays) -> ConeRep:
-        return ray_hull(rays, rank)
-
-    @staticmethod
     def epigraph(forms) -> ConeRep:
         """Cone {(x, y) : y >= max over forms of <form, x>}.
 

@@ -1,11 +1,15 @@
 """Exact polyhedral geometry of Newton polyhedra and orthant regions (k <= 3).
 
-A polyhedron here always has recession cone equal to the nonnegative
-orthant: P = conv(vertices) + R_{>=0}^k.  Facets are stored as pairs
-(normal, c) meaning <normal, x> >= c with a primitive integer normal
-having all components >= 0.  Facets with c = 0 (the coordinate planes)
-are never stored: for points in the orthant they are vacuous, and
-membership tests check nonnegativity separately.
+One type, ``NewtonPolyhedron``, models every closed convex region of the
+orthant that absorbs the orthant: the Newton polyhedron of an ideal, a
+halfspace region, an epigraph, and every limit body of a graded system
+(the builders live in ``regions``).  Such a polyhedron always has
+recession cone equal to the nonnegative orthant: P = conv(vertices) +
+R_{>=0}^k.  Facets are stored as pairs (normal, c) meaning
+<normal, x> >= c with a primitive integer normal having all components
+>= 0.  Facets with c = 0 (the coordinate planes) are never stored: for
+points in the orthant they are vacuous, and membership tests check
+nonnegativity separately.
 
 One exact routine per dimension builds the polyhedron: a sorted
 staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
@@ -26,6 +30,7 @@ from math import gcd, lcm
 from .errors import (
     DimensionMismatch,
     NegativeWeight,
+    NonpositiveScale,
     UnboundedComplement,
     UnsupportedDimension,
     ZeroIdeal,
@@ -136,24 +141,13 @@ def _chain_facets_2d(verts) -> list[Facet]:
 # -- the polyhedron type ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NewtonPolyhedron:
     """conv(vertices) + orthant, with the canonical irredundant facet list."""
 
     dim: int
     vertices: tuple[Point, ...]
     facets: tuple[Facet, ...]
-
-    def __eq__(self, other):
-        # geometric equality across subclasses (regions vs Newton polyhedra)
-        if not isinstance(other, NewtonPolyhedron):
-            return NotImplemented
-        return (self.dim, self.vertices, self.facets) == (
-            other.dim, other.vertices, other.facets,
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.vertices, self.facets))
 
     def contains_point(self, q) -> bool:
         qt = tuple(q)
@@ -197,6 +191,8 @@ class NewtonPolyhedron:
 
     def scale(self, t) -> NewtonPolyhedron:
         t = Fraction(t)
+        if t <= 0:
+            raise NonpositiveScale(f"scale factor {t} must be positive")
         verts = tuple(tuple(x * t for x in v) for v in self.vertices)
         facets = tuple((a, c * t) for a, c in self.facets)
         return NewtonPolyhedron(self.dim, verts, facets)
@@ -219,19 +215,9 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Newton polyhedron of a monomial ideal: conv(exponent vectors) + orthant."""
     if ideal.is_zero:
         raise ZeroIdeal("the zero ideal has no Newton polyhedron")
-    k = ideal.dim
-    if k > 3:
+    if ideal.dim > 3:
         raise UnsupportedDimension("exact Newton polyhedra are limited to k <= 3")
-    if ideal.is_unit:
-        return NewtonPolyhedron(k, ((0,) * k,), ())
-    if k == 1:
-        c = min(g[0] for g in ideal.gens)
-        return NewtonPolyhedron(1, ((c,),), (((1,), c),))
-    if k == 2:
-        verts = staircase_vertices(ideal.gens)
-        return NewtonPolyhedron(2, tuple(verts), tuple(_chain_facets_2d(verts)))
-    verts, facets = orthant_hull_3d(ideal.gens)
-    return NewtonPolyhedron(3, verts, facets)
+    return from_vertices(ideal.gens)
 
 
 def from_vertices(points) -> NewtonPolyhedron:
@@ -239,7 +225,7 @@ def from_vertices(points) -> NewtonPolyhedron:
     pts = [tuple(p) for p in points]
     k = len(pts[0])
     if k == 1:
-        c = min(Fraction(p[0]) for p in pts)
+        c = min(p[0] for p in pts)
         return NewtonPolyhedron(1, ((c,),), (((1,), c),) if c > 0 else ())
     if k == 2:
         verts = staircase_vertices(pts)

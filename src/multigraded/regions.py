@@ -1,16 +1,17 @@
-"""Closed convex regions of the orthant absorbing the orthant under addition.
+"""Builders for closed convex regions of the orthant that absorb the orthant.
 
-Regions are polyhedra with recession cone the full orthant, shared with
-the Newton-polyhedron machinery.  This module adds the boundary-function
-builders used by the pathological constructions (the kinked decreasing
-convex function, its line companion, the Appendix's concave series), the
-region algebra (scale/intersect/Minkowski), lattice-generator extraction,
-and the gauge of the reflected symmetric body.
+Every region is a ``NewtonPolyhedron``, the one polyhedron type of
+``newton``.  This module holds its builders: halfspace regions, the
+boundary functions of the pathological constructions (the kinked
+decreasing convex function, its line companion, the Appendix's concave
+series) and their epigraphs, the region algebra (intersection, Minkowski
+sum), lattice-generator extraction, and the gauge of the reflected
+symmetric body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
@@ -18,7 +19,6 @@ from math import ceil, lcm
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
-    NonpositiveScale,
     UnsupportedDimension,
 )
 from .monomial import MonomialIdeal, _trusted, minimalize
@@ -133,28 +133,11 @@ def build_g() -> PiecewiseLinearConvexFn:
 # -- regions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Region(NewtonPolyhedron):
-    """An orthant-absorbing polyhedral region plus a provenance tag."""
-
-    provenance: str = field(default="", compare=False)
-
-    def scale(self, t) -> Region:
-        if Fraction(t) <= 0:
-            raise NonpositiveScale(f"scale factor {t} must be positive")
-        base = NewtonPolyhedron.scale(self, t)
-        return Region(base.dim, base.vertices, base.facets, provenance="scaled")
+def full_orthant(k: int) -> NewtonPolyhedron:
+    return NewtonPolyhedron(k, ((0,) * k,), ())
 
 
-def as_region(poly: NewtonPolyhedron, provenance: str = "") -> Region:
-    return Region(poly.dim, poly.vertices, poly.facets, provenance=provenance)
-
-
-def full_orthant(k: int) -> Region:
-    return Region(k, ((0,) * k,), (), provenance="halfspaces")
-
-
-def region_from_halfspaces(k: int, facets) -> Region:
+def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
     """Region {x >= 0 : <a, x> >= c} from nonnegative-normal halfspaces."""
     kept = []
     for a, c in facets:
@@ -166,32 +149,33 @@ def region_from_halfspaces(k: int, facets) -> Region:
         return full_orthant(k)
     if k > 3:
         raise UnsupportedDimension("halfspace regions are limited to k <= 3")
-    verts = vertices_from_halfspaces(k, kept)
+    return _from_halfspaces(k, kept)
+
+
+def _from_halfspaces(k: int, facets) -> NewtonPolyhedron:
+    """The region of checked, nonempty halfspaces: its vertices, then its
+    facets (in k = 2 read straight off the vertex chain)."""
+    verts = vertices_from_halfspaces(k, facets)
     if k == 2:
-        return Region(2, verts, tuple(_chain_facets_2d(list(verts))), provenance="halfspaces")
-    rebuilt = from_vertices(verts)
-    return Region(k, rebuilt.vertices, rebuilt.facets, provenance="halfspaces")
+        return NewtonPolyhedron(2, verts, tuple(_chain_facets_2d(verts)))
+    return from_vertices(verts)
 
 
-def epigraph_region(fn: PiecewiseLinearConvexFn) -> Region:
+def epigraph_region(fn: PiecewiseLinearConvexFn) -> NewtonPolyhedron:
     """The set above the graph of fn in the first quadrant (k = 2)."""
     verts = [(x, v) for x, v in fn.breakpoints] + [(fn.intercept, Fraction(0))]
-    return Region(2, tuple(verts), tuple(_chain_facets_2d(verts)), provenance="epigraph")
+    return NewtonPolyhedron(2, tuple(verts), tuple(_chain_facets_2d(verts)))
 
 
 @lru_cache(maxsize=64)
-def thm2_regions(n_kinks: int) -> tuple[Region, Region]:
+def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
     """The Theorem 2 pair (P, Q): the epigraphs of the kinked boundary
     ``build_kinked_f(n_kinks)`` and of the line ``build_g()``; built once per
     n_kinks and shared (both regions are frozen)."""
     return epigraph_region(build_kinked_f(n_kinks)), epigraph_region(build_g())
 
 
-def region_scale(region: Region, t) -> Region:
-    return region.scale(t)
-
-
-def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> Region:
+def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
     """P intersect Q from the union of their facets: in k = 2 an O(m log m)
     line envelope, in k = 3 an enumeration of constraint triples (see
     ``vertices_from_halfspaces``)."""
@@ -200,19 +184,14 @@ def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> Region:
     merged = sorted(set(p.facets) | set(q.facets))
     if not merged:
         return full_orthant(p.dim)
-    verts = vertices_from_halfspaces(p.dim, merged)
-    if p.dim == 2:
-        return Region(2, verts, tuple(_chain_facets_2d(list(verts))), provenance="intersection")
-    rebuilt = from_vertices(verts)
-    return Region(p.dim, rebuilt.vertices, rebuilt.facets, provenance="intersection")
+    return _from_halfspaces(p.dim, merged)
 
 
-def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> Region:
+def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
     if p.dim != q.dim:
         raise DimensionMismatch("regions in different dimensions")
     sums = [tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices]
-    rebuilt = from_vertices(sums)
-    return Region(p.dim, rebuilt.vertices, rebuilt.facets, provenance="minkowski")
+    return from_vertices(sums)
 
 
 def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:

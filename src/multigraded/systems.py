@@ -23,9 +23,8 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .monomial import MonomialIdeal
+from .newton import NewtonPolyhedron
 from .regions import (
-    Region,
-    as_region,
     full_orthant,
     lattice_generators,
     region_intersect,
@@ -61,7 +60,7 @@ class SystemExpr:
     def _eval(self, v) -> MonomialIdeal:
         raise NotImplementedError
 
-    def limit_body(self, v) -> Region:
+    def limit_body(self, v) -> NewtonPolyhedron:
         """Closure of the limit body of the restriction to direction v."""
         raise NotRegionExpressible(type(self).__name__)
 
@@ -87,12 +86,8 @@ class DirectionView:
     def eval(self, n: int) -> MonomialIdeal:
         return self.system.eval(tuple(n * x for x in self.direction))
 
-    def limit_body(self) -> Region:
+    def limit_body(self) -> NewtonPolyhedron:
         return self.system.limit_body(self.direction)
-
-
-def restrict_direction(system: SystemExpr, v) -> DirectionView:
-    return system.restrict(v)
 
 
 class IdealPowers(SystemExpr):
@@ -119,13 +114,13 @@ class IdealPowers(SystemExpr):
         ideal = self.eval(tuple(v))
         if ideal.is_zero:
             raise ZeroIdealInDirection(f"zero ideal at {v}")
-        return as_region(ideal.newton(), provenance="limit")
+        return ideal.newton()
 
 
 class RegionSystem(SystemExpr):
     """a_n = ideal of all lattice points of n*P; a_n = (1) for n <= 0."""
 
-    def __init__(self, region: Region):
+    def __init__(self, region: NewtonPolyhedron):
         super().__init__()
         self.region = region
         self.rank = 1
@@ -177,7 +172,7 @@ class CeilingSystem(SystemExpr):
         t = self.deficiency(tuple(v))
         if t == 0:
             return full_orthant(self.ambient_dim)
-        return as_region(self.base.newton(), provenance="limit").scale(t)
+        return self.base.newton().scale(t)
 
 
 class Pullback(SystemExpr):
@@ -325,7 +320,3 @@ def kinked_intersection_system(n_kinks: int) -> Intersect:
     lattice systems of the kinked epigraph P and the line epigraph Q."""
     p, q = thm2_regions(n_kinks)
     return Intersect(Pullback([(1, 0)], RegionSystem(p)), Pullback([(0, 1)], RegionSystem(q)))
-
-
-def ceiling_system(cone: ConeRep, base: MonomialIdeal | None = None) -> CeilingSystem:
-    return CeilingSystem(cone, base)

@@ -15,9 +15,9 @@ from pathlib import Path
 from .cones import ConeRep, ray_hull
 from .errors import MultigradedError
 from .monomial import MonomialIdeal, minimalize
+from .newton import NewtonPolyhedron
 from .regions import (
     PiecewiseLinearConvexFn,
-    Region,
     build_kinked_f,
     epigraph_region,
     region_from_halfspaces,
@@ -129,7 +129,7 @@ def load_ideal(path) -> MonomialIdeal:
 # -- regions --------------------------------------------------------------------
 
 
-def parse_region(text: str) -> Region:
+def parse_region(text: str) -> NewtonPolyhedron:
     lines = _clean(text)
     if not lines:
         raise ParseError("empty region file")
@@ -169,7 +169,7 @@ def parse_region(text: str) -> Region:
     return region_from_halfspaces(k, facets)
 
 
-def load_region(path) -> Region:
+def load_region(path) -> NewtonPolyhedron:
     return parse_region(Path(path).read_text())
 
 

@@ -309,6 +309,20 @@ class TestSystemCommands:
         assert text.splitlines()[0] == "quantity,n,value,decimal"
         assert "mult,24,8/3,2.66666666667" in text
 
+    def test_invariants_without_geometry_exit_zero(self, tmp_path):
+        # a colon node has no limit body: nothing is verified, so nothing fails
+        (tmp_path / "r.region").write_text("k=3\nhalfspace 1 2 3 >= 6\nhalfspace 3 2 1 >= 6\n")
+        (tmp_path / "a.ideal").write_text("k=3\n2 0 0\n0 3 0\n0 0 1\n")
+        system = tmp_path / "colon.system"
+        system.write_text("colon a.ideal\n  region r.region\n")
+        code, out = run_cli(
+            ["system", "invariants", str(system), "--direction", "1,1",
+             "--quantity", "ord0", "--schedule", "doubling", "--max", "3"]
+        )
+        assert code == 0
+        assert "ord0 geometric = unavailable" in out
+        assert "ord0 certified = no" in out
+
     def test_cones(self, thm2_file):
         code, out = run_cli(["system", "cones", str(thm2_file), "--radius", "2"])
         assert code == 0

@@ -59,8 +59,14 @@ class TestConstruction:
         assert (((1, 0), 2)) in p.facets
 
     def test_unit(self):
-        p = newton_polyhedron(MonomialIdeal.unit(2))
-        assert p.vertices == ((0, 0),) and p.facets == ()
+        for k in (1, 2, 3):
+            p = newton_polyhedron(MonomialIdeal.unit(k))
+            assert p.vertices == ((0,) * k,) and p.facets == ()
+
+    def test_k1_keeps_integer_type(self):
+        p = newton_polyhedron(minimalize([(3,)], 1))
+        assert repr(p) == "NewtonPolyhedron(dim=1, vertices=((3,),), facets=(((1,), 3),))"
+        assert repr(from_vertices([(5,), (3,)])) == repr(p)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroIdeal):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigraded.errors import DimensionMismatch, EmptyRegion, NonpositiveScale
-from multigraded.monomial import minimalize
+from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import NewtonPolyhedron
 from multigraded.regions import (
     PiecewiseLinearConvexFn,
@@ -147,8 +147,10 @@ class TestRegionAlgebra:
         assert epigraph_region(build_g()).scale(2).facets == (((1, 2), 4),)
 
     def test_scale_positive_only(self):
-        with pytest.raises(NonpositiveScale):
-            epigraph_region(build_g()).scale(0)
+        for body in (epigraph_region(build_g()), MonomialIdeal.maximal(3).newton()):
+            for t in (0, -1, F(-1, 2)):
+                with pytest.raises(NonpositiveScale):
+                    body.scale(t)
 
     def test_intersect_self(self):
         p = epigraph_region(build_kinked_f(1))

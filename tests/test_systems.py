@@ -34,7 +34,6 @@ from multigraded.systems import (
     Truncate,
     box_window,
     kinked_intersection_system,
-    restrict_direction,
     verify_gradedness,
 )
 
@@ -113,22 +112,22 @@ class TestPullback:
 class TestRestrictDirection:
     def test_zero_direction(self):
         with pytest.raises(ZeroDirection):
-            restrict_direction(IdealPowers([MonomialIdeal.maximal(2)]), (0,))
+            IdealPowers([MonomialIdeal.maximal(2)]).restrict((0,))
 
     def test_at_zero_matches_eval_at_origin(self):
         system = IdealPowers([MonomialIdeal.maximal(2)])
-        view = restrict_direction(system, (1,))
+        view = system.restrict((1,))
         assert view.eval(0) == system.eval((0,))
 
     def test_scaling(self):
         a = ideal((2, 0), (0, 3))
         system = IdealPowers([a])
-        view = restrict_direction(system, (3,))
+        view = system.restrict((3,))
         assert view.eval(2) == a.power(6)
 
     def test_thm2_direction(self):
         system = kinked_intersection_system(1)
-        view = restrict_direction(system, (1, 1))
+        view = system.restrict((1, 1))
         a2 = system.eval((2, 2))
         assert view.eval(2) == a2
 
@@ -136,6 +135,14 @@ class TestRestrictDirection:
 class TestLimitBody:
     def test_region_system_identity(self, wedge_system):
         assert wedge_system.limit_body((1,)) == wedge_system.region
+
+    def test_powers_body_is_the_newton_polyhedron(self):
+        # the eval cache hands back the same ideal, whose polyhedron is reused
+        a = ideal((2, 0), (1, 1), (0, 3))
+        system = IdealPowers([a])
+        body = system.limit_body((2,))
+        assert body is system.eval((2,)).newton()
+        assert body == a.power(2).newton()
 
     def test_region_system_scales(self, wedge_system):
         assert wedge_system.limit_body((3,)) == wedge_system.region.scale(3)
