@@ -9,6 +9,7 @@ are written atomically (write-then-rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from math import lcm
@@ -113,10 +114,14 @@ def cmd_system_invariants(args) -> int:
     failed = False
     for q in quantities:
         if args.method in ("sequence", "both"):
-            bracket = sequence_invariant(
-                system, v, q, schedule=args.schedule, steps=args.max,
-                with_geometry=args.method == "both",
-            )
+            try:
+                bracket = sequence_invariant(
+                    system, v, q, schedule=args.schedule, steps=args.max,
+                    with_geometry=args.method == "both",
+                )
+            except NotCofinite:
+                lines.append(f"{q} samples = unavailable (not cofinite)")
+                continue
             lines.append(f"{q} samples ({args.schedule}):")
             for n, val in bracket.samples:
                 lines.append(f"  n={n} value={fmt_q(val)} ({fmt_dec(val)})")
@@ -399,7 +404,10 @@ def cmd_repro_appendix(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every ``parse_args``
+    call still returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="multigraded",
         description="Exact invariants and cones of multigraded systems of monomial ideals",

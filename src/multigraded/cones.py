@@ -63,15 +63,6 @@ class ConeRep:
     def full(rank: int) -> ConeRep:
         return ConeRep(rank, fullspace=True)
 
-    def boundary_value(self, x) -> Fraction:
-        """For epigraph cones, the boundary function max over forms at x."""
-        if self.forms is None:
-            raise ValueError("not an epigraph cone")
-        xt = tuple(Fraction(c) for c in x)
-        if len(xt) != self.rank - 1:
-            raise RankMismatch(f"point of length {len(xt)}, expected {self.rank - 1}")
-        return max(_dot(f, xt) for f in self.forms)
-
     def contains(self, v) -> bool:
         vt = tuple(v)
         if len(vt) != self.rank:

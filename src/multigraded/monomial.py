@@ -222,8 +222,16 @@ class MonomialIdeal:
                 result = result.product(base)
             n >>= 1
             if n:
-                base = base.product(base)
+                base = base._square()
         return result
+
+    def _square(self) -> MonomialIdeal:
+        """self * self from the unordered generator pairs: v + w and w + v
+        are one sum.  Refused at the same size as ``product(self, self)``."""
+        _check_pairs(self, self, "product")
+        gens = self.gens
+        sums = (tuple(a + b for a, b in zip(v, w)) for i, v in enumerate(gens) for w in gens[i:])
+        return _minimal(sums, self.dim)
 
     __pow__ = power
 

@@ -84,12 +84,12 @@ def _rank(rows) -> int:
 
 def primitive(nums) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    fracs = [Fraction(x) for x in nums]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = list(nums)
+    if not all(type(x) is int for x in ints):
+        fracs = [Fraction(x) for x in ints]
+        denom = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (denom // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iterprod
-from math import ceil
+from math import lcm
+from operator import mul
 
 from .cones import ConeRep
 from .errors import (
@@ -32,7 +33,20 @@ from .regions import (
     thm2_regions,
 )
 
+# Entries kept per node cache and per ceiling power table; the oldest entry
+# is evicted first.  A sweep over a window of more indices than this misses
+# every entry of an earlier sweep; for a ceiling node such a miss costs an
+# integer exponent and a table lookup, since a window of radius r reaches
+# only O(r) exponents.
 _CACHE_MAX = 4096
+
+
+def _remember(cache: dict, key, value):
+    """Store value under key, first evicting the oldest entry of a full cache."""
+    if len(cache) >= _CACHE_MAX:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
 
 class SystemExpr:
@@ -51,11 +65,7 @@ class SystemExpr:
         hit = self._cache.get(vt)
         if hit is not None:
             return hit
-        result = self._eval(vt)
-        if len(self._cache) >= _CACHE_MAX:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[vt] = result
-        return result
+        return _remember(self._cache, vt, self._eval(vt))
 
     def _eval(self, v) -> MonomialIdeal:
         raise NotImplementedError
@@ -145,6 +155,13 @@ class CeilingSystem(SystemExpr):
     The base chain I_m = base^m is decreasing and f is subadditive and
     positively homogeneous (a max of linear forms through 0), which is
     exactly what gradedness needs.
+
+    The forms are scaled once to integer forms F over their common
+    denominator D, so f(x) - y = (max <F, x> - D y) / D; exponents and
+    deficiencies both come from that numerator.  Behind the node cache, a
+    power table keyed by m = max(ceil(f(x) - y), 0) holds base^m: a window
+    sweep computes one power of the base per distinct exponent, not one
+    per index.
     """
 
     def __init__(self, cone: ConeRep, base: MonomialIdeal | None = None):
@@ -155,18 +172,31 @@ class CeilingSystem(SystemExpr):
         self.base = base if base is not None else MonomialIdeal.maximal(2)
         self.rank = cone.rank
         self.ambient_dim = self.base.dim
+        self._denom = lcm(*(c.denominator for form in cone.forms for c in form))
+        self._forms = tuple(tuple(int(c * self._denom) for c in form) for form in cone.forms)
+        self._powers: dict[int, MonomialIdeal] = {}
+
+    def _excess(self, v):
+        """D (f(x) - y) at an index vector v = (x, y), integer or rational."""
+        if len(v) != self.rank:
+            raise RankMismatch(f"index of length {len(v)} in rank {self.rank}")
+        x, y = v[:-1], v[-1]
+        return max([sum(map(mul, form, x)) for form in self._forms]) - self._denom * y
 
     def exponent(self, v) -> int:
-        x, y = v[:-1], v[-1]
-        return ceil(self.cone.boundary_value(x) - y)
+        """ceil(f(x) - y)."""
+        return -(-self._excess(v) // self._denom)
 
     def deficiency(self, v) -> Fraction:
         """max(f(x) - y, 0) at a rational index vector."""
-        x, y = v[:-1], Fraction(v[-1])
-        return max(self.cone.boundary_value(x) - y, Fraction(0))
+        return Fraction(max(self._excess(v), 0), self._denom)
 
     def _eval(self, v):
-        return self.base.power(self.exponent(v))
+        m = max(self.exponent(v), 0)
+        hit = self._powers.get(m)
+        if hit is not None:
+            return hit
+        return _remember(self._powers, m, self.base.power(m))
 
     def limit_body(self, v):
         t = self.deficiency(tuple(v))

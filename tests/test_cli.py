@@ -1,5 +1,6 @@
 """CLI commands, file formats, exit codes, deterministic output."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import multigraded
 from multigraded import newton
-from multigraded.cli import main
+from multigraded.cli import build_parser, main
 from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
 from multigraded.textio import (
     ParseError,
@@ -323,6 +324,25 @@ class TestSystemCommands:
         assert "ord0 geometric = unavailable" in out
         assert "ord0 certified = no" in out
 
+    @pytest.mark.parametrize("method", ["both", "sequence"])
+    def test_invariants_not_cofinite_mult_unavailable(self, tmp_path, method):
+        # a_(1,1) = (x^2, y^3)(x^2 y, x^3) has no pure power of y: ord0 and
+        # arn are still printed, mult is marked unavailable, nothing failed
+        (tmp_path / "k2.ideal").write_text("k=2\n2 0\n0 3\n")
+        (tmp_path / "k2nc.ideal").write_text("k=2\n2 1\n3 0\n")
+        system = tmp_path / "nc.system"
+        system.write_text("powers k2.ideal k2nc.ideal\n")
+        out_csv = tmp_path / "nc.csv"
+        code, out = run_cli(["system", "invariants", str(system), "--direction", "1,1",
+                             "--method", method, "--max", "3", "--out", str(out_csv)])
+        assert code == 0
+        assert "ord0 samples (factorial):" in out and "  n=6 value=5 (5)" in out
+        assert "arn samples (factorial):" in out and "  n=6 value=14/5 (2.8)" in out
+        assert out.endswith("mult samples = unavailable (not cofinite)\n")
+        assert ("ord0 certified = yes" in out) == (method == "both")
+        assert {row.split(",")[0] for row in out_csv.read_text().splitlines()[1:]} == \
+            {"ord0", "arn"}
+
     def test_cones(self, thm2_file):
         code, out = run_cli(["system", "cones", str(thm2_file), "--radius", "2"])
         assert code == 0
@@ -385,6 +405,49 @@ class TestDeterminism:
         run_cli(argv)
         assert out_csv.read_bytes() == first
         assert not (tmp_path / "x.csv.tmp").exists()
+
+
+class TestGoldenStdout:
+    """sha256 of stdout, recorded before ceiling systems moved to integer
+    exponents and a cache keyed by exponent."""
+
+    GOLDEN = [
+        (["system", "cones", "c2.system", "--radius", "31"],
+         "f7b6730b6d2d0dc70713567fe5f0b3cbb361722af0400203b9cf1720e36737d4"),
+        (["system", "cones", "c2.system", "--radius", "32"],
+         "335e2a62c6dd93eb80313d6da4842176a5dc369ef2c4a3aa85bb5876a6e24b4c"),
+        (["system", "cones", "c3.system", "--radius", "2"],
+         "efb8287331504383750caad3646d5e9f61434e838d5e20c28894b531a99b2d45"),
+        (["repro", "thm1", "--radius", "4"],
+         "3e5d81773a07ae930ec29c6bd9c27878f91c88ec1e70d617f907541be94b993d"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", GOLDEN, ids=lambda x: "-".join(x)[:40])
+    def test_stdout_digest(self, tmp_path, argv, digest):
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        (tmp_path / "m2.ideal").write_text("k=2\n1 0\n0 1\n")
+        (tmp_path / "c2.cone").write_text("rank 2\nform 3/2\nform -5/3\n")
+        (tmp_path / "c2.system").write_text("ceiling c2.cone base x.ideal\n")
+        (tmp_path / "c3.cone").write_text("rank 3\nform 1 1\nform 1/2 -2/3\nform -1 1\n")
+        (tmp_path / "c3.system").write_text("ceiling c3.cone base m2.ideal\n")
+        argv = [str(tmp_path / a) if a.endswith(".system") else a for a in argv]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestParser:
+    def test_built_once_with_a_fresh_namespace_per_call(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["system", "cones", "s.system", "--radius", "3",
+                                   "--out", "x.csv"])
+        second = parser.parse_args(["system", "cones", "s.system", "--radius", "2"])
+        assert first is not second
+        assert (first.radius, first.out) == (3, "x.csv")
+        assert (second.radius, second.out) == (2, None)
+        third = parser.parse_args(["repro", "thm2"])
+        assert (third.radius, third.out) == (6, None) and not hasattr(third, "path")
 
 
 class TestAtomicWrite:

@@ -154,6 +154,16 @@ class TestGeneratorPairLimit:
             a.intersect(b)
         assert a.product(ideal((1, 1))) == ideal((3, 1), (1, 4))  # 2 pairs
 
+    def test_squaring_refused_at_the_ordered_pair_count(self, monkeypatch):
+        # squaring forms only the 3 unordered pairs of 2 generators, but is
+        # refused exactly where product(a, a), with 2 x 2 pairs, would be
+        a = ideal((2, 0), (0, 3))
+        monkeypatch.setattr(monomial, "MAX_GENERATOR_PAIRS", 4)
+        assert a.power(2) == ideal((4, 0), (2, 3), (0, 6))
+        monkeypatch.setattr(monomial, "MAX_GENERATOR_PAIRS", 3)
+        with pytest.raises(TooManyGeneratorPairs, match="product of ideals with 2 and 2"):
+            a.power(2)
+
 
 class TestProduct:
     def test_unit_identity(self):
@@ -254,6 +264,16 @@ class TestPower:
     def test_zero_ideal(self):
         z = MonomialIdeal.zero(2)
         assert z.power(2).is_zero and z.power(0).is_unit
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors3.filter(bool), st.integers(1, 6))
+    def test_matches_repeated_product(self, vecs, n):
+        a = minimalize(vecs, 3)
+        want = MonomialIdeal.unit(3)
+        for _ in range(n):
+            want = want.product(a)
+        assert a.power(n) == want
+        assert a._square() == a.product(a)
 
 
 class TestMembership:

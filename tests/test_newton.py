@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from itertools import product as iterprod
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,36 @@ class TestConstruction:
                 continue
             p = newton_polyhedron(a)
             assert all(p.contains_point(g) for g in a.gens)
+
+
+def fraction_primitive(nums):
+    """Reference: clear denominators through Fraction, divide by the gcd."""
+    fracs = [Fraction(x) for x in nums]
+    denom = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+class TestPrimitive:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-60, 60), max_size=4),
+           st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), max_size=3))
+    def test_matches_fraction_route(self, ints, fracs):
+        for nums in (ints, ints + fracs):
+            got = primitive(nums)
+            assert got == fraction_primitive(nums)
+            assert all(type(x) is int for x in got)
+            assert primitive(iter(nums)) == got
+
+    def test_examples(self):
+        assert primitive((4, -6, 0)) == (2, -3, 0)
+        assert primitive((0, 0)) == (0, 0)
+        assert primitive(()) == ()
+        assert primitive((True, 3)) == (1, 3) and type(primitive((True,))[0]) is int
+        assert primitive((Fraction(1, 2), 3)) == (1, 6)
 
 
 class TestContainsPoint:

@@ -1,12 +1,16 @@
 """System expression trees: node semantics, limit bodies, gradedness."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iterprod
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multigraded.cones import ConeRep, abs_sum_cone
+from multigraded.cones import ConeRep, abs_sum_cone, eff_points, nef_points
 from multigraded.errors import (
     NotRegionExpressible,
     RankMismatch,
@@ -24,6 +28,7 @@ from multigraded.regions import (
     region_intersect,
 )
 from multigraded.systems import (
+    _CACHE_MAX,
     CeilingSystem,
     ColonSystem,
     IdealPowers,
@@ -91,6 +96,67 @@ class TestEval:
         assert Product(a, b).eval((2,)) == ideal((2, 2))
         assert Intersect(a, b).eval((2,)) == ideal((2, 2))
         assert Intersect(a, b).eval((-1,)).is_unit
+
+
+def _rationals(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 7))
+
+
+def _ceiling_case(rank):
+    """Forms with denominators 1-7, an index in [-40, 40]^rank and a denominator."""
+    forms = st.lists(st.tuples(*[_rationals(-20, 20)] * (rank - 1)), min_size=1, max_size=4)
+    index = st.tuples(*[st.integers(-40, 40)] * rank)
+    return st.tuples(forms, index, st.integers(1, 7))
+
+
+class TestCeilingIntegerArithmetic:
+    """exponent and deficiency in integer arithmetic against f evaluated in Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 4]).flatmap(_ceiling_case))
+    def test_matches_fraction_reference(self, case):
+        forms, v, den = case
+        system = CeilingSystem(ConeRep.epigraph(forms), MonomialIdeal.maximal(1))
+
+        def f_minus_y(u):
+            f = max([Fraction(0)] + [sum(a * b for a, b in zip(form, u[:-1])) for form in forms])
+            return f - u[-1]
+
+        assert system.exponent(v) == ceil(f_minus_y(v))
+        assert type(system.exponent(v)) is int
+        assert system.deficiency(v) == max(f_minus_y(v), 0)
+        q = tuple(Fraction(x, den) for x in v)
+        assert system.deficiency(q) == max(f_minus_y(q), 0)
+        assert type(system.deficiency(q)) is Fraction
+        assert system.eval(v) == system.base.power(ceil(f_minus_y(v)))
+
+    def test_rank_checked(self):
+        system = CeilingSystem(abs_sum_cone())
+        for v in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(RankMismatch):
+                system.deficiency(v)
+            with pytest.raises(RankMismatch):
+                system.eval(v)
+
+
+class TestCeilingPowerTable:
+    def test_one_power_per_distinct_exponent(self, monkeypatch):
+        # both sweeps of `system cones`: 4,225 indices, more than the node
+        # cache holds, but only O(radius) distinct exponents
+        calls = Counter()
+        power = MonomialIdeal.power
+        monkeypatch.setattr(MonomialIdeal, "power",
+                            lambda self, n: calls.update([n]) or power(self, n))
+        system = CeilingSystem(ConeRep.epigraph([(Fraction(3, 2),), (Fraction(-5, 3),)]),
+                               minimalize([(1,)], 1))
+        radius = 32
+        nef, eff = nef_points(system, radius), eff_points(system, radius)
+        window = list(iterprod(range(-radius, radius + 1), repeat=2))
+        assert len(window) > _CACHE_MAX and len(eff) == len(window)
+        exponents = {max(system.exponent(v), 0) for v in window}
+        assert len(nef) == sum(1 for v in window if system.exponent(v) <= 0)
+        assert set(calls) == exponents and max(calls.values()) == 1
+        assert len(exponents) < 200
 
 
 class TestPullback:
