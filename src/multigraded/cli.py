@@ -191,10 +191,21 @@ def _pass(lines, ok: bool, label: str) -> bool:
     return ok
 
 
-def _thm1_directions(radius: int, count: int):
-    window = [v for v in lattice_window(3, radius) if any(x != 0 for x in v)]
+def _thm1_directions(rank: int, radius: int, count: int):
+    window = [v for v in lattice_window(rank, radius) if any(x != 0 for x in v)]
     step = max(1, len(window) // count)
     return window[::step][:count]
+
+
+def _ceiling_sample(system: CeilingSystem, v, quantity: str, n: int) -> Fraction:
+    """The schedule sample at n along v: a_(nv) = base^m with m =
+    max(ceil(f(nx) - ny), 0) has m times the base's ord0 and arn and m^k
+    times its mult, normalized by n and n^k."""
+    m = max(system.exponent(tuple(n * x for x in v)), 0)
+    base = system.base
+    if quantity == "mult":
+        return Fraction(m, n) ** base.dim * base.multiplicity()
+    return Fraction(m, n) * getattr(base, quantity)()
 
 
 def cmd_repro_thm1(args) -> int:
@@ -224,13 +235,12 @@ def cmd_repro_thm1(args) -> int:
     )
 
     grid_ok = True
-    for v in _thm1_directions(2, args.directions):
+    for v in _thm1_directions(cone.rank, 2, args.directions):
         closed = ceiling_closed_forms(system, v)
         for q in ("ord0", "arn", "mult"):
-            want = getattr(closed, q)
             bracket = sequence_invariant(system, v, q, steps=args.max)
-            exact = all(val == want for _, val in bracket.samples)
-            exact &= bracket.geometric == want
+            exact = all(val == _ceiling_sample(system, v, q, n) for n, val in bracket.samples)
+            exact &= bracket.geometric == getattr(closed, q)
             grid_ok &= exact
         rows.append(
             (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 from math import factorial
 
 from .errors import (
@@ -52,10 +53,6 @@ class InvariantBracket:
     samples: tuple[tuple[int, Fraction], ...]
     geometric: Fraction | None = None
     certified: bool = False
-
-    @property
-    def upper_bound(self) -> Fraction:
-        return self.samples[-1][1]
 
 
 def _per_ideal(ideal, quantity: str, n: int, k: int) -> Fraction:
@@ -112,9 +109,6 @@ class GeometricInvariants:
     arn: Fraction
     mult: Fraction | None  # None when the complement is unbounded
 
-    def triple(self):
-        return (self.ord0, self.arn, self.mult)
-
 
 def geometric_invariants(body: NewtonPolyhedron, k: int) -> GeometricInvariants:
     """(inf |v|, diagonal lambda, k! Vol of the complement) of a limit body."""
@@ -159,6 +153,9 @@ def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:
     """Crossing abscissa x of the scaled boundaries r*f(x/r) and s - x/2,
     and the closed form s + x/2 for ord0.  None when the line stays below
     the kinked boundary over its whole support (no crossing with x >= 0).
+
+    h(x) = r f(x/r) + x/2 is read off the stored breakpoints cell by cell,
+    so a call costs O(N) for N kinks.
     """
     r, s = Fraction(r), Fraction(s)
     f = build_kinked_f(n_kinks)
@@ -167,14 +164,13 @@ def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:
     if s < r / 2:
         # the line hits zero before reaching the kinked boundary
         return None
-    # h(x) = r f(x/r) + x/2 strictly decreases from r f(0) to r/2 on [0, r]
-    xs = [Fraction(0)] + [r * x for x in f.kinks] + [r * f.intercept]
-    for x1, x2 in zip(xs, xs[1:]):
-        h1 = r * f(x1 / r) + x1 / 2
-        h2 = r * f(x2 / r) + x2 / 2
+    # h strictly decreases from r f(0) to r/2 on [0, r]; cell j runs from
+    # breakpoint j to the next one (the last to the intercept) with slope j
+    ends = chain(((r * bx, r * (bv + bx / 2)) for bx, bv in f.breakpoints),
+                 [(r * f.intercept, r * f.intercept / 2)])
+    for ((x1, h1), (_, h2)), slope in zip(pairwise(ends), f.slopes):
         if h2 <= s <= h1:
-            slope = f.slope_right_of(x1 / r) + Fraction(1, 2)
-            x = x1 + (s - h1) / slope
+            x = x1 + (s - h1) / (slope + Fraction(1, 2))
             return x, s + x / 2
     return None
 
@@ -195,7 +191,7 @@ def thm2_kink_locations(r, n_kinks: int, s_lo, s_hi) -> list[tuple[Fraction, Fra
 # -- exact one-sided difference quotients ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffQuotient:
     left: Fraction
     right: Fraction

@@ -14,8 +14,11 @@ nonnegativity separately.
 One exact routine per dimension builds the polyhedron: a sorted
 staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
 incremental beneath-beyond hull with integer orientation tests that
-treats the axis directions as points at infinity.  The 3D covolume is a
-sum of cones from the origin over the facets.
+treats the axis directions as points at infinity.  A k = 2 region given
+by halfspaces comes from ``envelope_2d``, an upper envelope of lines in
+integer arithmetic that returns the vertices together with the facets
+of the lines it keeps.  The 3D covolume is a sum of cones from the
+origin over the facets.
 
 Everything is exact rational arithmetic; no floats anywhere.
 """
@@ -148,14 +151,6 @@ class NewtonPolyhedron:
     dim: int
     vertices: tuple[Point, ...]
     facets: tuple[Facet, ...]
-
-    def contains_point(self, q) -> bool:
-        qt = tuple(q)
-        if len(qt) != self.dim:
-            raise DimensionMismatch(f"point of length {len(qt)} in dimension {self.dim}")
-        if any(x < 0 for x in qt):
-            return False
-        return all(_dot(a, qt) >= c for a, c in self.facets)
 
     def diagonal_lambda(self) -> Fraction:
         """inf of lambda with lambda*(1,...,1) in the polyhedron."""
@@ -326,16 +321,16 @@ def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
     """Extreme points of {x >= 0 : <a, x> >= c for all facets} (k <= 3), sorted.
 
     All facet normals must be nonzero and componentwise nonnegative, so the
-    region has recession cone the full orthant.  k = 2 reads the vertices
-    off an upper envelope of lines in O(m log m) (``_envelope_vertices_2d``);
-    k = 3 still enumerates every triple of constraints and keeps the
-    feasible basic points, O(m^4).
+    region has recession cone the full orthant.  k = 2 is the vertex half
+    of ``envelope_2d`` (integer normals), O(m log m); k = 3 still
+    enumerates every triple of constraints and keeps the feasible basic
+    points, O(m^4).
     """
     if k == 1:
-        c = max((Fraction(c) for _, c in facets), default=Fraction(0))
+        c = max((Fraction(c) / a[0] for a, c in facets), default=Fraction(0))
         return ((max(c, Fraction(0)),),)
     if k == 2:
-        return _envelope_vertices_2d(facets)
+        return envelope_2d(facets)[0]
     if k != 3:
         raise UnsupportedDimension(f"vertex enumeration in dimension {k}")
     constraints = [(tuple(a), Fraction(c)) for a, c in facets]
@@ -355,42 +350,75 @@ def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
     return tuple(sorted(found))
 
 
-def _envelope_vertices_2d(facets) -> tuple[Point, ...]:
-    """Vertices of {x, y >= 0 : a0 x + a1 y >= c}, by increasing x.
+def envelope_2d(facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
+    """Vertices (by increasing x) and facets of {x, y >= 0 : a0 x + a1 y >= c},
+    for integer normals.
 
     With nonnegative normals the region is {x >= wall, y >= F(x)}, where
     wall is the largest c/a0 of a facet with a1 = 0 (or 0) and F is the
     upper envelope of the lines y = (c - a0 x)/a1 and y = 0.  Its vertices
     are (wall, F(wall)) and the breakpoints of F right of the wall.
+
+    The arithmetic is in integers: with D the common denominator of the c
+    and L that of the slopes, the line of (a0, a1, c) is
+    D L y = K - S x for the integers S = a0 D L/a1 and K = c D L/a1.  Lines
+    are sorted by S, each pop is the sign of a 3x3 determinant, and only
+    the vertices become ``Fraction``s.  The facets are the input facets of
+    the lines that carry an edge (made primitive if they are not), the
+    wall (1, 0) and the floor (0, 1), the last two with ``Fraction`` c.
     """
-    wall = Fraction(0)
-    best: dict[Fraction, Fraction] = {Fraction(0): Fraction(0)}  # slope -> intercept
-    for (a0, a1), c in facets:
+    facets = list(facets)
+    den = lcm(*(c.denominator for _, c in facets))
+    slopes_den = lcm(*(a[1] for a, _ in facets if a[1]))
+    wall_num, wall_den = 0, 1
+    best = {0: (0, None)}  # S -> (K, facet) of the highest line of that slope
+    for facet in facets:
+        (a0, a1), c = facet
+        num = c.numerator * (den // c.denominator)
         if a1 == 0:
-            wall = max(wall, Fraction(c) / a0)
+            if num * wall_den > wall_num * den * a0:
+                wall_num, wall_den = num, den * a0
             continue
-        slope, icept = Fraction(-a0) / a1, Fraction(c) / a1
-        if slope not in best or icept > best[slope]:
-            best[slope] = icept
-    # lines by increasing slope: the order in which they appear left to right
-    hull: list[tuple[Fraction, Fraction]] = []
-    for m3, b3 in sorted(best.items()):
+        q = slopes_den // a1
+        s, k = a0 * den * q, num * q
+        if s not in best or k > best[s][0]:
+            best[s] = (k, facet)
+    # lines by decreasing S, i.e. increasing slope -S: left to right
+    hull: list[tuple[int, int, Facet]] = []
+    for s3, (k3, f3) in sorted(best.items(), reverse=True):
         while len(hull) >= 2:
-            (m1, b1), (m2, b2) = hull[-2], hull[-1]
+            (s1, k1, _), (s2, k2, _) = hull[-2], hull[-1]
             # hull[-1] leaves the envelope when the new line meets hull[-2]
-            # at or left of where hull[-1] does (cross-multiplied, m1 < m2 < m3)
-            if (b1 - b3) * (m2 - m1) > (b1 - b2) * (m3 - m1):
+            # at or left of where hull[-1] does: det((1, S, K) rows) <= 0
+            if (k1 - k3) * (s1 - s2) > (k1 - k2) * (s1 - s3):
                 break
             hull.pop()
-        hull.append((m3, b3))
-    breaks = [(b1 - b2) / (m2 - m1) for (m1, b1), (m2, b2) in zip(hull, hull[1:])]
+        hull.append((s3, k3, f3))
+    scale = den * slopes_den
     first = 0
-    while first < len(breaks) and breaks[first] <= wall:
+    while first < len(hull) - 1:
+        (s1, k1, _), (s2, k2, _) = hull[first], hull[first + 1]
+        if (k1 - k2) * wall_den > wall_num * (s1 - s2):
+            break
         first += 1
-    m, b = hull[first]
-    verts = [(wall, m * wall + b)]
-    verts.extend((x, m * x + b) for x, (m, b) in zip(breaks[first:], hull[first + 1:]))
-    return tuple(verts)
+    s, k, _ = hull[first]
+    verts = [(Fraction(wall_num, wall_den), Fraction(k * wall_den - s * wall_num, wall_den * scale))]
+    for (s1, k1, _), (s2, k2, _) in zip(hull[first:], hull[first + 1:]):
+        verts.append((Fraction(k1 - k2, s1 - s2), Fraction(s1 * k2 - s2 * k1, (s1 - s2) * scale)))
+    out = [_primitive_facet(f) for _, _, f in hull[first:-1]]
+    if wall_num > 0:
+        out.append(((1, 0), verts[0][0]))
+    if hull[-1][1] > 0:
+        out.append(((0, 1), verts[-1][1]))
+    return tuple(verts), tuple(sorted(out))
+
+
+def _primitive_facet(facet) -> Facet:
+    """An input facet in stored form: primitive normal, c an int when integral."""
+    a, c = facet
+    if gcd(*a) != 1:
+        return _normalize_facet(a, c)
+    return tuple(a), (c.numerator if c.denominator == 1 else c)
 
 
 def _solve3(mat, rhs):

@@ -11,10 +11,12 @@ symmetric body.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -25,6 +27,7 @@ from .monomial import MonomialIdeal, _trusted, minimalize
 from .newton import (
     NewtonPolyhedron,
     _chain_facets_2d,
+    envelope_2d,
     from_vertices,
     vertices_from_halfspaces,
 )
@@ -89,7 +92,7 @@ class PiecewiseLinearConvexFn:
             raise ValueError("defined on x >= 0")
         if x >= self.intercept:
             return Fraction(0)
-        j = max(i for i, (bx, _) in enumerate(self.breakpoints) if bx <= x)
+        j = _piece(self.breakpoints, x)
         bx, bv = self.breakpoints[j]
         return bv + self.slopes[j] * (x - bx)
 
@@ -97,8 +100,12 @@ class PiecewiseLinearConvexFn:
         x = Fraction(x)
         if x >= self.intercept:
             return Fraction(0)
-        j = max(i for i, (bx, _) in enumerate(self.breakpoints) if bx <= x)
-        return self.slopes[j]
+        return self.slopes[_piece(self.breakpoints, x)]
+
+
+def _piece(breakpoints, x) -> int:
+    """Index of the last breakpoint at or left of x, by bisection."""
+    return bisect_right(breakpoints, x, key=itemgetter(0)) - 1
 
 
 @lru_cache(maxsize=64)
@@ -138,13 +145,17 @@ def full_orthant(k: int) -> NewtonPolyhedron:
 
 
 def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
-    """Region {x >= 0 : <a, x> >= c} from nonnegative-normal halfspaces."""
+    """Region {x >= 0 : <a, x> >= c} from nonnegative-normal halfspaces.
+
+    Rational normals are scaled to integer ones, c along; the k = 2
+    envelope makes only the lines it keeps primitive."""
     kept = []
     for a, c in facets:
         if any(x < 0 for x in a) or all(x == 0 for x in a):
             raise ValueError(f"facet normal {a!r} must be nonzero and nonnegative")
         if Fraction(c) > 0:
-            kept.append((tuple(a), Fraction(c)))
+            den = lcm(*(Fraction(x).denominator for x in a))
+            kept.append((tuple(int(x * den) for x in a), Fraction(c) * den))
     if not kept:
         return full_orthant(k)
     if k > 3:
@@ -153,12 +164,12 @@ def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
 
 
 def _from_halfspaces(k: int, facets) -> NewtonPolyhedron:
-    """The region of checked, nonempty halfspaces: its vertices, then its
-    facets (in k = 2 read straight off the vertex chain)."""
-    verts = vertices_from_halfspaces(k, facets)
+    """The region of checked, nonempty halfspaces: in k = 2 the vertices and
+    facets of one envelope, which keeps its input facets; in k = 3 the
+    vertices, then the hull of the vertices for the facets."""
     if k == 2:
-        return NewtonPolyhedron(2, verts, tuple(_chain_facets_2d(verts)))
-    return from_vertices(verts)
+        return NewtonPolyhedron(2, *envelope_2d(facets))
+    return from_vertices(vertices_from_halfspaces(k, facets))
 
 
 def epigraph_region(fn: PiecewiseLinearConvexFn) -> NewtonPolyhedron:
@@ -176,12 +187,14 @@ def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
 
 
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
-    """P intersect Q from the union of their facets: in k = 2 an O(m log m)
-    line envelope, in k = 3 an enumeration of constraint triples (see
-    ``vertices_from_halfspaces``)."""
+    """P intersect Q from the union of their facets: in k = 2 one O(m log m)
+    integer line envelope (``envelope_2d``) whose kept input facets are
+    already in stored form, in k = 3 an enumeration of constraint triples
+    (see ``vertices_from_halfspaces``)."""
     if p.dim != q.dim:
         raise DimensionMismatch("regions in different dimensions")
-    merged = sorted(set(p.facets) | set(q.facets))
+    # the envelope ignores repeated lines; the triple enumeration would pay for them
+    merged = p.facets + q.facets if p.dim == 2 else tuple(set(p.facets) | set(q.facets))
     if not merged:
         return full_orthant(p.dim)
     return _from_halfspaces(p.dim, merged)
@@ -285,7 +298,7 @@ class ConcaveBoundary:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError("defined on [0, 1]")
-        j = max(i for i, (bx, _) in enumerate(self.breakpoints) if bx <= x)
+        j = _piece(self.breakpoints, x)
         bx, bv = self.breakpoints[j]
         return bv + self.slopes[j] * (x - bx)
 

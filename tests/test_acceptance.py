@@ -46,6 +46,15 @@ from multigraded.cones import ConeRep, halton
 F = Fraction
 
 
+def contains(p, q):
+    """Membership in a stored polyhedron: q >= 0 and every facet holds."""
+    return min(q) >= 0 and all(sum(a * x for a, x in zip(n, q)) >= c for n, c in p.facets)
+
+
+def triple(inv):
+    return (inv.ord0, inv.arn, inv.mult)
+
+
 @contextmanager
 def criterion(number, label):
     try:
@@ -91,7 +100,7 @@ def test_criterion_2_two_route_agreement():
         system = RegionSystem(region_from_halfspaces(2, [((1, 2), 2), ((2, 1), 2)]))
         body = system.limit_body((1,))
         geo = geometric_invariants(body, 2)
-        assert geo.triple() == (F(4, 3), F(2, 3), F(8, 3))
+        assert triple(geo) == (F(4, 3), F(2, 3), F(8, 3))
         for quantity, target in (("ord0", geo.ord0), ("arn", geo.arn), ("mult", geo.mult)):
             bracket = sequence_invariant(system, (1,), quantity, steps=6)
             values = [val for _, val in bracket.samples]
@@ -146,17 +155,17 @@ def test_criterion_4_lattice_system_round_trip():
             x = F(i, 27)
             interior.append((x, f(x) + F(1, 5) + F(i, 40)))
             exterior.append((x, f(x) * F(63, 64)))
-        assert all(region.contains_point(q) for q in interior)
-        assert not any(region.contains_point(q) for q in exterior)
+        assert all(contains(region, q) for q in interior)
+        assert not any(contains(region, q) for q in exterior)
 
         for q in interior:
             n = lcm(q[0].denominator, q[1].denominator)
             scaled = tuple(n * c for c in q)
-            assert newton_at(n).contains_point(scaled)
+            assert contains(newton_at(n), scaled)
         for q in exterior:
             for n in range(1, 61):
                 scaled = tuple(n * c for c in q)
-                assert not newton_at(n).contains_point(scaled)
+                assert not contains(newton_at(n), scaled)
 
 
 def test_criterion_5_ceiling_nef_cone():
@@ -176,7 +185,7 @@ def test_criterion_5_ceiling_nef_cone():
         for v in directions:
             closed = ceiling_closed_forms(system, v)
             t = system.deficiency(v)
-            assert closed.triple() == (t, t / 2, t * t)
+            assert triple(closed) == (t, t / 2, t * t)
             for quantity in ("ord0", "arn", "mult"):
                 bracket = sequence_invariant(system, v, quantity, steps=4)
                 target = getattr(closed, quantity)

@@ -8,14 +8,18 @@ import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import multigraded
 from multigraded import newton
-from multigraded.cli import build_parser, main
+from multigraded.cli import _ceiling_sample, _thm1_directions, build_parser, main
+from multigraded.cones import lattice_window
+from multigraded.invariants import ceiling_closed_forms, sequence_invariant
 from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
+from multigraded.systems import CeilingSystem
 from multigraded.textio import (
     ParseError,
     fmt_dec,
@@ -381,6 +385,50 @@ class TestRepro:
         assert code == 0
         assert "gauge((1, 0)) = 1" in out
         assert "gauge((0, 1)) = 2" in out
+
+
+
+class TestThm1Cones:
+    """``repro thm1 --cone``: each sample is compared with the exact value
+    m inv(base)/n of the power base^m it evaluates, and the directions are
+    drawn in the cone's rank."""
+
+    def test_rank_two_cone(self, tmp_path):
+        (tmp_path / "c2.cone").write_text("rank 2\nform 3/2\nform -5/3\n")
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        out_csv = tmp_path / "t.csv"
+        code, out = run_cli(["repro", "thm1", "--cone", str(tmp_path / "c2.cone"),
+                             "--base", str(tmp_path / "x.ideal"), "--radius", "5",
+                             "--out", str(out_csv)])
+        assert code == 0
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert all(len(row.split(",")[0].split()) == 2 for row in rows)
+
+    def test_non_integral_forms(self, tmp_path):
+        # y >= (|x1| + |x2|)/2: n t is not an integer at most directions
+        (tmp_path / "q.cone").write_text(
+            "rank 3\nform 1/2 1/2\nform 1/2 -1/2\nform -1/2 1/2\nform -1/2 -1/2\n")
+        code, out = run_cli(["repro", "thm1", "--cone", str(tmp_path / "q.cone"),
+                             "--radius", "3"])
+        assert code == 0
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+    def test_samples_are_the_powers_not_the_limit(self):
+        system = CeilingSystem(parse_cone("rank 3\nform 1/2 -2/3\n"))
+        v = (1, 0, 0)
+        assert ceiling_closed_forms(system, v).ord0 == Fraction(1, 2)
+        for q in ("ord0", "arn", "mult"):
+            bracket = sequence_invariant(system, v, q, steps=4)
+            assert [_ceiling_sample(system, v, q, n) for n, _ in bracket.samples] == [
+                val for _, val in bracket.samples]
+        # at n = 1 the exponent is ceil(1/2) = 1, not the limit 1/2
+        assert _ceiling_sample(system, v, "ord0", 1) == 1
+
+    def test_rank_three_directions_unchanged(self):
+        window = [v for v in lattice_window(3, 2) if any(v)]
+        assert _thm1_directions(3, 2, 20) == window[::len(window) // 20][:20]
 
 
 class TestDeterminism:

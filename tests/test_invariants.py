@@ -32,6 +32,10 @@ from multigraded.systems import CeilingSystem, IdealPowers, RegionSystem
 F = Fraction
 
 
+def triple(inv):
+    return (inv.ord0, inv.arn, inv.mult)
+
+
 def ideal(*gens, k=2):
     return minimalize(gens, k)
 
@@ -69,7 +73,7 @@ class TestSequenceInvariant:
     def test_wedge_mult(self, wedge_system):
         bracket = sequence_invariant(wedge_system, (1,), "mult", steps=5)
         assert bracket.samples[0][1] == 4
-        assert bracket.upper_bound == F(8, 3)
+        assert bracket.samples[-1][1] == F(8, 3)
         assert bracket.geometric == F(8, 3) and bracket.certified
 
     def test_doubling_schedule_monotone(self, wedge_system):
@@ -78,7 +82,7 @@ class TestSequenceInvariant:
         )
         values = [val for _, val in bracket.samples]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert bracket.upper_bound >= bracket.geometric == F(2, 3)
+        assert bracket.samples[-1][1] >= bracket.geometric == F(2, 3)
 
     def test_zero_direction_detected(self):
         system = IdealPowers([MonomialIdeal.zero(2)])
@@ -107,10 +111,10 @@ class TestGeometricInvariants:
     def test_newton_body(self):
         body = newton_polyhedron(ideal((2, 0), (0, 3)))
         got = geometric_invariants(body, 2)
-        assert got.triple() == (2, F(6, 5), 6)
+        assert triple(got) == (2, F(6, 5), 6)
 
     def test_full_orthant(self):
-        assert geometric_invariants(full_orthant(2), 2).triple() == (0, 0, 0)
+        assert triple(geometric_invariants(full_orthant(2), 2)) == (0, 0, 0)
 
     def test_kinked_meet_line(self):
         body = region_intersect(
@@ -128,15 +132,15 @@ class TestGeometricInvariants:
 class TestCeilingClosedForms:
     def test_examples(self):
         system = CeilingSystem(abs_sum_cone())
-        assert ceiling_closed_forms(system, (1, 2, 0)).triple() == (3, F(3, 2), 9)
-        assert ceiling_closed_forms(system, (1, 1, 2)).triple() == (0, 0, 0)
-        assert ceiling_closed_forms(system, (0, 0, -1)).triple() == (1, F(1, 2), 1)
+        assert triple(ceiling_closed_forms(system, (1, 2, 0))) == (3, F(3, 2), 9)
+        assert triple(ceiling_closed_forms(system, (1, 1, 2))) == (0, 0, 0)
+        assert triple(ceiling_closed_forms(system, (0, 0, -1))) == (1, F(1, 2), 1)
 
     def test_rational_indices_by_homogeneity(self):
         system = CeilingSystem(abs_sum_cone())
         whole = ceiling_closed_forms(system, (1, 2, 0))
         half = ceiling_closed_forms(system, (F(1, 2), 1, 0))
-        assert (2 * half.ord0, 2 * half.arn, 4 * half.mult) == whole.triple()
+        assert (2 * half.ord0, 2 * half.arn, 4 * half.mult) == triple(whole)
 
     def test_sequence_matches_exactly_at_every_sample(self):
         system = CeilingSystem(abs_sum_cone())
@@ -151,7 +155,7 @@ class TestCeilingClosedForms:
     def test_configurable_base(self):
         system = CeilingSystem(abs_sum_cone(), base=ideal((2, 0), (0, 3)))
         got = ceiling_closed_forms(system, (1, 2, 0))
-        assert got.triple() == (3 * 2, 3 * F(6, 5), 9 * 6)
+        assert triple(got) == (3 * 2, 3 * F(6, 5), 9 * 6)
 
 
 class TestThm2Ord0:
@@ -201,6 +205,66 @@ class TestThm2Ord0:
         assert len(got4) == 4
         assert (F(7, 8), F(3, 4)) in got4
         assert len({s0 for s0, _ in got4}) == 4
+
+
+
+def scan_value(fn, x):
+    """Reference: the value of a piecewise-linear function by a linear scan
+    for the last breakpoint at or left of x."""
+    if x >= fn.intercept:
+        return F(0)
+    j = max(i for i, (bx, _) in enumerate(fn.breakpoints) if bx <= x)
+    return fn.breakpoints[j][1] + fn.slopes[j] * (x - fn.breakpoints[j][0])
+
+
+def scan_slope(fn, x):
+    if x >= fn.intercept:
+        return F(0)
+    return fn.slopes[max(i for i, (bx, _) in enumerate(fn.breakpoints) if bx <= x)]
+
+
+def quadratic_crossing(r, s, n_kinks):
+    """Reference: the O(N^2) walk that evaluates f at every grid abscissa."""
+    r, s = F(r), F(s)
+    f = build_kinked_f(n_kinks)
+    if s >= r * f.value_at_zero:
+        return F(0), s
+    if s < r / 2:
+        return None
+    xs = [F(0)] + [r * x for x in f.kinks] + [r * f.intercept]
+    for x1, x2 in zip(xs, xs[1:]):
+        h1 = r * scan_value(f, x1 / r) + x1 / 2
+        h2 = r * scan_value(f, x2 / r) + x2 / 2
+        if h2 <= s <= h1:
+            x = x1 + (s - h1) / (scan_slope(f, x1 / r) + F(1, 2))
+            return x, s + x / 2
+    return None
+
+
+class TestThm2Crossing:
+    @pytest.mark.parametrize("n_kinks", [0, 1, 8, 32])
+    def test_matches_quadratic_walk(self, n_kinks):
+        f = build_kinked_f(n_kinks)
+        for r in (F(3, 4), F(1), F(5, 4), F(3, 2)):
+            # every cell boundary, the two cut-offs, and points between
+            ss = {r * bv + r * bx / 2 for bx, bv in f.breakpoints}
+            ss |= {r / 2, r * f.value_at_zero, r / 2 - F(1, 64), r * f.value_at_zero + 1}
+            ss |= {F(3, 4) + F(i, 16) for i in range(13)}
+            for s in sorted(ss):
+                assert repr(thm2_crossing(r, s, n_kinks)) == repr(quadratic_crossing(r, s, n_kinks))
+
+    def test_pieces_match_linear_scan(self):
+        f = build_kinked_f(16)
+        xs = [bx for bx, _ in f.breakpoints] + [f.intercept, F(5, 4)]
+        xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [F(1, 3), F(7, 11)]
+        for x in xs:
+            assert repr(f(x)) == repr(scan_value(f, x))
+            assert repr(f.slope_right_of(x)) == repr(scan_slope(f, x))
+        boundary, _ = appendix_boundary(16)
+        for x in [bx for bx, _ in boundary.breakpoints] + [F(1), F(1, 3), F(2, 7)]:
+            j = max(i for i, (bx, _) in enumerate(boundary.breakpoints) if bx <= x)
+            bx, bv = boundary.breakpoints[j]
+            assert boundary(x) == bv + boundary.slopes[j] * (x - bx)
 
 
 class TestDiffQuotient:

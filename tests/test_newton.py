@@ -21,17 +21,25 @@ from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import (
     NewtonPolyhedron,
     _rank,
+    envelope_2d,
     from_vertices,
     newton_polyhedron,
     orthant_hull_3d,
     primitive,
     vertices_from_halfspaces,
 )
-from multigraded.regions import region_from_halfspaces, region_intersect
+from multigraded.regions import region_from_halfspaces, region_intersect, thm2_regions
+
+F = Fraction
 
 
 def ideal(*gens, k=2):
     return minimalize(gens, k)
+
+
+def contains(p, q):
+    """Membership in a stored polyhedron: q >= 0 and every facet holds."""
+    return min(q) >= 0 and all(sum(a * x for a, x in zip(n, q)) >= c for n, c in p.facets)
 
 
 class TestConstruction:
@@ -85,7 +93,7 @@ class TestConstruction:
             if a.is_zero:
                 continue
             p = newton_polyhedron(a)
-            assert all(p.contains_point(g) for g in a.gens)
+            assert all(contains(p, g) for g in a.gens)
 
 
 def fraction_primitive(nums):
@@ -121,13 +129,13 @@ class TestPrimitive:
 class TestContainsPoint:
     def test_examples(self):
         p = newton_polyhedron(MonomialIdeal.maximal(2))
-        assert p.contains_point((Fraction(1, 2), Fraction(1, 2)))
-        assert not p.contains_point((Fraction(1, 4), Fraction(1, 4)))
-        assert newton_polyhedron(ideal((2, 0), (0, 3))).contains_point((2, 5))
+        assert contains(p, (Fraction(1, 2), Fraction(1, 2)))
+        assert not contains(p, (Fraction(1, 4), Fraction(1, 4)))
+        assert contains(newton_polyhedron(ideal((2, 0), (0, 3))), (2, 5))
 
     def test_negative_coordinates_outside(self):
         p = newton_polyhedron(MonomialIdeal.maximal(2))
-        assert not p.contains_point((-1, 5))
+        assert not contains(p, (-1, 5))
 
 
 class TestDiagonalLambda:
@@ -145,7 +153,7 @@ class TestDiagonalLambda:
                 continue
             p = newton_polyhedron(a)
             lam = p.diagonal_lambda()
-            assert p.contains_point((lam, lam))
+            assert contains(p, (lam, lam))
 
 
 class TestMinWeighted:
@@ -170,7 +178,7 @@ class TestMinWeighted:
             grid = min(
                 w[0] * x + w[1] * y
                 for x, y in iterprod(range(12), range(12))
-                if p.contains_point((x, y))
+                if contains(p, (x, y))
             )
             assert p.min_weighted(w) == grid
 
@@ -210,7 +218,7 @@ class TestCovolume:
         count = sum(
             1
             for q in iterprod(range(bound * m), repeat=3)
-            if not p.contains_point(tuple(Fraction(x, m) for x in q))
+            if not contains(p, tuple(Fraction(x, m) for x in q))
         )
         approx = Fraction(count, m**3)
         assert abs(approx - p.covolume()) <= Fraction(p.covolume(), 4)
@@ -227,7 +235,7 @@ class TestMinkowskiProperty:
             pab = newton_polyhedron(a.product(b))
             for u in newton_polyhedron(a).vertices:
                 for v in newton_polyhedron(b).vertices:
-                    assert pab.contains_point(tuple(x + y for x, y in zip(u, v)))
+                    assert contains(pab, tuple(x + y for x, y in zip(u, v)))
 
 
 class TestFromVertices:
@@ -282,6 +290,128 @@ class TestVerticesFromHalfspaces2d:
         meet = region_intersect(p, q)
         assert meet == region_from_halfspaces(2, p.facets + q.facets)
         assert meet == region_intersect(q, p)
+
+
+
+def fraction_envelope_vertices_2d(facets):
+    """Reference: the envelope with Fraction slopes and intercepts that the
+    integer envelope replaced."""
+    wall = Fraction(0)
+    best = {Fraction(0): Fraction(0)}  # slope -> intercept
+    for (a0, a1), c in facets:
+        if a1 == 0:
+            wall = max(wall, Fraction(c) / a0)
+            continue
+        slope, icept = Fraction(-a0) / a1, Fraction(c) / a1
+        if slope not in best or icept > best[slope]:
+            best[slope] = icept
+    hull = []
+    for m3, b3 in sorted(best.items()):
+        while len(hull) >= 2:
+            (m1, b1), (m2, b2) = hull[-2], hull[-1]
+            if (b1 - b3) * (m2 - m1) > (b1 - b2) * (m3 - m1):
+                break
+            hull.pop()
+        hull.append((m3, b3))
+    breaks = [(b1 - b2) / (m2 - m1) for (m1, b1), (m2, b2) in zip(hull, hull[1:])]
+    first = 0
+    while first < len(breaks) and breaks[first] <= wall:
+        first += 1
+    m, b = hull[first]
+    verts = [(wall, m * wall + b)]
+    verts.extend((x, m * x + b) for x, (m, b) in zip(breaks[first:], hull[first + 1:]))
+    return tuple(verts)
+
+
+def chain_facets_2d(verts):
+    """Reference: every facet rebuilt from the difference of two consecutive
+    vertices and made primitive, then the axis facets."""
+    facets = []
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
+        normal = (y1 - y2, x2 - x1)
+        prim = fraction_primitive(normal)
+        i = next(j for j, x in enumerate(prim) if x != 0)
+        c = Fraction(normal[0] * x1 + normal[1] * y1) * Fraction(prim[i], 1) / Fraction(normal[i])
+        facets.append((prim, int(c) if c.denominator == 1 else c))
+    if verts[0][0] > 0:
+        facets.append(((1, 0), verts[0][0]))
+    if verts[-1][1] > 0:
+        facets.append(((0, 1), verts[-1][1]))
+    return tuple(sorted(facets))
+
+
+def fraction_region_2d(facets):
+    """Reference: the region of halfspaces by the Fraction route."""
+    verts = fraction_envelope_vertices_2d(facets)
+    return NewtonPolyhedron(2, verts, chain_facets_2d(verts))
+
+
+def fraction_intersect_2d(p, q):
+    return fraction_region_2d(sorted(set(p.facets) | set(q.facets)))
+
+
+# facets as stored in a polyhedron: primitive normals, c > 0 an int or a
+# Fraction, integral ones included
+STORED = st.lists(
+    st.tuples(
+        NORMALS.map(primitive),
+        st.one_of(st.integers(1, 12), st.fractions(min_value=F(1, 4), max_value=12,
+                                                   max_denominator=4)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+RATIONAL_NORMALS = st.tuples(
+    st.fractions(min_value=0, max_value=4, max_denominator=3),
+    st.fractions(min_value=0, max_value=4, max_denominator=3),
+).filter(any)
+
+
+class TestEnvelope2d:
+    """The integer envelope against the Fraction envelope plus the vertex
+    chain facets, by ``repr`` (so c types count)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(FACETS)
+    @example([((1, 2), 2), ((1, 2), 2), ((2, 4), 3)])  # duplicate and parallel facets
+    @example([((0, 1), 3)])  # a0 = 0 only
+    @example([((1, 0), Fraction(5, 2)), ((0, 2), 3)])  # a wall and a floor, nothing sloped
+    @example([((1, 0), Fraction(7, 3)), ((1, 1), 2), ((3, 1), 3)])  # wall right of crossings
+    @example([((1, 1), 2), ((2, 1), 3), ((3, 1), 4)])  # three facets through (1, 1)
+    @example([((1, 3), -1), ((2, 0), 0)])  # only vacuous facets
+    @example([((2, 2), 3)])  # a single non-primitive facet
+    @example([((4, 2), Fraction(9, 4)), ((2, 4), Fraction(9, 4))])
+    def test_matches_fraction_route(self, facets):
+        verts = fraction_envelope_vertices_2d(facets)
+        assert repr(envelope_2d(facets)) == repr((verts, chain_facets_2d(verts)))
+        assert vertices_from_halfspaces(2, facets) == verts
+
+    @settings(max_examples=80, deadline=None)
+    @given(STORED, STORED)
+    def test_intersect_stored_facets(self, fp, fq):
+        p, q = fraction_region_2d(fp), fraction_region_2d(fq)
+        assert repr(region_intersect(p, q)) == repr(fraction_intersect_2d(p, q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(RATIONAL_NORMALS,
+                              st.fractions(min_value=-1, max_value=8, max_denominator=5)),
+                    min_size=1, max_size=6))
+    def test_rational_normals(self, facets):
+        kept = [(a, c) for a, c in facets if c > 0]
+        if not kept:
+            return
+        assert repr(region_from_halfspaces(2, facets)) == repr(fraction_region_2d(kept))
+
+    @pytest.mark.parametrize("n", [1, 8, 32, 64])
+    def test_scaled_thm2_pairs(self, n):
+        p, q = thm2_regions(n)
+        ts = [F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 2), F(2), F(13, 5)]
+        for r in ts:
+            for s in ts:
+                pr, qs = p.scale(r), q.scale(s)
+                assert repr(region_intersect(pr, qs)) == repr(fraction_intersect_2d(pr, qs))
+                qrs = q.scale(s / r)
+                assert repr(region_intersect(p, qrs)) == repr(fraction_intersect_2d(p, qrs))
 
 
 # -- 3D hull and covolume against brute-force references ---------------------
