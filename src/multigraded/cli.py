@@ -148,6 +148,14 @@ def cmd_system_invariants(args) -> int:
     return 1 if failed else 0
 
 
+def _nef_hull_text(hull):
+    """Label and vectors of a nef ray hull that is not the full space: its
+    rays, or its facet normals when it is not pointed and has no rays."""
+    if hull.pointed is False and not hull.rays:
+        return "nef hull: not pointed; facet normals:", hull.halfspaces
+    return "nef hull rays:", hull.rays
+
+
 def cmd_system_cones(args) -> int:
     system = parse_system(args.path)
     nef = nef_points(system, args.radius)
@@ -161,8 +169,9 @@ def cmd_system_cones(args) -> int:
         if hull.fullspace:
             lines.append("nef hull: full space")
         else:
-            lines.append("nef hull rays:")
-            lines.extend("  " + " ".join(str(x) for x in r) for r in hull.rays)
+            label, vecs = _nef_hull_text(hull)
+            lines.append(label)
+            lines.extend("  " + " ".join(str(x) for x in r) for r in vecs)
     print("\n".join(lines))
     if args.out:
         rows = [("nef", *v) for v in nef] + [("eff", *v) for v in eff]
@@ -225,7 +234,8 @@ def cmd_repro_thm1(args) -> int:
     )
     hull = ray_hull(nef, cone.rank)
     if not hull.fullspace:
-        lines.append("nef hull rays: " + "; ".join(" ".join(map(str, r)) for r in hull.rays))
+        label, vecs = _nef_hull_text(hull)
+        lines.append(f"{label} " + "; ".join(" ".join(map(str, r)) for r in vecs))
     report = cone_compare(hull, cone, samples=args.samples, radius=args.radius)
     ok &= _pass(
         lines,

@@ -24,7 +24,8 @@ class ConeRep:
     ``halfspaces`` is the exact inequality description used for membership
     (empty for the full space); ``rays`` is a generating set when known;
     ``forms`` is set only for epigraph cones.  ``pointed`` is None when
-    pointedness was not determined.
+    pointedness was not determined; a full-rank rank-3 hull that is not
+    pointed has no rays.
     """
 
     rank: int
@@ -98,7 +99,7 @@ def ray_hull(points, rank: int | None = None) -> ConeRep:
     Rank 2 works by angular sort; rank 3 by exact pair-cross-product facet
     enumeration.  Positively spanning inputs return a full-space cone.  For
     full-rank rank-3 cones that are not pointed the halfspace description
-    is still exact but the ray list is the deduplicated input.
+    is exact and the ray list is empty.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -195,12 +196,13 @@ def _ray_hull_planar_3(rays) -> ConeRep:
         coords.append(primitive((s, t)))
     flat = _ray_hull_2(sorted(set(coords)))
 
-    def lift_normal(n2):
-        # A with <A,u> = n2[0], <A,v> = n2[1], <A,nu> = 0
-        from .newton import _solve3
+    # the dual basis of (u, v, nu) is (v x nu, nu x u, u x v) / det(u, v, nu),
+    # and det(u, v, nu) = <u x v, nu> > 0
+    du, dv = _cross3(v, nu), _cross3(nu, u)
 
-        sol = _solve3([u, v, nu], [n2[0], n2[1], 0])
-        return primitive(sol)
+    def lift_normal(n2):
+        # A with <A,u> = n2[0], <A,v> = n2[1], <A,nu> = 0, up to a positive factor
+        return primitive(tuple(n2[0] * a + n2[1] * b for a, b in zip(du, dv)))
 
     def lift_ray(r2):
         return primitive(tuple(r2[0] * a + r2[1] * b for a, b in zip(u, v)))
@@ -229,8 +231,9 @@ def _ray_hull_3(rays) -> ConeRep:
             facets.append(n)
     pointed = _rank(facets) == 3 if facets else False
     if not pointed:
+        # a cone with a line has no extreme rays: leave the ray list empty
         hs = facets if facets else valid
-        return ConeRep(3, halfspaces=tuple(hs), rays=tuple(rays), pointed=False)
+        return ConeRep(3, halfspaces=tuple(hs), pointed=False)
     extreme = []
     for r in rays:
         tight = [n for n in facets if _dot(n, r) == 0]

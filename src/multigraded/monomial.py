@@ -15,6 +15,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterprod
+from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -238,7 +240,8 @@ class MonomialIdeal:
     # -- per-ideal invariants ------------------------------------------------
 
     def weighted_order(self, w) -> Fraction:
-        """min over generators of <w, v> for a nonnegative weight vector w."""
+        """min over generators of <w, v> for a nonnegative weight vector w,
+        in integers: w is scaled once over its common denominator."""
         if self.is_zero:
             raise ZeroIdeal("weighted order of the zero ideal")
         wt = tuple(Fraction(x) for x in w)
@@ -246,7 +249,9 @@ class MonomialIdeal:
             raise DimensionMismatch(f"weight length {len(wt)} != {self.dim}")
         if any(x < 0 for x in wt):
             raise NegativeWeight(f"negative weight in {wt!r}")
-        return min(sum(a * b for a, b in zip(wt, g)) for g in self.gens)
+        den = lcm(*(x.denominator for x in wt))
+        iw = [x.numerator * (den // x.denominator) for x in wt]
+        return Fraction(min(sum(map(mul, iw, g)) for g in self.gens), den)
 
     def ord0(self) -> Fraction:
         """Order at the origin: minimal total degree of a generator."""

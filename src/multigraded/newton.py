@@ -14,11 +14,14 @@ nonnegativity separately.
 One exact routine per dimension builds the polyhedron: a sorted
 staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
 incremental beneath-beyond hull with integer orientation tests that
-treats the axis directions as points at infinity.  A k = 2 region given
-by halfspaces comes from ``envelope_2d``, an upper envelope of lines in
-integer arithmetic that returns the vertices together with the facets
-of the lines it keeps.  The 3D covolume is a sum of cones from the
-origin over the facets.
+treats the axis directions as points at infinity.  A region given by
+halfspaces (``vertices_from_halfspaces``) comes from the same routines:
+in k = 2 from ``envelope_2d``, an upper envelope of lines in integer
+arithmetic that returns the vertices together with the facets of the
+lines it keeps; in k = 3 from one ``orthant_hull_3d`` of its blocker,
+whose facets are the region's vertices and whose vertices are the
+region's facets.  The 3D covolume is a sum of cones from the origin
+over the facets.
 
 Everything is exact rational arithmetic; no floats anywhere.
 """
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 from .errors import (
@@ -317,37 +319,29 @@ def _plane(a, b, c):
     )
 
 
-def vertices_from_halfspaces(k: int, facets) -> tuple[Point, ...]:
-    """Extreme points of {x >= 0 : <a, x> >= c for all facets} (k <= 3), sorted.
+def vertices_from_halfspaces(k: int, facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
+    """Vertices (sorted) and facets of {x >= 0 : <a, x> >= c} for k = 2, 3,
+    integer normals a >= 0, a != 0, and (in k = 3) every c > 0.
 
-    All facet normals must be nonzero and componentwise nonnegative, so the
-    region has recession cone the full orthant.  k = 2 is the vertex half
-    of ``envelope_2d`` (integer normals), O(m log m); k = 3 still
-    enumerates every triple of constraints and keeps the feasible basic
-    points, O(m^4).
+    k = 2 is ``envelope_2d``.  k = 3 is one ``orthant_hull_3d`` of the
+    blocker B = conv(a / c) + orthant, the set of y >= 0 with <y, x> >= 1
+    on the region (Fulkerson, "Blocking and anti-blocking pairs of
+    polyhedra", 1971).  The region's vertices are n / d for the stored
+    facets (n, d) of B, and its facets are <b, x> >= 1, made primitive,
+    for the vertices b of B; so c is a ``Fraction``.
     """
-    if k == 1:
-        c = max((Fraction(c) / a[0] for a, c in facets), default=Fraction(0))
-        return ((max(c, Fraction(0)),),)
     if k == 2:
-        return envelope_2d(facets)[0]
+        return envelope_2d(facets)
     if k != 3:
-        raise UnsupportedDimension(f"vertex enumeration in dimension {k}")
-    constraints = [(tuple(a), Fraction(c)) for a, c in facets]
-    for i in range(k):
-        constraints.append((tuple(1 if j == i else 0 for j in range(k)), Fraction(0)))
-
-    def feasible(q):
-        return all(x >= 0 for x in q) and all(_dot(a, q) >= c for a, c in facets)
-
-    found = set()
-    for rows in combinations(constraints, 3):
-        mat = [r[0] for r in rows]
-        rhs = [r[1] for r in rows]
-        q = _solve3(mat, rhs)
-        if q is not None and feasible(q):
-            found.add(q)
-    return tuple(sorted(found))
+        raise UnsupportedDimension("halfspace regions are limited to k <= 3")
+    points, dual = orthant_hull_3d([tuple(Fraction(x) / c for x in a) for a, c in facets])
+    verts = sorted(tuple(Fraction(x * d.denominator, d.numerator) for x in n) for n, d in dual)
+    out = []
+    for b in points:
+        a = primitive(b)
+        i = next(j for j, x in enumerate(a) if x)
+        out.append((a, Fraction(a[i] * b[i].denominator, b[i].numerator)))
+    return tuple(verts), tuple(sorted(out))
 
 
 def envelope_2d(facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
@@ -419,19 +413,6 @@ def _primitive_facet(facet) -> Facet:
     if gcd(*a) != 1:
         return _normalize_facet(a, c)
     return tuple(a), (c.numerator if c.denominator == 1 else c)
-
-
-def _solve3(mat, rhs):
-    d = _det3(mat)
-    if d == 0:
-        return None
-    cols = []
-    for j in range(3):
-        m = [row[:] if isinstance(row, list) else list(row) for row in mat]
-        for i in range(3):
-            m[i][j] = rhs[i]
-        cols.append(Fraction(_det3(m), 1) / d)
-    return tuple(cols)
 
 
 def _det3(m):

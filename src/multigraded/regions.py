@@ -27,7 +27,6 @@ from .monomial import MonomialIdeal, _trusted, minimalize
 from .newton import (
     NewtonPolyhedron,
     _chain_facets_2d,
-    envelope_2d,
     from_vertices,
     vertices_from_halfspaces,
 )
@@ -158,18 +157,17 @@ def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
             kept.append((tuple(int(x * den) for x in a), Fraction(c) * den))
     if not kept:
         return full_orthant(k)
-    if k > 3:
-        raise UnsupportedDimension("halfspace regions are limited to k <= 3")
     return _from_halfspaces(k, kept)
 
 
 def _from_halfspaces(k: int, facets) -> NewtonPolyhedron:
-    """The region of checked, nonempty halfspaces: in k = 2 the vertices and
-    facets of one envelope, which keeps its input facets; in k = 3 the
-    vertices, then the hull of the vertices for the facets."""
-    if k == 2:
-        return NewtonPolyhedron(2, *envelope_2d(facets))
-    return from_vertices(vertices_from_halfspaces(k, facets))
+    """The region of checked, nonempty halfspaces with integer normals and
+    c > 0: in k = 1 the largest c / a, in k = 2 and 3 the vertices and
+    facets of ``vertices_from_halfspaces``, one integer line envelope or
+    one hull of the blocker; no facet is rebuilt from the vertices."""
+    if k == 1:
+        return from_vertices([(max(Fraction(c) / a[0] for a, c in facets),)])
+    return NewtonPolyhedron(k, *vertices_from_halfspaces(k, facets))
 
 
 def epigraph_region(fn: PiecewiseLinearConvexFn) -> NewtonPolyhedron:
@@ -187,14 +185,12 @@ def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
 
 
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
-    """P intersect Q from the union of their facets: in k = 2 one O(m log m)
-    integer line envelope (``envelope_2d``) whose kept input facets are
-    already in stored form, in k = 3 an enumeration of constraint triples
-    (see ``vertices_from_halfspaces``)."""
+    """P intersect Q from the concatenated facets of both (see
+    ``_from_halfspaces``): repeated facets cost nothing, as the envelope
+    keeps one line per slope and the hull one point per position."""
     if p.dim != q.dim:
         raise DimensionMismatch("regions in different dimensions")
-    # the envelope ignores repeated lines; the triple enumeration would pay for them
-    merged = p.facets + q.facets if p.dim == 2 else tuple(set(p.facets) | set(q.facets))
+    merged = p.facets + q.facets
     if not merged:
         return full_orthant(p.dim)
     return _from_halfspaces(p.dim, merged)
@@ -210,9 +206,10 @@ def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedr
 def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
     """Minimal generators of the ideal of all lattice points of m * region.
 
-    k = 2 uses a staircase column scan of the scaled boundary; k = 3 a
-    column scan that reads each generator off the column heights of the
-    bounding box, O(B^2) columns (``_lattice_generators_3d``).
+    k = 2 and k = 3 scan columns in integer arithmetic and emit the
+    antichain directly: one column per x between the wall and the last
+    vertex (``_lattice_generators_2d``), or O(B^2) columns of the bounding
+    box (``_lattice_generators_3d``).
     """
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
@@ -228,19 +225,23 @@ def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
 
 
 def _lattice_generators_2d(scaled: NewtonPolyhedron) -> MonomialIdeal:
-    vertical = [c for a, c in scaled.facets if a[1] == 0]
-    sloped = [(a, c) for a, c in scaled.facets if a[1] > 0]
-    x_start = ceil(max(vertical)) if vertical else 0
-    x_stop = ceil(max(Fraction(v[0]) for v in scaled.vertices))
+    """Minimal lattice points of scaled, one column x at a time.
+
+    Column x holds the points y >= h(x), the least y >= 0 meeting every
+    sloped facet; h is nonincreasing, so (x, h(x)) is a minimal generator
+    exactly when h drops there, and the scan emits the antichain directly.
+    """
+    x_start = ceil(max([0] + [c for a, c in scaled.facets if a[1] == 0]))
+    x_stop = max(x_start, ceil(max(v[0] for v in scaled.vertices)))
+    # scaled to integers: a_x x + a_y y >= c
+    sloped = [(a[0] * c.denominator, a[1] * c.denominator, c.numerator)
+              for a, c in scaled.facets if a[1] > 0]
     gens = []
-    for x in range(x_start, max(x_start, x_stop) + 1):
-        y = Fraction(0)
-        for a, c in sloped:
-            y = max(y, Fraction(c - a[0] * x, a[1]))
-        gens.append((x, ceil(y)))
-    if not gens:
-        raise EmptyRegion("no lattice points in the scan range")
-    return minimalize(gens, 2)
+    for x in range(x_start, x_stop + 1):
+        h = max([0] + [-((ax * x - cc) // ay) for ax, ay, cc in sloped])
+        if not gens or h < gens[-1][1]:
+            gens.append((x, h))
+    return _trusted(2, tuple(gens))
 
 
 def _lattice_generators_3d(scaled: NewtonPolyhedron) -> MonomialIdeal:

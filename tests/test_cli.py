@@ -415,6 +415,27 @@ class TestThm1Cones:
         assert code == 0
         assert out.count("[PASS]") == 3 and "[FAIL]" not in out
 
+    def test_non_pointed_nef_hull_prints_facet_normals(self, tmp_path):
+        # y >= max(0, x1 - x2) contains the line through (1, 1, 0): the hull
+        # has no extreme rays, so its facets are printed, not the nef points
+        (tmp_path / "w.cone").write_text("rank 3\nform 1 -1\n")
+        (tmp_path / "w.system").write_text("ceiling w.cone\n")
+        code, out = run_cli(["repro", "thm1", "--cone", str(tmp_path / "w.cone"),
+                             "--radius", "2"])
+        assert code == 0 and out.count("[PASS]") == 3
+        assert "nef hull: not pointed; facet normals: -1 1 1; 0 0 1\n" in out
+        assert "rays" not in out
+        code, out = run_cli(["system", "cones", str(tmp_path / "w.system"), "--radius", "2"])
+        assert code == 0
+        assert out.endswith("nef hull: not pointed; facet normals:\n  -1 1 1\n  0 0 1\n")
+
+    def test_pointed_nef_hull_prints_rays(self, tmp_path):
+        (tmp_path / "q.cone").write_text("rank 3\nform 1 1\nform 1 -1\nform -1 1\n")
+        code, out = run_cli(["repro", "thm1", "--cone", str(tmp_path / "q.cone"),
+                             "--radius", "3"])
+        assert code == 0
+        assert "nef hull rays: -1 -1 0; 0 1 1; 1 0 1\n" in out
+
     def test_samples_are_the_powers_not_the_limit(self):
         system = CeilingSystem(parse_cone("rank 3\nform 1/2 -2/3\n"))
         v = (1, 0, 0)

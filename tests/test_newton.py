@@ -28,7 +28,12 @@ from multigraded.newton import (
     primitive,
     vertices_from_halfspaces,
 )
-from multigraded.regions import region_from_halfspaces, region_intersect, thm2_regions
+from multigraded.regions import (
+    full_orthant,
+    region_from_halfspaces,
+    region_intersect,
+    thm2_regions,
+)
 
 F = Fraction
 
@@ -279,7 +284,7 @@ class TestVerticesFromHalfspaces2d:
     @example([((1, 1), 2), ((2, 1), 3), ((3, 1), 4)])  # three facets through (1, 1)
     @example([((1, 3), -1), ((2, 0), 0)])  # only vacuous facets: the origin
     def test_matches_pairwise_enumeration(self, facets):
-        got = vertices_from_halfspaces(2, facets)
+        got = vertices_from_halfspaces(2, facets)[0]
         assert got == brute_vertices_2d(facets)
         assert all(type(x) is Fraction for v in got for x in v)
 
@@ -384,7 +389,7 @@ class TestEnvelope2d:
     def test_matches_fraction_route(self, facets):
         verts = fraction_envelope_vertices_2d(facets)
         assert repr(envelope_2d(facets)) == repr((verts, chain_facets_2d(verts)))
-        assert vertices_from_halfspaces(2, facets) == verts
+        assert vertices_from_halfspaces(2, facets)[0] == verts
 
     @settings(max_examples=80, deadline=None)
     @given(STORED, STORED)
@@ -599,3 +604,92 @@ class TestOrthantHull3d:
     @pytest.mark.parametrize("d", [1, 2, 5, 12])
     def test_multiplicity_of_maximal_power(self, d):
         assert MonomialIdeal.maximal(3).power(d).multiplicity() == d**3
+
+
+# -- 3D halfspace regions against the triple enumeration ---------------------
+
+
+def triple_vertices_3d(facets):
+    """Reference: every triple of constraint planes (the coordinate planes
+    included) whose crossing is feasible, O(m^4); the blocker hull replaced
+    this enumeration."""
+    planes = [(tuple(a), Fraction(c)) for a, c in facets]
+    planes += [((1, 0, 0), Fraction(0)), ((0, 1, 0), Fraction(0)), ((0, 0, 1), Fraction(0))]
+    found = set()
+    for rows in combinations(planes, 3):
+        q = _solve([r[0] for r in rows], [r[1] for r in rows])
+        if q is not None and min(q) >= 0 and all(_dot(a, q) >= c for a, c in facets):
+            found.add(q)
+    return tuple(sorted(found))
+
+
+def triple_region_3d(facets):
+    """Reference region: the enumerated vertices, then their hull for the facets."""
+    kept = [(a, c) for a, c in facets if c > 0]
+    return from_vertices(triple_vertices_3d(kept)) if kept else full_orthant(3)
+
+
+def staircase_3d(r, shift=(1, 1, 1)):
+    """The minimal (x, y, z) in [0, r]^3 with (x + s0)(y + s1)(z + s2) >= r."""
+    s0, s1, s2 = shift
+    box = iterprod(range(r + 1), repeat=3)
+    return minimalize([p for p in box if (p[0] + s0) * (p[1] + s1) * (p[2] + s2) >= r], 3)
+
+
+# zero entries, rational entries and repeated facets are all common; the
+# appended draws repeat facets of the list verbatim, and c <= 0 is vacuous
+NORMAL_ENTRY = st.one_of(st.integers(0, 4), st.fractions(0, 3, max_denominator=3))
+FACETS3 = st.lists(
+    st.tuples(st.tuples(NORMAL_ENTRY, NORMAL_ENTRY, NORMAL_ENTRY).filter(any),
+              st.one_of(st.integers(-1, 8), st.fractions(-1, 8, max_denominator=4))),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda fs: st.lists(st.sampled_from(fs), max_size=2).map(lambda dup: fs + dup))
+
+
+class TestBlockerHull3d:
+    """k = 3 halfspace regions and intersections, read off one hull of the
+    blocker, against the triple enumeration plus ``from_vertices``, by
+    ``repr`` (so the Fraction type of every c counts)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FACETS3)
+    @example([((1, 1, 1), 1)])  # one facet: three axis vertices
+    @example([((0, 0, 2), 3), ((0, 0, 1), 1)])  # parallel, one redundant
+    @example([((1, 2, 3), 6), ((3, 2, 1), 6), ((2, 3, 1), 6), ((2, 3, 1), 6)])
+    @example([((1, 1, 0), 2), ((F(1, 2), F(1, 2), 0), 1), ((0, 1, 1), F(5, 2))])
+    @example([((1, 1, 1), 3), ((2, 1, 1), 4), ((1, 2, 1), 4), ((1, 1, 2), 4)])  # degenerate
+    @example([((1, 0, 0), -1), ((0, 1, 0), 0)])  # only vacuous facets
+    def test_halfspace_region(self, facets):
+        got = region_from_halfspaces(3, facets)
+        assert repr(got) == repr(triple_region_3d(facets))
+        if got.facets:
+            assert repr(vertices_from_halfspaces(3, got.facets)) == repr(
+                (got.vertices, got.facets))
+
+    @settings(max_examples=30, deadline=None)
+    @given(FACETS3, FACETS3)
+    def test_intersect_both_orders(self, fp, fq):
+        p, q = region_from_halfspaces(3, fp), region_from_halfspaces(3, fq)
+        want = repr(triple_region_3d(p.facets + q.facets))
+        assert repr(region_intersect(p, q)) == want
+        assert repr(region_intersect(q, p)) == want
+
+    def test_intersect_newton_polyhedra(self):
+        # int c on one side, Fraction c on the other
+        p = newton_polyhedron(minimalize([(3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 1, 1)], 3))
+        q = region_from_halfspaces(3, [((1, 2, 1), F(7, 2)), ((2, 0, 1), 3)])
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert repr(region_intersect(a, b)) == repr(triple_region_3d(a.facets + b.facets))
+
+    def test_staircase_pair(self):
+        p = newton_polyhedron(staircase_3d(20))
+        q = newton_polyhedron(staircase_3d(20, (2, 1, 3)))
+        assert len(p.facets + q.facets) == 27
+        meet = region_intersect(p, q)
+        assert repr(meet) == repr(triple_region_3d(p.facets + q.facets))
+        assert repr(region_intersect(q, p)) == repr(meet)
+
+    def test_dimension_cap(self):
+        with pytest.raises(UnsupportedDimension):
+            vertices_from_halfspaces(4, [((1, 1, 1, 1), 1)])

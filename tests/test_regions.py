@@ -53,6 +53,24 @@ def box_scan_generators(region, m):
     return minimalize(points, 3)
 
 
+def column_points_2d(region, m):
+    """Reference for k = 2: one point per column x from the wall to the last
+    vertex, at the ceiling of the highest sloped facet (Fraction arithmetic),
+    reduced by ``minimalize`` (the scan the direct antichain replaced)."""
+    scaled = region.scale(m) if m != 1 else region
+    vertical = [c for a, c in scaled.facets if a[1] == 0]
+    x_start = ceil(max(vertical)) if vertical else 0
+    x_stop = ceil(max(F(v[0]) for v in scaled.vertices))
+    points = []
+    for x in range(x_start, max(x_start, x_stop) + 1):
+        y = F(0)
+        for a, c in scaled.facets:
+            if a[1] > 0:
+                y = max(y, F(c - a[0] * x, a[1]))
+        points.append((x, ceil(y)))
+    return minimalize(points, 2)
+
+
 def lagrange(points, x):
     """Value at x and leading coefficient of the interpolating polynomial."""
     value, lead = F(0), F(0)
@@ -67,6 +85,16 @@ def lagrange(points, x):
         lead += F(yi, denom)
     return value, lead
 
+
+halfspaces2 = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+        st.one_of(st.integers(1, 6), st.fractions(min_value=F(1, 4), max_value=6,
+                                                  max_denominator=4)),
+    ),
+    min_size=1,
+    max_size=5,
+)
 
 halfspaces3 = st.lists(
     st.tuples(
@@ -215,6 +243,19 @@ class TestLatticeGenerators:
     def test_vertical_strip(self):
         p = region_from_halfspaces(2, [((1, 0), F(5, 2))])
         assert lattice_generators(p, 1).gens == ((3, 0),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(halfspaces2, st.integers(1, 5))
+    def test_2d_scan_matches_column_points(self, facets, m):
+        # walls (a_y = 0), floors (a_x = 0) and Fraction right-hand sides are common
+        p = region_from_halfspaces(2, facets)
+        assert repr(lattice_generators(p, m)) == repr(column_points_2d(p, m))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_2d_scan_of_kinked_epigraphs(self, n):
+        p = epigraph_region(build_kinked_f(n))
+        for m in (1, 4, 7, 16):
+            assert repr(lattice_generators(p, m)) == repr(column_points_2d(p, m))
 
     def test_three_dimensional_box_scan(self):
         p = region_from_halfspaces(3, [((1, 1, 1), 2)])
