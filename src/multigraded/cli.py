@@ -150,8 +150,8 @@ def cmd_system_invariants(args) -> int:
 
 def _nef_hull_text(hull):
     """Label and vectors of a nef ray hull that is not the full space: its
-    rays, or its facet normals when it is not pointed and has no rays."""
-    if hull.pointed is False and not hull.rays:
+    rays, or its facet normals when it contains a line."""
+    if not hull.pointed:
         return "nef hull: not pointed; facet normals:", hull.halfspaces
     return "nef hull rays:", hull.rays
 

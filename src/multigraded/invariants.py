@@ -24,7 +24,7 @@ from .errors import (
 )
 from .newton import NewtonPolyhedron
 from .regions import build_kinked_f, region_intersect, thm2_regions
-from .systems import CeilingSystem, DirectionView, SystemExpr
+from .systems import CeilingSystem, SystemExpr
 
 QUANTITIES = ("ord0", "arn", "mult")
 
@@ -77,7 +77,7 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
     """
     if steps is None:
         steps = 5 if schedule == "factorial" else 8
-    view = system if isinstance(system, DirectionView) else system.restrict(v)
+    view = system.restrict(v)
     k = view.system.ambient_dim
     samples = []
     for n in schedule_points(schedule, steps):

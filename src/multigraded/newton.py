@@ -57,14 +57,6 @@ def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _rank(rows) -> int:
     """Rank of a small matrix of rationals, by Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -95,12 +95,6 @@ class PiecewiseLinearConvexFn:
         bx, bv = self.breakpoints[j]
         return bv + self.slopes[j] * (x - bx)
 
-    def slope_right_of(self, x) -> Fraction:
-        x = Fraction(x)
-        if x >= self.intercept:
-            return Fraction(0)
-        return self.slopes[_piece(self.breakpoints, x)]
-
 
 def _piece(breakpoints, x) -> int:
     """Index of the last breakpoint at or left of x, by bisection."""

@@ -1,9 +1,15 @@
 """Cone membership, ray hulls, nef/effective estimation, comparison."""
 
+import io
+import random
+from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+from multigraded.cli import main
 from multigraded.cones import (
     ConeRep,
     abs_sum_cone,
@@ -66,12 +72,13 @@ class TestRayHull2:
 
     def test_line(self):
         h = ray_hull([(1, 2), (-1, -2)], 2)
-        assert not h.pointed
+        assert (h.pointed, h.rays, h.halfspaces) == (False, (), ((-2, 1), (2, -1)))
         assert h.contains((-2, -4)) and not h.contains((0, 1))
 
     def test_halfplane(self):
         h = ray_hull([(1, 0), (-1, 0), (0, 1)], 2)
-        assert not h.pointed and not h.fullspace
+        assert (h.pointed, h.rays, h.halfspaces) == (False, (), ((0, 1),))
+        assert not h.fullspace
         assert h.contains((5, 3)) and h.contains((-5, 0)) and not h.contains((0, -1))
 
     def test_obtuse_pointed(self):
@@ -104,11 +111,164 @@ class TestRayHull3:
 
     def test_line_in_space(self):
         h = ray_hull([(1, 1, 1), (-1, -1, -1)], 3)
-        assert h.contains((4, 4, 4)) and not h.contains((1, 1, 0))
+        assert (h.pointed, h.rays, len(h.halfspaces)) == (False, (), 4)
+        assert h.contains((4, 4, 4)) and h.contains((-3, -3, -3))
+        assert not h.contains((1, 1, 0)) and not h.contains((0, 0, 1))
+
+    def test_halfplane_in_space(self):
+        h = ray_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3)
+        assert (h.pointed, h.rays) == (False, ())
+        assert h.halfspaces == ((0, 1, 0), (0, 0, 1), (0, 0, -1))
+
+    def test_plane_in_space(self):
+        h = ray_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], 3)
+        assert (h.pointed, h.rays, h.fullspace) == (False, (), False)
+        assert h.halfspaces == ((0, 0, 1), (0, 0, -1))
+
+    def test_cli_plane_prints_facet_normals(self, tmp_path, monkeypatch):
+        # the nef points fill the plane x1 = 0: its normals are printed, not
+        # its 8 nef directions as rays
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        (tmp_path / "plane.system").write_text(
+            "truncate halfspace 1 0 0 ; halfspace -1 0 0\n"
+            "  pullback 0 0 0\n"
+            "    powers x.ideal\n")
+        monkeypatch.chdir(tmp_path)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["system", "cones", "plane.system", "--radius", "1"])
+        assert code == 0
+        assert buf.getvalue().endswith("nef hull: not pointed; facet normals:\n  1 0 0\n  -1 0 0\n")
 
     def test_rank_cap(self):
         with pytest.raises(UnsupportedDimension):
             ray_hull([(1, 0, 0, 0)], 4)
+
+
+# -- reference routes that share no code with ray_hull -------------------------
+
+
+def _det(m):
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _prim(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+def cone_oracle(rays, rank):
+    """Membership in cone(rays) by Caratheodory's theorem: x is inside iff it
+    is a nonnegative combination of a linearly independent subset of at most
+    `rank` rays.  Each independent subset is solved on one nonzero minor by
+    Cramer's rule, and the solution is checked on every coordinate."""
+    systems = []
+    for m in range(1, rank + 1):
+        for subset in combinations(rays, m):
+            for rows in combinations(range(rank), m):
+                a = [[r[i] for r in subset] for i in rows]
+                d = _det(a)
+                if d:
+                    # cof[j][i] is the (i, j) cofactor, so coefficient j is
+                    # sum_i cof[j][i] x[rows[i]] / d
+                    cof = [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:]
+                                                    for k, row in enumerate(a) if k != i])
+                            for i in range(m)] for j in range(m)]
+                    systems.append((subset, rows, cof, d))
+                    break
+
+    def contains(x):
+        if not any(x):
+            return True
+        for subset, rows, cof, d in systems:
+            num = [sum(c * x[i] for c, i in zip(cj, rows)) for cj in cof]
+            if all(c * d >= 0 for c in num) and all(
+                    sum(c * r[i] for c, r in zip(num, subset)) == d * x[i] for i in range(rank)):
+                return True
+        return False
+
+    return contains
+
+
+def pair_facets(rays):
+    """Facet normals of a full-span rank-3 cone by pair enumeration: every
+    primitive cross product of two rays, either sign, that is valid on all
+    rays and tight on two independent ones; sorted."""
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+    candidates = set()
+    for p, q in combinations(rays, 2):
+        n = cross(p, q)
+        if any(n):
+            candidates |= {_prim(n), _prim(_neg(n))}
+    facets = []
+    for n in sorted(candidates):
+        if all(sum(a * b for a, b in zip(n, r)) >= 0 for r in rays):
+            tight = [r for r in rays if sum(a * b for a, b in zip(n, r)) == 0]
+            if any(any(cross(p, q)) for p, q in combinations(tight, 2)):
+                facets.append(n)
+    return tuple(facets)
+
+
+def _random_points(rng, rank, span):
+    """Points spanning a random subspace of dimension at most `span`.  Half of
+    the time the sum of two points is added, so that rays on a face are not
+    extreme, and half of the time the negative of one, so that lines appear."""
+    while True:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(span)]
+        if any(_det([list(v[i] for i in rows) for v in basis])
+               for rows in combinations(range(rank), span)):
+            break
+    pts = []
+    for _ in range(rng.randint(1, 5)):
+        c = [rng.randint(-2, 2) for _ in basis]
+        pts.append(tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(rank)))
+    if rng.random() < 0.5:
+        p, q = rng.choice(pts), rng.choice(pts)
+        pts.append(tuple(a + b for a, b in zip(p, q)))
+    if rng.random() < 0.5:
+        pts.append(_neg(rng.choice(pts)))
+    return pts
+
+
+@pytest.mark.parametrize("rank,span", [(r, s) for r in (1, 2, 3) for s in range(r + 1)])
+def test_ray_hull_matches_caratheodory_oracle(rank, span):
+    rng = random.Random(97 * rank + span)
+    window = list(lattice_window(rank, 3))
+    for _ in range(6):
+        pts = _random_points(rng, rank, span)
+        rays = sorted({_prim(p) for p in pts if any(p)})
+        inside = cone_oracle(rays, rank)
+        h = ray_hull(pts, rank)
+        member = [inside(v) for v in window]
+        assert [h.contains(v) for v in window] == member, pts
+        assert h.fullspace == all(member), pts
+        pointed = not any(inside(_neg(r)) for r in rays)
+        assert bool(h.pointed) == pointed, pts
+        if pointed:
+            extreme = [r for r in rays if not cone_oracle([q for q in rays if q != r], rank)(r)]
+            assert h.rays == tuple(extreme), pts
+        else:
+            assert h.rays == (), pts
+        if rank == 3 and not h.fullspace and any(_det(list(map(list, t)))
+                                                 for t in combinations(rays, 3)):
+            assert h.halfspaces == pair_facets(rays), pts
+
+
+def test_pair_facets_reference_on_nef_points():
+    for forms in ([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(1, -1)], [(2, 0), (0, 1)]):
+        cone = ConeRep.epigraph(forms)
+        pts = [v for v in lattice_window(3, 2) if cone.contains(v)]
+        assert ray_hull(pts, 3).halfspaces == pair_facets(sorted({_prim(p) for p in pts if any(p)}))
 
 
 class TestHalton:

@@ -259,7 +259,6 @@ class TestThm2Crossing:
         xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [F(1, 3), F(7, 11)]
         for x in xs:
             assert repr(f(x)) == repr(scan_value(f, x))
-            assert repr(f.slope_right_of(x)) == repr(scan_slope(f, x))
         boundary, _ = appendix_boundary(16)
         for x in [bx for bx, _ in boundary.breakpoints] + [F(1), F(1, 3), F(2, 7)]:
             j = max(i for i, (bx, _) in enumerate(boundary.breakpoints) if bx <= x)
