@@ -14,7 +14,7 @@ from .invariants import (
 from .monomial import MonomialIdeal, minimalize
 from .newton import NewtonPolyhedron, newton_polyhedron
 from .regions import (
-    PiecewiseLinearConvexFn,
+    PiecewiseLinearFn,
     appendix_boundary,
     build_g,
     build_kinked_f,

@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .cones import (
     ConeRep,
@@ -136,7 +135,7 @@ def cmd_system_invariants(args) -> int:
                     failed = True
         else:
             body = system.restrict(v).limit_body()
-            geo = getattr(geometric_invariants(body, system.ambient_dim), q)
+            geo = getattr(geometric_invariants(body), q)
             if geo is None:
                 lines.append(f"{q} geometric = unavailable (unbounded complement)")
             else:
@@ -217,9 +216,22 @@ def _ceiling_sample(system: CeilingSystem, v, quantity: str, n: int) -> Fraction
     return Fraction(m, n) * getattr(base, quantity)()
 
 
+def _window_radius(cone: ConeRep) -> int:
+    """Least lattice-window radius that holds the cone's primitive extreme
+    rays and lineality vectors: the vectors of the ray hull of its
+    halfspace normals, whose dual is the cone."""
+    return max(max(map(abs, v)) for v in ray_hull(cone.halfspaces, cone.rank).halfspaces)
+
+
 def cmd_repro_thm1(args) -> int:
     cone = load_cone(args.cone) if args.cone else abs_sum_cone()
     base = load_ideal(args.base) if args.base else MonomialIdeal.maximal(2)
+    need = _window_radius(cone)
+    if args.radius < need:
+        raise ParseError(
+            f"radius {args.radius} is too small for this cone: its extreme rays "
+            f"and lineality vectors need radius {need}"
+        )
     system = CeilingSystem(cone, base)
     lines, rows = [], []
     ok = True
@@ -306,8 +318,10 @@ def cmd_repro_thm2(args) -> int:
 
     kinks = thm2_kink_locations(r_fixed, n_kinks, parse_q(args.scan[0]), parse_q(args.scan[1]))
     scan_ok = bool(kinks)
+    scans = []
     for s0, x0 in kinks:
         dq = diff_quotient_scan(lambda s: thm2_ord0(r_fixed, s, n_kinks), s0)
+        scans.append((s0, dq))
         scan_ok &= dq.stable and dq.gap != 0
         kink_rows.append(
             (fmt_q(s0), fmt_q(dq.left), fmt_q(dq.right), fmt_q(dq.gap), fmt_dec(dq.gap))
@@ -346,11 +360,8 @@ def cmd_repro_thm2(args) -> int:
             f"lie in s >= {fmt_q(eps)} r",
         )
         trunc_ok = True
-        for s0, _ in kinks:
-            dq = diff_quotient_scan(
-                lambda s: _system_ord0_rational(truncated, (r_fixed, s)), s0
-            )
-            base_dq = diff_quotient_scan(lambda s: thm2_ord0(r_fixed, s, n_kinks), s0)
+        for s0, base_dq in scans:
+            dq = diff_quotient_scan(lambda s: truncated.limit_body((r_fixed, s)).ord0(), s0)
             trunc_ok &= (dq.left, dq.right) == (base_dq.left, base_dq.right)
         ok &= _pass(lines, trunc_ok, "truncation leaves the kink table unchanged")
 
@@ -366,15 +377,6 @@ def cmd_repro_thm2(args) -> int:
             csv_text(("s0", "left", "right", "gap", "gap_decimal"), kink_rows),
         )
     return 0 if ok else 1
-
-
-def _system_ord0_rational(system, point) -> Fraction:
-    """ord0 of a system at a rational index point, by homogeneity."""
-    fracs = [Fraction(x) for x in point]
-    scale = lcm(*(f.denominator for f in fracs))
-    v = tuple(int(f * scale) for f in fracs)
-    body = system.restrict(v).limit_body()
-    return body.min_weighted((1,) * system.ambient_dim) / scale
 
 
 def cmd_repro_appendix(args) -> int:

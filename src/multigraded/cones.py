@@ -188,8 +188,8 @@ class ConeCompareReport:
 _HALTON_BASES = (2, 3, 5)
 
 
-def cone_compare(estimated: ConeRep, expected: ConeRep, samples: int = 64,
-                 radius: int | None = None) -> ConeCompareReport:
+def cone_compare(estimated: ConeRep, expected: ConeRep, samples: int,
+                 radius: int) -> ConeCompareReport:
     """Membership agreement over deterministic rational directions, plus an
     exact lattice-point comparison within the given radius."""
     if estimated.rank != expected.rank:
@@ -201,14 +201,10 @@ def cone_compare(estimated: ConeRep, expected: ConeRep, samples: int = 64,
         v = tuple(2 * halton(i, b) - 1 for b in bases)
         if estimated.contains(v) != expected.contains(v):
             sample_bad.append(v)
-    lattice_bad = []
-    tested = 0
-    if radius is not None:
-        for v in lattice_window(rank, radius):
-            tested += 1
-            if estimated.contains(v) != expected.contains(v):
-                lattice_bad.append(v)
-    return ConeCompareReport(samples, tuple(sample_bad), tested, tuple(lattice_bad))
+    lattice_bad = [v for v in lattice_window(rank, radius)
+                   if estimated.contains(v) != expected.contains(v)]
+    return ConeCompareReport(samples, tuple(sample_bad), (2 * radius + 1) ** rank,
+                             tuple(lattice_bad))
 
 
 def abs_sum_cone() -> ConeRep:

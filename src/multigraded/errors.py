@@ -29,10 +29,6 @@ class UnsupportedDimension(MultigradedError):
     """Exact polyhedral geometry is only implemented for dimensions <= 3."""
 
 
-class NegativeWeight(MultigradedError):
-    """Weight vectors must be componentwise nonnegative."""
-
-
 class UnboundedComplement(MultigradedError):
     """Covolume requested but the complement of the region is unbounded."""
 

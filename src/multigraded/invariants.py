@@ -55,13 +55,13 @@ class InvariantBracket:
     certified: bool = False
 
 
-def _per_ideal(ideal, quantity: str, n: int, k: int) -> Fraction:
+def _per_ideal(ideal, quantity: str, n: int) -> Fraction:
     if quantity == "ord0":
         return ideal.ord0() / n
     if quantity == "arn":
         return ideal.arn() / n
     if quantity == "mult":
-        return ideal.multiplicity() / Fraction(n) ** k
+        return ideal.multiplicity() / Fraction(n) ** ideal.dim
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -78,13 +78,12 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
     if steps is None:
         steps = 5 if schedule == "factorial" else 8
     view = system.restrict(v)
-    k = view.system.ambient_dim
     samples = []
     for n in schedule_points(schedule, steps):
         ideal = view.eval(n)
         if ideal.is_zero:
             raise ZeroIdealInDirection(f"zero ideal at n = {n} along {view.direction}")
-        samples.append((n, _per_ideal(ideal, quantity, n, k)))
+        samples.append((n, _per_ideal(ideal, quantity, n)))
     for (n1, a), (n2, b) in zip(samples, samples[1:]):
         if b > a:
             raise MonotonicityError(
@@ -95,7 +94,7 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
     if with_geometry:
         try:
             body = view.limit_body()
-            geometric = getattr(geometric_invariants(body, k), quantity)
+            geometric = getattr(geometric_invariants(body), quantity)
         except (NotRegionExpressible, ZeroIdealInDirection):
             geometric = None
         if geometric is not None:
@@ -110,12 +109,12 @@ class GeometricInvariants:
     mult: Fraction | None  # None when the complement is unbounded
 
 
-def geometric_invariants(body: NewtonPolyhedron, k: int) -> GeometricInvariants:
+def geometric_invariants(body: NewtonPolyhedron) -> GeometricInvariants:
     """(inf |v|, diagonal lambda, k! Vol of the complement) of a limit body."""
-    ord0 = body.min_weighted((1,) * k)
+    ord0 = body.ord0()
     arn = body.diagonal_lambda()
     try:
-        mult = factorial(k) * body.covolume()
+        mult = factorial(body.dim) * body.covolume()
     except UnboundedComplement:
         mult = None
     return GeometricInvariants(ord0, arn, mult)
@@ -146,7 +145,7 @@ def thm2_ord0(r, s, n_kinks: int) -> Fraction:
     if r <= 0 or s <= 0:
         raise EvaluationOutOfDomain("defined on the open first quadrant")
     p, q = thm2_regions(n_kinks)
-    return region_intersect(p.scale(r), q.scale(s)).min_weighted((1, 1))
+    return region_intersect(p.scale(r), q.scale(s)).ord0()
 
 
 def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:
@@ -202,24 +201,23 @@ class DiffQuotient:
         return self.right - self.left
 
 
-DEFAULT_STEPS = tuple(Fraction(1, 2**j) for j in range(3, 13))
+# The scan steps, largest first: 1/8 down to 1/4096.
+SCAN_STEPS = tuple(Fraction(1, 2**j) for j in range(3, 13))
 
 
-def diff_quotient_scan(fn, s0, steps=DEFAULT_STEPS) -> DiffQuotient:
-    """One-sided difference quotients of fn at s0, at the smallest step.
+def diff_quotient_scan(fn, s0) -> DiffQuotient:
+    """One-sided difference quotients of fn at s0, at the smallest step of
+    ``SCAN_STEPS``.
 
     For piecewise-linear fn the quotients are exactly the one-sided slopes
     once the step drops below the nearest breakpoint gap; ``stable`` records
     that the two smallest steps agreed on both sides.
     """
     s0 = Fraction(s0)
-    hs = sorted((Fraction(h) for h in steps), reverse=True)
-    if not hs:
-        raise ValueError("need at least one step")
     lefts, rights = [], []
     center = fn(s0)
-    for h in hs:
+    for h in SCAN_STEPS:
         lefts.append((center - fn(s0 - h)) / h)
         rights.append((fn(s0 + h) - center) / h)
-    stable = len(hs) > 1 and lefts[-1] == lefts[-2] and rights[-1] == rights[-2]
+    stable = lefts[-1] == lefts[-2] and rights[-1] == rights[-2]
     return DiffQuotient(lefts[-1], rights[-1], stable)

@@ -14,13 +14,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iterprod
-from math import lcm
-from operator import mul
+from itertools import pairwise, product as iterprod
 
 from .errors import (
     DimensionMismatch,
-    NegativeWeight,
     NotCofinite,
     TooManyGeneratorPairs,
     ZeroDivisorIdeal,
@@ -239,23 +236,11 @@ class MonomialIdeal:
 
     # -- per-ideal invariants ------------------------------------------------
 
-    def weighted_order(self, w) -> Fraction:
-        """min over generators of <w, v> for a nonnegative weight vector w,
-        in integers: w is scaled once over its common denominator."""
-        if self.is_zero:
-            raise ZeroIdeal("weighted order of the zero ideal")
-        wt = tuple(Fraction(x) for x in w)
-        if len(wt) != self.dim:
-            raise DimensionMismatch(f"weight length {len(wt)} != {self.dim}")
-        if any(x < 0 for x in wt):
-            raise NegativeWeight(f"negative weight in {wt!r}")
-        den = lcm(*(x.denominator for x in wt))
-        iw = [x.numerator * (den // x.denominator) for x in wt]
-        return Fraction(min(sum(map(mul, iw, g)) for g in self.gens), den)
-
     def ord0(self) -> Fraction:
         """Order at the origin: minimal total degree of a generator."""
-        return self.weighted_order((1,) * self.dim)
+        if self.is_zero:
+            raise ZeroIdeal("order of the zero ideal")
+        return Fraction(min(map(sum, self.gens)))
 
     def pure_power_exponents(self) -> list[int | None]:
         """Per axis, the exponent of the pure-power generator, or None."""
@@ -285,11 +270,8 @@ class MonomialIdeal:
         if any(e is None for e in pures):
             raise NotCofinite("some axis carries no pure-power generator")
         if self.dim == 2:
-            # column sweep: everything below the staircase
-            total = 0
-            for x in range(pures[0]):
-                total += min(g[1] for g in self.gens if g[0] <= x)
-            return total
+            # the columns x_i <= x < x_{i+1} lie below generator i
+            return sum((x2 - x1) * y1 for (x1, y1), (x2, _) in pairwise(self.gens))
         if self.dim == 3:
             # column heights: h(x, y) is the least z of a generator at or
             # below (x, y), capped by the z pure power; prefix minima over

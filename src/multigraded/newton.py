@@ -33,14 +33,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
-    DimensionMismatch,
-    NegativeWeight,
     NonpositiveScale,
     UnboundedComplement,
     UnsupportedDimension,
     ZeroIdeal,
 )
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _antichain
 
 Point = tuple
 Facet = tuple  # (normal: tuple[int, ...], c: Fraction or int)
@@ -110,14 +108,8 @@ def staircase_vertices(points) -> list[Point]:
     Returns the boundary chain sorted by increasing x (so decreasing y),
     with collinear interior points dropped.
     """
-    mins: list[Point] = []
-    best = None
-    for p in sorted(set(map(tuple, points))):
-        if best is None or p[1] < best:
-            mins.append(p)
-            best = p[1]
     hull: list[Point] = []
-    for p in mins:
+    for p in _antichain(map(tuple, points), 2):
         while len(hull) >= 2 and _cross2(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
@@ -152,14 +144,9 @@ class NewtonPolyhedron:
             return Fraction(0)
         return max(Fraction(c) / sum(a) for a, c in self.facets)
 
-    def min_weighted(self, w) -> Fraction:
-        """min over the polyhedron of <w, x>, attained at a vertex for w >= 0."""
-        wt = tuple(Fraction(x) for x in w)
-        if len(wt) != self.dim:
-            raise DimensionMismatch(f"weight of length {len(wt)} in dimension {self.dim}")
-        if any(x < 0 for x in wt):
-            raise NegativeWeight(f"negative weight in {wt!r}")
-        return min(sum(a * b for a, b in zip(wt, v)) for v in self.vertices)
+    def ord0(self) -> Fraction:
+        """min over the polyhedron of the coordinate sum, attained at a vertex."""
+        return Fraction(min(map(sum, self.vertices)))
 
     def covolume(self) -> Fraction:
         """Exact volume of orthant \\ P; raises if the complement is unbounded.

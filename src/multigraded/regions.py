@@ -2,11 +2,17 @@
 
 Every region is a ``NewtonPolyhedron``, the one polyhedron type of
 ``newton``.  This module holds its builders: halfspace regions, the
-boundary functions of the pathological constructions (the kinked
-decreasing convex function, its line companion, the Appendix's concave
-series) and their epigraphs, the region algebra (intersection, Minkowski
-sum), lattice-generator extraction, and the gauge of the reflected
-symmetric body.
+boundary functions of the pathological constructions and their
+epigraphs, the region algebra (intersection, Minkowski sum),
+lattice-generator extraction, and the gauge of the reflected symmetric
+body.
+
+Every boundary function is one ``PiecewiseLinearFn``.  Both of the
+paper's constructions are sums of dyadic hinge terms, built by one sweep
+(``_hinge_sum``) that adds each term's slope jump at its abscissa: the
+kinked convex boundary of Theorem 2 (``build_kinked_f``) and the
+Appendix's concave boundary (``appendix_boundary``).  The line companion
+``build_g`` has a single piece.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (
     DimensionMismatch,
@@ -46,13 +52,14 @@ def dyadic_sequence(n: int) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearConvexFn:
-    """Decreasing convex piecewise-linear function on [0, intercept], 0 after.
+class PiecewiseLinearFn:
+    """Continuous piecewise-linear function on [0, intercept], 0 after.
 
     ``breakpoints`` are (abscissa, value) pairs with abscissa 0 first;
-    ``slopes[j]`` is the slope to the right of breakpoint j.  Slopes are
-    strictly increasing and negative, so the function is convex and hits
-    zero at a finite intercept.
+    ``slopes[j]`` is the slope to the right of breakpoint j.  Values are
+    positive and the last slope is negative, so the function hits zero at
+    a finite intercept.  Convexity is not required here: ``epigraph_region``
+    checks it.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -64,13 +71,13 @@ class PiecewiseLinearConvexFn:
             raise ValueError("need one slope per breakpoint")
         if bps[0][0] != 0:
             raise ValueError("first breakpoint must be at x = 0")
-        if any(s >= 0 for s in sl) or any(a >= b for a, b in zip(sl, sl[1:])):
-            raise ValueError("slopes must be negative and strictly increasing")
         for (x1, v1), (x2, v2), s in zip(bps, bps[1:], sl):
             if x2 <= x1 or v2 != v1 + s * (x2 - x1):
                 raise ValueError("breakpoints must be increasing and continuous")
         if any(v <= 0 for _, v in bps):
             raise ValueError("breakpoint values must be positive")
+        if sl[-1] >= 0:
+            raise ValueError("the last slope must be negative")
 
     @property
     def value_at_zero(self) -> Fraction:
@@ -91,43 +98,42 @@ class PiecewiseLinearConvexFn:
             raise ValueError("defined on x >= 0")
         if x >= self.intercept:
             return Fraction(0)
-        j = _piece(self.breakpoints, x)
+        # the last breakpoint at or left of x
+        j = bisect_right(self.breakpoints, x, key=itemgetter(0)) - 1
         bx, bv = self.breakpoints[j]
         return bv + self.slopes[j] * (x - bx)
 
 
-def _piece(breakpoints, x) -> int:
-    """Index of the last breakpoint at or left of x, by bisection."""
-    return bisect_right(breakpoints, x, key=itemgetter(0)) - 1
+def _hinge_sum(value0, slope0, jumps) -> PiecewiseLinearFn:
+    """The function with value value0 and slope slope0 at 0 whose slope
+    changes by d at each (x, d) of jumps (abscissae distinct and positive):
+    one sweep over the sorted abscissae, each value from the one before."""
+    bps, slopes = [(Fraction(0), Fraction(value0))], [Fraction(slope0)]
+    for x, d in sorted(jumps):
+        bx, bv = bps[-1]
+        bps.append((x, bv + slopes[-1] * (x - bx)))
+        slopes.append(slopes[-1] + d)
+    return PiecewiseLinearFn(tuple(bps), tuple(slopes))
 
 
 @lru_cache(maxsize=64)
-def build_kinked_f(n_kinks: int) -> PiecewiseLinearConvexFn:
-    """The steep line -2x + 2 plus n_kinks hinge terms max(0, (e_i - x))/2^(i+2).
+def build_kinked_f(n_kinks: int) -> PiecewiseLinearFn:
+    """The steep line -2x + 2 plus n_kinks hinge terms w_i max(0, e_i - x),
+    w_i = 2^-(i+2).
 
     Kink abscissae e_i run through the dyadic enumeration of (0,1); the
-    slope jump at e_i is exactly 2^-(i+2), and the total lift of the value
-    at 0 stays below 1, so the function keeps slope <= -2 and intercept 1.
+    slope jump at e_i is exactly w_i, and the total lift of the value at 0
+    stays below 1, so the function keeps slope <= -2 and intercept 1.
     The result is frozen, so it is built once per n_kinks and shared.
     """
     eps = dyadic_sequence(n_kinks)
     weights = [Fraction(1, 2 ** (i + 2)) for i in range(1, n_kinks + 1)]
-
-    def f(x):
-        x = Fraction(x)
-        return 2 - 2 * x + sum(max(Fraction(0), e - x) * w for e, w in zip(eps, weights))
-
-    xs = [Fraction(0)] + sorted(eps)
-    bps = tuple((x, f(x)) for x in xs)
-    slopes = tuple(
-        Fraction(-2) - sum(w for e, w in zip(eps, weights) if e > x) for x in xs
-    )
-    return PiecewiseLinearConvexFn(bps, slopes)
+    return _hinge_sum(2 + sum(map(mul, weights, eps)), -2 - sum(weights), zip(eps, weights))
 
 
-def build_g() -> PiecewiseLinearConvexFn:
+def build_g() -> PiecewiseLinearFn:
     """The line 1 - x/2 on [0, 2]."""
-    return PiecewiseLinearConvexFn(((Fraction(0), Fraction(1)),), (Fraction(-1, 2),))
+    return PiecewiseLinearFn(((Fraction(0), Fraction(1)),), (Fraction(-1, 2),))
 
 
 # -- regions -------------------------------------------------------------------
@@ -164,8 +170,11 @@ def _from_halfspaces(k: int, facets) -> NewtonPolyhedron:
     return NewtonPolyhedron(k, *vertices_from_halfspaces(k, facets))
 
 
-def epigraph_region(fn: PiecewiseLinearConvexFn) -> NewtonPolyhedron:
-    """The set above the graph of fn in the first quadrant (k = 2)."""
+def epigraph_region(fn: PiecewiseLinearFn) -> NewtonPolyhedron:
+    """The set above the graph of fn in the first quadrant (k = 2); fn must
+    be convex, with strictly increasing slopes."""
+    if any(a >= b for a, b in zip(fn.slopes, fn.slopes[1:])):
+        raise ValueError("slopes must be strictly increasing")
     verts = [(x, v) for x, v in fn.breakpoints] + [(fn.intercept, Fraction(0))]
     return NewtonPolyhedron(2, tuple(verts), tuple(_chain_facets_2d(verts)))
 
@@ -282,50 +291,20 @@ def _lattice_generators_3d(scaled: NewtonPolyhedron) -> MonomialIdeal:
 # -- the appendix construction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcaveBoundary:
-    """Concave nonincreasing piecewise-linear function on [0, 1] with f(1) = 0."""
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    slopes: tuple[Fraction, ...]
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise ValueError("defined on [0, 1]")
-        j = _piece(self.breakpoints, x)
-        bx, bv = self.breakpoints[j]
-        return bv + self.slopes[j] * (x - bx)
-
-    @property
-    def kinks(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints[1:])
-
-
-def appendix_boundary(n_terms: int) -> tuple[ConcaveBoundary, SymmetricBody]:
+def appendix_boundary(n_terms: int) -> tuple[PiecewiseLinearFn, SymmetricBody]:
     """Sum of n_terms hinge terms min(e_i, e_i (1-x)/(1-x_i)) and its body.
 
     e_i = 2^-i, kink abscissae x_i from the dyadic enumeration.  Each term
     is the constant e_i left of x_i and drops linearly to 0 at x = 1, so
-    the sum is concave, nonincreasing, kinked exactly at the x_i.  The body
-    is the subgraph reflected across both axes: a symmetric convex polygon.
+    the sum is concave, nonincreasing, kinked exactly at the x_i, with
+    intercept 1.  The body is the subgraph reflected across both axes: a
+    symmetric convex polygon.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
     xs = dyadic_sequence(n_terms)
     eps = [Fraction(1, 2**i) for i in range(1, n_terms + 1)]
-
-    def f(x):
-        x = Fraction(x)
-        return sum(min(e, e * (1 - x) / (1 - xi)) for e, xi in zip(eps, xs))
-
-    bxs = [Fraction(0)] + sorted(xs)
-    bps = tuple((x, f(x)) for x in bxs)
-    slopes = tuple(
-        sum((-e / (1 - xi) for e, xi in zip(eps, xs) if xi <= x), Fraction(0))
-        for x in bxs
-    )
-    boundary = ConcaveBoundary(bps, slopes)
+    boundary = _hinge_sum(sum(eps), 0, ((xi, -e / (1 - xi)) for e, xi in zip(eps, xs)))
     return boundary, _reflect_to_body(boundary)
 
 
@@ -349,11 +328,9 @@ class SymmetricBody:
         return best
 
 
-def _reflect_to_body(boundary: ConcaveBoundary) -> SymmetricBody:
-    kinks = [(x, boundary(x)) for x in boundary.kinks]
-    quarter = [(Fraction(1), Fraction(0))] + list(reversed(kinks)) + [
-        (Fraction(0), boundary(0))
-    ]
+def _reflect_to_body(boundary: PiecewiseLinearFn) -> SymmetricBody:
+    kinks = boundary.breakpoints[1:]
+    quarter = [(Fraction(1), Fraction(0)), *reversed(kinks), boundary.breakpoints[0]]
     upper = quarter + [(-x, y) for x, y in reversed(quarter)][1:]
     polygon = upper + [(-x, -y) for x, y in upper[1:-1]]
     functionals = []
@@ -364,4 +341,4 @@ def _reflect_to_body(boundary: ConcaveBoundary) -> SymmetricBody:
         if det == 0:
             raise EmptyRegion("edge through the origin; body has empty interior")
         functionals.append((Fraction(y2 - y1, 1) / det, Fraction(x1 - x2, 1) / det))
-    return SymmetricBody(tuple(polygon), tuple(functionals), tuple(kinks))
+    return SymmetricBody(tuple(polygon), tuple(functionals), kinks)

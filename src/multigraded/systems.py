@@ -71,7 +71,14 @@ class SystemExpr:
         raise NotImplementedError
 
     def limit_body(self, v) -> NewtonPolyhedron:
-        """Closure of the limit body of the restriction to direction v."""
+        """Closure of the limit body of the restriction to direction v.
+
+        Every node with a limit body, apart from ``IdealPowers``, also
+        accepts a rational direction, where the body is fixed by
+        homogeneity: the body at t v is t times the body at v.
+        ``IdealPowers`` reads its body off one evaluated ideal, so it needs
+        an integral direction.
+        """
         raise NotRegionExpressible(type(self).__name__)
 
     def restrict(self, v) -> DirectionView:
@@ -121,6 +128,8 @@ class IdealPowers(SystemExpr):
         return result
 
     def limit_body(self, v):
+        if any(Fraction(x).denominator != 1 for x in v):
+            raise ValueError(f"ideal powers need an integral direction, got {tuple(v)}")
         ideal = self.eval(tuple(v))
         if ideal.is_zero:
             raise ZeroIdealInDirection(f"zero ideal at {v}")

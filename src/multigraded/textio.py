@@ -17,7 +17,7 @@ from .errors import MultigradedError
 from .monomial import MonomialIdeal, minimalize
 from .newton import NewtonPolyhedron
 from .regions import (
-    PiecewiseLinearConvexFn,
+    PiecewiseLinearFn,
     build_kinked_f,
     epigraph_region,
     region_from_halfspaces,
@@ -156,7 +156,7 @@ def parse_region(text: str) -> NewtonPolyhedron:
                 raise ParseError(f"expected 'breakpoint x y slope', got {' '.join(tokens)!r}")
             bps.append((parse_q(tokens[1]), parse_q(tokens[2])))
             slopes.append(parse_q(tokens[3]))
-        return epigraph_region(PiecewiseLinearConvexFn(tuple(bps), tuple(slopes)))
+        return epigraph_region(PiecewiseLinearFn(tuple(bps), tuple(slopes)))
     facets = []
     for _, tokens in body:
         if tokens[0] != "halfspace" or ">=" not in tokens:

@@ -99,7 +99,7 @@ def test_criterion_2_two_route_agreement():
 
         system = RegionSystem(region_from_halfspaces(2, [((1, 2), 2), ((2, 1), 2)]))
         body = system.limit_body((1,))
-        geo = geometric_invariants(body, 2)
+        geo = geometric_invariants(body)
         assert triple(geo) == (F(4, 3), F(2, 3), F(8, 3))
         for quantity, target in (("ord0", geo.ord0), ("arn", geo.arn), ("mult", geo.mult)):
             bracket = sequence_invariant(system, (1,), quantity, steps=6)
@@ -244,7 +244,7 @@ def test_criterion_7_truncation():
             scale = lcm(Fraction(s).denominator, 1)
             v = (scale, int(Fraction(s) * scale))
             body = truncated.restrict(v).limit_body()
-            return body.min_weighted((1, 1)) / scale
+            return body.ord0() / scale
 
         for s0, _ in thm2_kink_locations(1, 1, F(9, 8), F(11, 8)):
             direct = diff_quotient_scan(lambda t: thm2_ord0(1, t, 1), s0)

@@ -436,6 +436,19 @@ class TestThm1Cones:
         assert code == 0
         assert "nef hull rays: -1 -1 0; 0 1 1; 1 0 1\n" in out
 
+    def test_window_too_small_for_the_cone_exits_2(self, tmp_path, capsys):
+        # y >= max(0, x1/2 - 2 x2/3) contains the line through (4, 3, 0):
+        # a window of radius 3 cannot show it, so the run is refused
+        cone = tmp_path / "l.cone"
+        cone.write_text("rank 3\nform 1/2 -2/3\n")
+        code, out = run_cli(["repro", "thm1", "--cone", str(cone), "--radius", "3"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.rstrip().endswith("need radius 4")
+        for radius in ("4", "5"):
+            code, out = run_cli(["repro", "thm1", "--cone", str(cone), "--radius", radius])
+            assert code == 0 and out.count("[PASS]") == 3 and "[FAIL]" not in out
+
     def test_samples_are_the_powers_not_the_limit(self):
         system = CeilingSystem(parse_cone("rank 3\nform 1/2 -2/3\n"))
         v = (1, 0, 0)

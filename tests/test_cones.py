@@ -320,4 +320,4 @@ class TestCompare:
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
-            cone_compare(abs_sum_cone(), ConeRep.full(2))
+            cone_compare(abs_sum_cone(), ConeRep.full(2), samples=8, radius=1)

@@ -110,22 +110,22 @@ class TestColengthOracle:
 class TestGeometricInvariants:
     def test_newton_body(self):
         body = newton_polyhedron(ideal((2, 0), (0, 3)))
-        got = geometric_invariants(body, 2)
+        got = geometric_invariants(body)
         assert triple(got) == (2, F(6, 5), 6)
 
     def test_full_orthant(self):
-        assert triple(geometric_invariants(full_orthant(2), 2)) == (0, 0, 0)
+        assert triple(geometric_invariants(full_orthant(2))) == (0, 0, 0)
 
     def test_kinked_meet_line(self):
         body = region_intersect(
             epigraph_region(build_kinked_f(0)), epigraph_region(build_g())
         )
-        got = geometric_invariants(body, 2)
+        got = geometric_invariants(body)
         assert got.ord0 == F(4, 3)
 
     def test_unbounded_complement_flagged(self):
         body = region_from_halfspaces(2, [((1, 0), 2)])
-        got = geometric_invariants(body, 2)
+        got = geometric_invariants(body)
         assert got.mult is None and got.ord0 == 2
 
 

@@ -326,35 +326,18 @@ class TestColength:
 
 
 class TestWeightedOrder:
+    """ord0, the order at the origin (the all-ones weighted order)."""
+
     def test_examples(self):
-        a = ideal((2, 0), (0, 3))
-        assert a.weighted_order((1, 1)) == 2
-        assert a.weighted_order((1, 0)) == 0
-        assert MonomialIdeal.unit(2).weighted_order((5, 7)) == 0
+        assert ideal((2, 0), (0, 3)).ord0() == 2
+        assert ideal((3, 0), (1, 1), (0, 3)).ord0() == 2
+        assert MonomialIdeal.unit(2).ord0() == 0
+        assert repr(ideal((2, 0), (0, 3)).ord0()) == "Fraction(2, 1)"
+        assert repr(minimalize([(3, 1, 2), (2, 2, 2)], 3).ord0()) == "Fraction(6, 1)"
 
     def test_zero_ideal(self):
         with pytest.raises(ZeroIdeal):
-            MonomialIdeal.zero(2).weighted_order((1, 1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
-                 min_size=1, max_size=8),
-        st.tuples(*[st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=7))] * 3),
-    )
-    def test_rational_weights_match_fraction_sums(self, gens, w):
-        # the integer route against the Fraction dot products it replaced
-        a = minimalize(gens, 3)
-        want = min(sum(Fraction(x) * e for x, e in zip(w, g)) for g in a.gens)
-        got = a.weighted_order(w)
-        assert got == want and type(got) is Fraction
-        assert type(a.ord0()) is Fraction
-
-    def test_rational_weight_examples(self):
-        a = ideal((2, 0), (1, 1), (0, 3))
-        assert a.weighted_order((Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 6)
-        assert a.weighted_order((Fraction(3, 4), 0)) == 0
-        assert repr(a.weighted_order((2, 6))) == "Fraction(4, 1)"
+            MonomialIdeal.zero(2).ord0()
 
 
 class TestArnMult:

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigraded.errors import (
-    NegativeWeight,
     UnboundedComplement,
     UnsupportedDimension,
     ZeroIdeal,
@@ -162,14 +161,13 @@ class TestDiagonalLambda:
 
 
 class TestMinWeighted:
-    def test_examples(self):
-        assert newton_polyhedron(ideal((2, 0), (0, 3))).min_weighted((1, 1)) == 2
-        assert newton_polyhedron(ideal((2, 0), (1, 1), (0, 3))).min_weighted((1, 1)) == 2
-        assert newton_polyhedron(ideal((2, 0), (0, 3))).min_weighted((0, 0)) == 0
+    """ord0 of a polyhedron: the least coordinate sum over it."""
 
-    def test_negative_weight(self):
-        with pytest.raises(NegativeWeight):
-            newton_polyhedron(MonomialIdeal.maximal(2)).min_weighted((1, -1))
+    def test_examples(self):
+        assert newton_polyhedron(ideal((2, 0), (0, 3))).ord0() == 2
+        assert newton_polyhedron(ideal((2, 0), (1, 1), (0, 3))).ord0() == 2
+        assert repr(newton_polyhedron(ideal((2, 0), (0, 3))).ord0()) == "Fraction(2, 1)"
+        assert newton_polyhedron(MonomialIdeal.unit(2)).ord0() == 0
 
     def test_matches_grid_brute_force(self):
         rng = random.Random(31)
@@ -179,13 +177,8 @@ class TestMinWeighted:
                  (rng.randint(1, 5), rng.randint(1, 5))], 2,
             )
             p = newton_polyhedron(a)
-            w = (rng.randint(0, 3), rng.randint(0, 3))
-            grid = min(
-                w[0] * x + w[1] * y
-                for x, y in iterprod(range(12), range(12))
-                if contains(p, (x, y))
-            )
-            assert p.min_weighted(w) == grid
+            grid = min(x + y for x, y in iterprod(range(12), range(12)) if contains(p, (x, y)))
+            assert p.ord0() == grid
 
 
 class TestCovolume:

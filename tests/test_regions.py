@@ -12,7 +12,8 @@ from multigraded.errors import DimensionMismatch, EmptyRegion, NonpositiveScale
 from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import NewtonPolyhedron
 from multigraded.regions import (
-    PiecewiseLinearConvexFn,
+    PiecewiseLinearFn,
+    _hinge_sum,
     appendix_boundary,
     build_g,
     build_kinked_f,
@@ -323,16 +324,89 @@ class TestEhrhartOracle:
 
 class TestPiecewiseLinearValidation:
     def test_rejects_nonconvex(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearConvexFn(
-                ((F(0), F(2)), (F(1), F(1))), (F(-1), F(-2))
-            )
+        # a concave function is a valid boundary, but it has no epigraph region
+        fn = PiecewiseLinearFn(((F(0), F(2)), (F(1), F(1))), (F(-1), F(-2)))
+        assert fn.intercept == F(3, 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            epigraph_region(fn)
 
     def test_rejects_discontinuity(self):
         with pytest.raises(ValueError):
-            PiecewiseLinearConvexFn(
+            PiecewiseLinearFn(
                 ((F(0), F(2)), (F(1), F(2))), (F(-2), F(-1))
             )
+
+    @pytest.mark.parametrize("bps, slopes", [
+        (((F(0), F(1)),), ()),  # no slope for the breakpoint
+        (((F(1), F(1)),), (F(-1),)),  # first breakpoint off 0
+        (((F(0), F(2)), (F(0), F(2))), (F(0), F(-1))),  # abscissae not increasing
+        (((F(0), F(1)), (F(1), F(0))), (F(-1), F(-1))),  # a value of 0
+        (((F(0), F(1)),), (F(0),)),  # never reaches zero
+    ])
+    def test_rejects_bad_shapes(self, bps, slopes):
+        with pytest.raises(ValueError):
+            PiecewiseLinearFn(bps, slopes)
+
+
+def kinked_closed_sum(n):
+    """2 - 2x + sum of w_i max(0, e_i - x), and its slope right of x."""
+    eps = dyadic_sequence(n)
+    ws = [F(1, 2 ** (i + 2)) for i in range(1, n + 1)]
+
+    def value(x):
+        return 2 - 2 * x + sum(w * max(F(0), e - x) for e, w in zip(eps, ws))
+
+    def slope(x):
+        return -2 - sum(w for e, w in zip(eps, ws) if e > x)
+
+    return eps, value, slope
+
+
+def appendix_closed_sum(n):
+    """sum of min(e_i, e_i (1 - x)/(1 - x_i)), and its slope right of x."""
+    xs = dyadic_sequence(n)
+    eps = [F(1, 2**i) for i in range(1, n + 1)]
+
+    def value(x):
+        return sum(min(e, e * (1 - x) / (1 - xi)) for e, xi in zip(eps, xs))
+
+    def slope(x):
+        return -sum(e / (1 - xi) for e, xi in zip(eps, xs) if xi <= x)
+
+    return xs, value, slope
+
+
+class TestHingeSum:
+    """The one-sweep builders against the literal closed sums, evaluated
+    term by term at every breakpoint and at the middle of every piece."""
+
+    def check(self, fn, abscissae, value, slope):
+        xs = [F(0)] + sorted(abscissae)
+        assert fn.breakpoints == tuple((x, value(x)) for x in xs)
+        assert fn.slopes == tuple(slope(x) for x in xs)
+        assert all(type(v) is F for _, v in fn.breakpoints) and all(type(s) is F for s in fn.slopes)
+        ends = xs + [fn.intercept]
+        for a, b in zip(ends, ends[1:]):
+            assert fn((a + b) / 2) == value((a + b) / 2)
+        assert value(fn.intercept) == 0 and fn(fn.intercept) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+    def test_kinked(self, n):
+        eps, value, slope = kinked_closed_sum(n)
+        self.check(build_kinked_f(n), eps, value, slope)
+        assert build_kinked_f(n).intercept == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_appendix(self, n):
+        xs, value, slope = appendix_closed_sum(n)
+        boundary, _ = appendix_boundary(n)
+        self.check(boundary, xs, value, slope)
+        assert boundary.intercept == 1
+
+    def test_jumps_in_any_order(self):
+        fn = _hinge_sum(3, -3, [(F(1, 2), F(1)), (F(1, 4), F(1))])
+        assert fn.breakpoints == ((0, 3), (F(1, 4), F(9, 4)), (F(1, 2), F(7, 4)))
+        assert fn.slopes == (-3, -2, -1) and fn.intercept == F(9, 4)
 
 
 class TestAppendix:

@@ -253,6 +253,27 @@ class TestLimitBody:
         a = ideal((2, 0), (0, 3))
         system = IdealPowers([a])
         assert system.limit_body((2,)) == newton_polyhedron(a.power(2))
+        assert system.limit_body((Fraction(2),)) == newton_polyhedron(a.power(2))
+
+    def test_ideal_powers_refuse_a_rational_direction(self):
+        # eval would truncate 3/2 to 1; the body is refused instead
+        system = IdealPowers([ideal((2, 0), (0, 3))])
+        with pytest.raises(ValueError, match="integral direction"):
+            system.limit_body((Fraction(3, 2),))
+
+    def test_rational_direction_by_homogeneity(self, wedge_system):
+        cone = ConeRep.from_halfspaces(2, [(-1, 2)])
+        cases = [
+            (kinked_intersection_system(3), (Fraction(1), Fraction(7, 6))),
+            (Truncate(kinked_intersection_system(3), cone), (Fraction(2, 3), Fraction(5, 4))),
+            (CeilingSystem(abs_sum_cone()), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))),
+            (wedge_system, (Fraction(5, 3),)),
+        ]
+        for system, v in cases:
+            scale = 60
+            whole = system.restrict(tuple(int(x * scale) for x in v)).limit_body()
+            assert system.limit_body(v) == whole.scale(Fraction(1, scale))
+            assert system.limit_body(v).ord0() == whole.ord0() / scale
 
 
 class TestContainmentProperties:
