@@ -62,5 +62,6 @@ class MonotonicityError(MultigradedError):
 
 
 class TooManyGeneratorPairs(MultigradedError):
-    """A product or intersection would combine more generator pairs than
-    ``monomial.MAX_GENERATOR_PAIRS`` allows."""
+    """A product, a squaring or a k >= 3 intersection would combine more
+    generator pairs than ``monomial.MAX_GENERATOR_PAIRS`` allows.  A k=2
+    intersection is a staircase merge and is never refused."""

@@ -26,10 +26,11 @@ from .errors import (
 
 Vec = tuple[int, ...]
 
-# Largest generator-pair count a product or intersection may combine (about
-# two seconds of work).  Past it lie runaway schedules, such as doubling
-# powers of a k=3 ideal, whose next squarings run for minutes at hundreds
-# of MB; they are refused up front.
+# Largest generator-pair count a product, a squaring or a k >= 3
+# intersection may combine (about two seconds of work).  Past it lie runaway
+# schedules, such as doubling powers of a k=3 ideal, whose next squarings run
+# for minutes at hundreds of MB; they are refused up front.  A k=2
+# intersection is a staircase merge in O(n + m) and is never refused.
 MAX_GENERATOR_PAIRS = 2_000_000
 
 
@@ -111,6 +112,33 @@ def _minimal(vecs, k: int) -> MonomialIdeal:
     return _trusted(k, tuple(mins)) if mins else MonomialIdeal.zero(k)
 
 
+def _staircase_meet(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Minimal generators of the intersection of two nonzero k=2 ideals.
+
+    Each staircase is a step function: over x, the least y of the ideal is
+    that of the last generator at or left of x.  The intersection's step
+    function is the pointwise max of the two, and its generators are the x
+    where that max drops.  One merge over both x-sorted lists, O(n + m).
+    """
+    out = []
+    i = j = 0
+    ya = yb = low = None
+    while i < len(a) or j < len(b):
+        if j == len(b) or (i < len(a) and a[i][0] <= b[j][0]):
+            x, ya = a[i]
+            i += 1
+            if j < len(b) and b[j][0] == x:
+                yb = b[j][1]
+                j += 1
+        else:
+            x, yb = b[j]
+            j += 1
+        if ya is not None and yb is not None and (low is None or max(ya, yb) < low):
+            low = max(ya, yb)
+            out.append((x, low))
+    return tuple(out)
+
+
 def _check_pairs(a: MonomialIdeal, b: MonomialIdeal, what: str) -> None:
     pairs = len(a.gens) * len(b.gens)
     if pairs > MAX_GENERATOR_PAIRS:
@@ -157,10 +185,17 @@ class MonomialIdeal:
     # -- membership and containment ---------------------------------------
 
     def contains_monomial(self, v) -> bool:
-        """True iff x^v lies in the ideal (v dominates some generator)."""
+        """True iff x^v lies in the ideal (v dominates some generator).
+
+        For k = 2 one bisect: of the generators lex-below v, the last has
+        the least y among all generators with x at most v's.
+        """
         t = tuple(v)
         if len(t) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {t!r}")
+        if self.dim == 2:
+            i = bisect_right(self.gens, t)
+            return i > 0 and self.gens[i - 1][1] <= t[1]
         return any(dominates(t, g) for g in self.gens)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
@@ -189,6 +224,8 @@ class MonomialIdeal:
             raise DimensionMismatch("ideals in different ambient dimensions")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.dim)
+        if self.dim == 2:
+            return _trusted(2, _staircase_meet(self.gens, other.gens))
         _check_pairs(self, other, "intersection")
         maxes = (tuple(max(a, b) for a, b in zip(v, w)) for v in self.gens for w in other.gens)
         return _minimal(maxes, self.dim)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iterprod
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .cones import ConeRep
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     ZeroDirection,
     ZeroIdealInDirection,
 )
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _check_pairs
 from .newton import NewtonPolyhedron
 from .regions import (
     full_orthant,
@@ -59,7 +59,9 @@ class SystemExpr:
         self._cache: dict[tuple[int, ...], MonomialIdeal] = {}
 
     def eval(self, v) -> MonomialIdeal:
-        vt = tuple(int(x) for x in v)
+        vt = tuple(map(int, v))
+        if vt != v and vt != tuple(v):
+            raise ValueError(f"index must be integral, got {tuple(v)}")
         if len(vt) != self.rank:
             raise RankMismatch(f"index of length {len(vt)} in rank {self.rank}")
         hit = self._cache.get(vt)
@@ -93,7 +95,9 @@ class DirectionView:
     direction: tuple[int, ...]
 
     def __post_init__(self):
-        vt = tuple(int(x) for x in self.direction)
+        vt = tuple(map(int, self.direction))
+        if vt != tuple(self.direction):
+            raise ValueError(f"direction must be integral, got {tuple(self.direction)}")
         if len(vt) != self.system.rank:
             raise RankMismatch(f"direction of length {len(vt)} in rank {self.system.rank}")
         if all(x == 0 for x in vt):
@@ -335,18 +339,51 @@ def box_window(bounds) -> list[tuple[int, ...]]:
     return [v for v in iterprod(*(range(lo, hi + 1) for lo, hi in bounds))]
 
 
+def _product_inside(a: MonomialIdeal, b: MonomialIdeal, c: MonomialIdeal) -> bool:
+    """True iff a * b is a subideal of c.  For k = 2 without forming the
+    product: every pair sum g + h must lie in c, one bisect each; the scan
+    is refused past ``MAX_GENERATOR_PAIRS`` like the product it replaces."""
+    if a.dim != 2:
+        return c.contains_ideal(a.product(b))
+    _check_pairs(a, b, "product")
+    member = c.contains_monomial
+    return all(member((gx + hx, gy + hy)) for gx, gy in a.gens for hx, hy in b.gens)
+
+
 def verify_gradedness(system: SystemExpr, window) -> GradednessReport:
-    """Check a_v * a_w subset-of a_{v+w} over all pairs with v, w, v+w in the window."""
+    """Check a_v * a_w subset-of a_{v+w} over all pairs with v, w, v+w in the window.
+
+    Each window index is evaluated at most once, and each distinct triple
+    of ideals (a_v, a_w, a_{v+w}) is decided once: a ceiling system returns
+    the same few base powers at many indices.  For k = 2 the check forms no
+    product (see ``_product_inside``); otherwise it forms a_v * a_w, and
+    either way a pair of ideals past ``MAX_GENERATOR_PAIRS`` generator pairs
+    is refused.
+    """
     pts = [tuple(v) for v in window]
-    inside = set(pts)
+    ideals: dict[tuple, MonomialIdeal | None] = dict.fromkeys(pts)
+
+    def at(u):
+        ideal = ideals[u]
+        if ideal is None:
+            ideal = ideals[u] = system.eval(u)
+        return ideal
+
+    # keyed by the ideals' ids, which stay unique while `ideals` holds them
+    decided: dict[tuple[int, int, int], bool] = {}
     checked = 0
     violations = []
     for v, w in combinations_with_replacement(pts, 2):
-        s = tuple(a + b for a, b in zip(v, w))
-        if s not in inside:
+        s = tuple(map(add, v, w))
+        if s not in ideals:
             continue
         checked += 1
-        if not system.eval(s).contains_ideal(system.eval(v).product(system.eval(w))):
+        c, a, b = at(s), at(v), at(w)
+        key = (id(a), id(b), id(c))
+        ok = decided.get(key)
+        if ok is None:
+            ok = decided[key] = _product_inside(a, b, c)
+        if not ok:
             violations.append((v, w))
     return GradednessReport(checked, tuple(violations))
 

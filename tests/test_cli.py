@@ -3,8 +3,10 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multigraded
 from multigraded import newton
@@ -208,6 +212,85 @@ class TestTruncatedInput:
     def test_bad_integer_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_region(text)
+
+
+# One file of each kind, all read by the two systems below.
+HOSTILE_FILES = {
+    "i.ideal": "k=2\n2 0\n0 3\n",
+    "j.ideal": "k=3\n3 0 0\n0 2 0\n0 0 4\n1 1 1\n",
+    "k.region": "kinked 2\n",
+    "e.region": "k=2\nepigraph\nbreakpoint 0 1 -1/2\n",
+    "h.region": "k=3\nhalfspace 1 2 2 >= 3\nhalfspace 2 1 3 >= 3\n",
+    "c.cone": "rank 2\nhalfspace 1 0\n",
+    "f.cone": "rank 2\nform 1\nform -1\n",
+    "s.system": (
+        "colon i.ideal\n"
+        "  truncate cone c.cone\n"
+        "    intersect\n"
+        "      pullback 1 0\n"
+        "        region k.region\n"
+        "      product\n"
+        "        pullback 0 1\n"
+        "          region e.region\n"
+        "        ceiling f.cone base i.ideal\n"
+    ),
+    "t.system": "product\n  region h.region\n  powers j.ideal\n",
+}
+HOSTILE_RUNS = (
+    ["ideal", "info", "i.ideal"],
+    ["ideal", "info", "j.ideal"],
+    ["system", "eval", "s.system", "--at", "3,2,1"],
+    ["system", "verify", "s.system", "--window=0:1"],
+    ["system", "eval", "t.system", "--at", "2"],
+    ["system", "verify", "t.system", "--window=0:2"],
+)
+
+
+@st.composite
+def garbled(draw):
+    """One of HOSTILE_FILES with one to three edits: a byte flipped to any
+    byte, two tokens swapped, up to three non-digit junk characters
+    inserted, or the tail cut off.  Junk adds no digits, so no number grows
+    by more than a flip or a merge of two neighbours can make it."""
+    name = draw(st.sampled_from(sorted(HOSTILE_FILES)))
+    data = HOSTILE_FILES[name].encode()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("flip", "swap", "junk", "cut")))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if op == "flip" and data:
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif op == "swap":
+            parts = re.split(rb"(\s+)", data)
+            i, j = (2 * draw(st.integers(0, len(parts) // 2)) for _ in range(2))
+            parts[i], parts[j] = parts[j], parts[i]
+            data = b"".join(parts)
+        elif op == "junk":
+            junk = draw(st.text(" \t\n#=>-/;.,:abkxz", min_size=1, max_size=3))
+            data = data[:at] + junk.encode() + data[at:]
+        else:
+            data = data[:at]
+    return name, data
+
+
+class TestHostileInput:
+    @settings(max_examples=60, deadline=5000)
+    @given(garbled())
+    def test_exit_0_or_2_with_one_line_message(self, case):
+        name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for other, text in HOSTILE_FILES.items():
+                Path(tmp, other).write_text(text)
+            Path(tmp, name).write_bytes(data)
+            for argv in HOSTILE_RUNS:
+                argv = [str(Path(tmp, a)) if a in HOSTILE_FILES else a for a in argv]
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2), (argv, data, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert err.getvalue().count("\n") == 1, (argv, data, err.getvalue())
+                    assert err.getvalue().endswith("\n")
 
 
 class TestIdealInfo:

@@ -16,7 +16,7 @@ from multigraded.errors import (
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
-from multigraded.monomial import MonomialIdeal, dominates, minimalize
+from multigraded.monomial import MonomialIdeal, _antichain, dominates, minimalize
 from multigraded.regions import lattice_generators, region_from_halfspaces
 
 
@@ -151,8 +151,10 @@ class TestGeneratorPairLimit:
         with pytest.raises(TooManyGeneratorPairs, match="over the limit of 3"):
             a.product(b)
         with pytest.raises(TooManyGeneratorPairs, match="over the limit of 3"):
-            a.intersect(b)
+            ideal((2, 0, 0), (0, 3, 0), k=3).intersect(ideal((1, 0, 0), (0, 0, 1), k=3))
         assert a.product(ideal((1, 1))) == ideal((3, 1), (1, 4))  # 2 pairs
+        # a k=2 intersection is a staircase merge, never refused
+        assert a.intersect(b) == a
 
     def test_squaring_refused_at_the_ordered_pair_count(self, monkeypatch):
         # squaring forms only the 3 unordered pairs of 2 generators, but is
@@ -205,6 +207,24 @@ class TestIntersect:
 
     def test_zero(self):
         assert ideal((1, 0)).intersect(MonomialIdeal.zero(2)).is_zero
+
+    def test_staircase_merge_matches_pairwise_maxes(self):
+        # reference: the antichain of all n*m pairwise maxes
+        rng = random.Random(19)
+
+        def staircase(x0=0):
+            pts = [(x0 + rng.randint(0, 12), rng.randint(0, 12))
+                   for _ in range(rng.randint(1, 8))]
+            return minimalize(pts, 2)
+
+        cases = [(MonomialIdeal.unit(2), staircase()), (staircase(), MonomialIdeal.unit(2)),
+                 (ideal((3, 0), (0, 5)), ideal((0, 2))), (ideal((2, 3)), staircase())]
+        for _ in range(200):
+            a = staircase()
+            cases += [(a, staircase()), (a, a), (a, staircase(x0=20)), (staircase(x0=20), a)]
+        for a, b in cases:
+            maxes = [tuple(map(max, v, w)) for v in a.gens for w in b.gens]
+            assert a.intersect(b).gens == tuple(_antichain(maxes, 2)), (a, b)
 
     def test_containment_chain(self):
         rng = random.Random(13)
@@ -283,6 +303,18 @@ class TestMembership:
         assert not a.contains_monomial((1, 2))
         assert not MonomialIdeal.zero(2).contains_monomial((0, 0))
         assert MonomialIdeal.unit(2).contains_monomial((0, 0))
+
+    def test_bisect_matches_dominance_scan(self):
+        # reference: does the point dominate any generator
+        rng = random.Random(23)
+        ideals = [MonomialIdeal.zero(2), MonomialIdeal.unit(2), ideal((3, 0), (0, 5)),
+                  ideal((2, 3))]
+        ideals += [minimalize([(rng.randint(0, 12), rng.randint(0, 12))
+                               for _ in range(rng.randint(1, 8))], 2) for _ in range(100)]
+        for a in ideals:
+            for _ in range(40):
+                p = (rng.randint(0, 14), rng.randint(0, 14))
+                assert a.contains_monomial(p) == any(dominates(p, g) for g in a.gens), (a, p)
 
 
 class TestColength:

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iterprod
+from itertools import combinations_with_replacement, product as iterprod
 from math import ceil
 
 import pytest
@@ -17,7 +17,7 @@ from multigraded.errors import (
     ZeroDirection,
     ZeroIdealInDirection,
 )
-from multigraded.monomial import MonomialIdeal, minimalize
+from multigraded.monomial import MonomialIdeal, dominates, minimalize
 from multigraded.newton import newton_polyhedron
 from multigraded.regions import (
     build_g,
@@ -36,6 +36,7 @@ from multigraded.systems import (
     Product,
     Pullback,
     RegionSystem,
+    SystemExpr,
     Truncate,
     box_window,
     kinked_intersection_system,
@@ -94,6 +95,12 @@ class TestEval:
         assert system.eval((1, 1)) == ideal((2, 0))
         assert system.eval((1, 0)) == ideal((2, 1))
         assert system.eval((1, -3)) == ideal((2, 1))
+
+    def test_non_integral_index_refused(self):
+        system = CeilingSystem(abs_sum_cone())
+        assert system.eval((F(2), 0, 1)) is system.eval((2, 0, 1))
+        with pytest.raises(ValueError, match="index must be integral"):
+            system.eval((F(3, 2), 0, 1))
 
     def test_product_and_intersect_nodes(self):
         a = IdealPowers([ideal((1, 0))])
@@ -201,6 +208,12 @@ class TestRestrictDirection:
         view = system.restrict((1, 1))
         a2 = system.eval((2, 2))
         assert view.eval(2) == a2
+
+    def test_non_integral_direction_refused(self):
+        system = CeilingSystem(abs_sum_cone())
+        assert system.restrict((F(2), 0, 1)).direction == (2, 0, 1)
+        with pytest.raises(ValueError, match="direction must be integral"):
+            system.restrict((F(1, 2), 0, 1))
 
 
 class TestLimitBody:
@@ -324,6 +337,85 @@ class TestGradedness:
         )
         report = verify_gradedness(system, box_window([(-2, 2), (0, 3)]))
         assert report.ok
+
+
+def pairwise_gradedness(system, window):
+    """Reference: per pair, form a_v * a_w and find each of its generators
+    above some generator of a_{v+w}."""
+    pts = [tuple(v) for v in window]
+    inside = set(pts)
+    checked, violations = 0, []
+    for v, w in combinations_with_replacement(pts, 2):
+        s = tuple(a + b for a, b in zip(v, w))
+        if s not in inside:
+            continue
+        checked += 1
+        target = system.eval(s).gens
+        prod = system.eval(v).product(system.eval(w))
+        if not all(any(dominates(g, h) for h in target) for g in prod.gens):
+            violations.append((v, w))
+    return checked, tuple(violations)
+
+
+class Pooled(SystemExpr):
+    """a_v = pool[(t^2 mod 11) mod len(pool)] with t = v_1 + 3 v_2 + ...:
+    the same few objects at many indices, and not graded.  The square makes
+    a_{v+w} depend on more than the pool entries of a_v and a_w."""
+
+    def __init__(self, rank, pool):
+        super().__init__()
+        self.rank, self.ambient_dim, self.pool = rank, pool[0].dim, pool
+
+    def _eval(self, v):
+        t = sum(3**i * x for i, x in enumerate(v))
+        return self.pool[t * t % 11 % len(self.pool)]
+
+
+POOLS = {
+    1: [MonomialIdeal.unit(1), ideal((1,), k=1), ideal((3,), k=1), MonomialIdeal.zero(1),
+        ideal((2,), k=1)],
+    2: [MonomialIdeal.unit(2), MonomialIdeal.maximal(2), ideal((2, 0), (0, 1)),
+        ideal((1, 0), (0, 3)), ideal((3, 0), (1, 1), (0, 2)), MonomialIdeal.zero(2),
+        ideal((1, 2))],
+    3: [MonomialIdeal.unit(3), MonomialIdeal.maximal(3), MonomialIdeal.zero(3),
+        ideal((2, 0, 1), (0, 1, 1), k=3), ideal((1, 1, 0), (0, 0, 2), k=3)],
+}
+
+
+def _tree(op):
+    p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
+    q = region_from_halfspaces(2, [((2, 1), 3), ((1, 3), 5)])
+    return op(Pullback([(1, 0)], RegionSystem(p)), Pullback([(0, 1)], RegionSystem(q)))
+
+
+class TestGradednessReference:
+    @pytest.mark.parametrize(
+        "make, bounds",
+        [
+            (lambda: CeilingSystem(abs_sum_cone()), [(-2, 2)] * 3),
+            (lambda: _tree(Intersect), [(-1, 3)] * 2),
+            (lambda: _tree(Product), [(-1, 3)] * 2),
+            (lambda: Truncate(_tree(Intersect), ConeRep.from_halfspaces(2, [(-1, 2)])),
+             [(-2, 2)] * 2),
+            (lambda: Pooled(2, POOLS[2]), [(-2, 2)] * 2),
+            (lambda: Pooled(2, POOLS[3]), [(-2, 2)] * 2),
+            (lambda: Pooled(1, POOLS[1]), [(-4, 4)]),
+        ],
+        ids=["ceiling", "intersect-tree", "product-tree", "truncated-tree",
+             "non-graded", "non-graded-k3", "non-graded-k1"],
+    )
+    def test_matches_pairwise_products(self, make, bounds):
+        window = box_window(bounds)
+        report = verify_gradedness(make(), window)
+        checked, violations = pairwise_gradedness(make(), window)
+        assert report.pairs_checked == checked
+        assert report.violations == violations
+
+    @pytest.mark.parametrize("k, bounds", [(1, [(-4, 4)]), (2, [(-2, 2)] * 2),
+                                           (3, [(-2, 2)] * 2)])
+    def test_non_graded_pools_pass_and_fail(self, k, bounds):
+        report = verify_gradedness(Pooled(len(bounds), POOLS[k]), box_window(bounds))
+        assert 0 < len(report.violations) < report.pairs_checked
 
 
 class TestKinkedIntersectionSystem:
