@@ -3,12 +3,15 @@
 from .cones import ConeRep, abs_sum_cone, cone_compare, eff_points, nef_points, ray_hull
 from .invariants import (
     InvariantBracket,
+    KinkTable,
+    appendix_kink_table,
     ceiling_closed_forms,
     diff_quotient_scan,
     geometric_invariants,
     sequence_invariant,
     thm2_crossing,
     thm2_kink_locations,
+    thm2_kink_table,
     thm2_ord0,
 )
 from .monomial import MonomialIdeal, minimalize

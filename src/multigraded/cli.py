@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .cones import (
@@ -25,12 +26,12 @@ from .cones import (
 )
 from .errors import MonotonicityError, MultigradedError, NotCofinite
 from .invariants import (
+    appendix_kink_table,
     ceiling_closed_forms,
-    diff_quotient_scan,
     geometric_invariants,
     sequence_invariant,
     thm2_crossing,
-    thm2_kink_locations,
+    thm2_kink_table,
     thm2_ord0,
 )
 from .monomial import MonomialIdeal
@@ -199,6 +200,18 @@ def _pass(lines, ok: bool, label: str) -> bool:
     return ok
 
 
+def _kink_lines(lines, rows, kinks) -> bool:
+    """Add a line and a CSV row for each ((point, left, right), name) of
+    kinks; True iff every slope gap is nonzero."""
+    ok = True
+    for (at, left, right), name in kinks:
+        gap = right - left
+        ok &= gap != 0
+        rows.append((fmt_q(at), fmt_q(left), fmt_q(right), fmt_q(gap), fmt_dec(gap)))
+        lines.append(f"{name}: left {fmt_q(left)}, right {fmt_q(right)}, gap {fmt_q(gap)}")
+    return ok
+
+
 def _thm1_directions(rank: int, radius: int, count: int):
     window = [v for v in lattice_window(rank, radius) if any(x != 0 for x in v)]
     step = max(1, len(window) // count)
@@ -290,13 +303,26 @@ def cmd_repro_thm1(args) -> int:
 def cmd_repro_thm2(args) -> int:
     n_kinks = args.kinks
     r_fixed = parse_q(args.r)
+    s_lo, s_hi = (parse_q(t) for t in args.scan)
+    rmin, rmax, smin, smax = (parse_q(t) for t in args.grid[:4])
+    steps = int(args.grid[4])
+    if n_kinks < 1:
+        raise ParseError(f"--kinks needs N >= 1, got {n_kinks}")
+    if r_fixed <= 0:
+        raise ParseError(f"--r needs r > 0, got {fmt_q(r_fixed)}")
+    if s_lo > s_hi:
+        raise ParseError("--scan needs SMIN <= SMAX")
+    if steps < 2 or rmax <= rmin or smax <= smin:
+        raise ParseError("grid needs rmin < rmax, smin < smax and steps >= 2")
+    table, crossings = thm2_kink_table(r_fixed, n_kinks, s_lo, s_hi)
+    if not crossings:
+        raise ParseError(
+            f"the scan window [{fmt_q(s_lo)}, {fmt_q(s_hi)}] holds no kink of ord0 at "
+            f"r = {fmt_q(r_fixed)}"
+        )
     lines, grid_rows, kink_rows = [], [], []
     ok = True
 
-    rmin, rmax, smin, smax = (parse_q(t) for t in args.grid[:4])
-    steps = int(args.grid[4])
-    if steps < 2 or rmax <= rmin or smax <= smin:
-        raise ParseError("grid needs rmin < rmax, smin < smax and steps >= 2")
     grid_ok = True
     for i in range(steps):
         r = rmin + (rmax - rmin) * Fraction(i, steps - 1)
@@ -316,25 +342,17 @@ def cmd_repro_thm2(args) -> int:
         f"ord0 grid ({steps}x{steps}): vertex route equals s + x/2 formula at every cell",
     )
 
-    kinks = thm2_kink_locations(r_fixed, n_kinks, parse_q(args.scan[0]), parse_q(args.scan[1]))
-    scan_ok = bool(kinks)
-    scans = []
-    for s0, x0 in kinks:
-        dq = diff_quotient_scan(lambda s: thm2_ord0(r_fixed, s, n_kinks), s0)
-        scans.append((s0, dq))
-        scan_ok &= dq.stable and dq.gap != 0
-        kink_rows.append(
-            (fmt_q(s0), fmt_q(dq.left), fmt_q(dq.right), fmt_q(dq.gap), fmt_dec(dq.gap))
-        )
-        lines.append(
-            f"kink at s0 = {fmt_q(s0)} (crossing x = {fmt_q(x0)}): "
-            f"left {fmt_q(dq.left)}, right {fmt_q(dq.right)}, gap {fmt_q(dq.gap)}"
-        )
+    gaps_ok = _kink_lines(lines, kink_rows, (
+        (kink, f"kink at s0 = {fmt_q(kink[0])} (crossing x = {fmt_q(x0)})")
+        for kink, x0 in zip(table.kinks(), crossings)
+    ))
+    cells = len(crossings) + 1
     ok &= _pass(
         lines,
-        scan_ok,
-        f"kink scan at r = {fmt_q(r_fixed)} over s in [{fmt_q(parse_q(args.scan[0]))}, "
-        f"{fmt_q(parse_q(args.scan[1]))}]: {len(kinks)} kink(s), every gap nonzero",
+        gaps_ok and table.matches(lambda s: thm2_ord0(r_fixed, s, n_kinks)),
+        f"kink table at r = {fmt_q(r_fixed)} over s in [{fmt_q(s_lo)}, {fmt_q(s_hi)}]: "
+        f"{len(crossings)} kink(s), every gap nonzero, vertex route matches it at "
+        f"{cells} cell midpoints and both ends",
     )
 
     system = kinked_intersection_system(n_kinks)
@@ -359,11 +377,15 @@ def cmd_repro_thm2(args) -> int:
             f"truncated system: eff points within radius {args.trunc_radius} "
             f"lie in s >= {fmt_q(eps)} r",
         )
-        trunc_ok = True
-        for s0, base_dq in scans:
-            dq = diff_quotient_scan(lambda s: truncated.limit_body((r_fixed, s)).ord0(), s0)
-            trunc_ok &= (dq.left, dq.right) == (base_dq.left, base_dq.right)
-        ok &= _pass(lines, trunc_ok, "truncation leaves the kink table unchanged")
+        # the truncated system has no ideal below s = eps r: certify the part
+        # of the first cell inside its cone (a kink outside it fails the check)
+        inside = replace(table, cuts=(max(table.cuts[0], eps * r_fixed), *table.cuts[1:]))
+        ok &= _pass(
+            lines,
+            inside.matches(lambda s: truncated.limit_body((r_fixed, s)).ord0()),
+            f"truncation leaves the kink table unchanged: the truncated limit body "
+            f"matches it at {cells} cell midpoints and both ends",
+        )
 
     print("\n".join(lines))
     if args.out:
@@ -402,18 +424,16 @@ def cmd_repro_appendix(args) -> int:
     ok &= _pass(lines, homog_ok, f"gauge positively homogeneous on {args.samples} samples")
     ok &= _pass(lines, convex_ok, f"gauge midpoint-convex on {args.samples - 1} sample pairs")
 
-    ray_ok = True
-    for x, y in body.kink_vertices:
-        t0 = y / x
-        dq = diff_quotient_scan(lambda t: body.gauge((1, t)), t0)
-        ray_ok &= dq.stable and dq.gap != 0
-        rows.append((fmt_q(t0), fmt_q(dq.left), fmt_q(dq.right), fmt_q(dq.gap), fmt_dec(dq.gap)))
-        lines.append(
-            f"kink ray t = {fmt_q(t0)}: left {fmt_q(dq.left)}, "
-            f"right {fmt_q(dq.right)}, gap {fmt_q(dq.gap)}"
-        )
+    table = appendix_kink_table(body)
+    # listed by kink vertex, by increasing x: descending t
+    gaps_ok = _kink_lines(lines, rows, (
+        (kink, f"kink ray t = {fmt_q(kink[0])}") for kink in reversed(list(table.kinks()))
+    ))
     ok &= _pass(
-        lines, ray_ok, f"{len(body.kink_vertices)} kink ray(s) with nonzero slope gaps"
+        lines,
+        gaps_ok and table.matches(lambda t: body.gauge((1, t))),
+        f"{len(rows)} kink ray(s) with nonzero slope gaps; the gauge matches the "
+        f"table at {len(rows) + 1} cell midpoints and both ends",
     )
     print("\n".join(lines))
     if args.out:
@@ -469,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = system_sub.add_parser("verify", help="gradedness over a window")
     p_verify.add_argument("path")
-    p_verify.add_argument("--window", default="-2:2", help="per-coordinate range lo:hi")
+    p_verify.add_argument("--window", default="-2:2",
+                          help="per-coordinate range lo:hi; a negative lo needs the = form, "
+                               "--window=-2:2")
     p_verify.set_defaults(func=cmd_system_verify)
 
     p_repro = sub.add_parser("repro", help="reproduce the pathological constructions")
@@ -487,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t2 = repro_sub.add_parser("thm2", help="non-differentiable ord0")
     p_t2.add_argument("--kinks", type=int, default=1)
-    p_t2.add_argument("--r", default="1", help="fixed r for the kink scan")
+    p_t2.add_argument("--r", default="1", help="fixed r > 0 for the kink table")
     p_t2.add_argument(
         "--grid", nargs=5, default=("3/4", "3/2", "3/4", "3/2", "13"),
         metavar=("RMIN", "RMAX", "SMIN", "SMAX", "STEPS"),
@@ -495,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--scan", nargs=2, default=("3/4", "2"), metavar=("SMIN", "SMAX"))
     p_t2.add_argument("--radius", type=int, default=6)
     p_t2.add_argument("--truncate", default=None, metavar="EPS",
-                      help="also verify truncation by s >= EPS * r")
+                      help="also verify truncation by s >= EPS * r; a negative EPS needs "
+                           "the = form, --truncate=-1/2")
     p_t2.add_argument("--trunc-radius", type=int, default=8)
     p_t2.add_argument("--out", default=None)
     p_t2.add_argument("--kink-out", default=None)

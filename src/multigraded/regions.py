@@ -313,7 +313,10 @@ class SymmetricBody:
     """Origin-symmetric convex polygon, with gauge functionals per edge.
 
     gauge(p) = inf{ y > 0 : p/y in body } = max over edges of <u_e, p>,
-    where each edge lies on the line <u_e, x> = 1.
+    where each edge lies on the line <u_e, x> = 1.  The vertices run ccw
+    from (1, 0), ``functionals[i]`` belongs to the edge from vertex i to
+    vertex i + 1, and the n kink vertices, listed by increasing x, are
+    vertices n, ..., 1.
     """
 
     vertices: tuple[tuple[Fraction, Fraction], ...]

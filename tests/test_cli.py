@@ -440,6 +440,19 @@ class TestSystemCommands:
         assert code == 0
         assert "violations: 0" in out
 
+    def test_verify_line_of_the_readme(self, wedge_file):
+        # a negative window needs the = form: argparse reads "-2:2" as an option
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        line = next(t for t in readme.read_text().splitlines()
+                    if t.startswith("multigraded system verify"))
+        argv = [str(wedge_file) if a == "sys.system" else a for a in line.split()[1:]]
+        assert "--window=-2:2" in argv
+        code, out = run_cli(argv)
+        assert code == 0 and "violations: 0" in out
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            build_parser().parse_args(["system", "verify", "s.system", "--window", "-2:2"])
+        assert exc.value.code == 2
+
 
 class TestRepro:
     def test_thm1(self):
@@ -457,11 +470,34 @@ class TestRepro:
         # cells with s < r/2 have no boundary crossing: the formula route
         # is inapplicable and the command must report failure
         code, out = run_cli(
-            ["repro", "thm2", "--kinks", "0", "--radius", "2",
-             "--grid", "2", "3", "1/4", "1/2", "3", "--scan", "2", "3"]
+            ["repro", "thm2", "--kinks", "1", "--radius", "2",
+             "--grid", "2", "3", "1/4", "1/2", "3", "--scan", "1", "2"]
         )
         assert code == 1
-        assert "[FAIL]" in out
+        assert out.count("[FAIL]") == 1 and "[FAIL] ord0 grid" in out
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--kinks", "0"], "--kinks"), (["--kinks", "-1"], "--kinks"),
+        (["--r", "0"], "--r"), (["--r", "-1"], "--r"),
+        (["--scan", "2", "1"], "--scan"), (["--scan", "3", "4"], "scan window [3, 4]"),
+    ], ids=["kinks 0", "kinks -1", "r 0", "r -1", "scan 2 1", "scan 3 4"])
+    def test_thm2_refused_up_front(self, argv, names, capsys):
+        # nothing to verify is an input error, not a failed verification
+        code, out = run_cli(["repro", "thm2", "--radius", "2", *argv])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize("eps, code", [("1/2", 0), ("3/4", 0), ("9/8", 0), ("5/4", 1),
+                                           ("3/2", 1)])
+    def test_thm2_truncation_inside_the_cone(self, eps, code):
+        # the single kink sits at s0 = 5/4: a truncation below it certifies
+        # the table on the cone's part of the first cell, and one at or above
+        # it leaves no left side of the kink to certify
+        got, out = run_cli(["repro", "thm2", "--kinks", "1", "--radius", "2",
+                            "--truncate", eps])
+        assert got == code
+        assert ("[FAIL] truncation leaves the kink table unchanged" in out) == (code == 1)
 
     def test_appendix(self):
         code, out = run_cli(["repro", "appendix", "--kinks", "1", "--samples", "20"])

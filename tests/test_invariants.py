@@ -1,5 +1,7 @@
-"""Sequence/geometric invariant routes, closed forms, kink scanners."""
+"""Sequence/geometric invariant routes, closed forms, kink tables and scanners."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from multigraded.cones import abs_sum_cone
 from multigraded.errors import EvaluationOutOfDomain, ZeroIdealInDirection
 from multigraded.invariants import (
+    KinkTable,
+    appendix_kink_table,
     ceiling_closed_forms,
     diff_quotient_scan,
     geometric_invariants,
@@ -14,6 +18,7 @@ from multigraded.invariants import (
     sequence_invariant,
     thm2_crossing,
     thm2_kink_locations,
+    thm2_kink_table,
     thm2_ord0,
 )
 from multigraded.monomial import MonomialIdeal, minimalize
@@ -26,6 +31,7 @@ from multigraded.regions import (
     full_orthant,
     region_from_halfspaces,
     region_intersect,
+    thm2_regions,
 )
 from multigraded.systems import CeilingSystem, IdealPowers, RegionSystem
 
@@ -185,6 +191,20 @@ class TestThm2Ord0:
                 assert cross is not None
                 assert thm2_ord0(r, s, n_kinks) == cross[1]
 
+    @pytest.mark.parametrize("n_kinks", [0, 1, 8, 32])
+    def test_matches_both_regions_scaled(self, n_kinks):
+        # reference: rP intersect sQ with both regions scaled
+        p, q = thm2_regions(n_kinks)
+        top = build_kinked_f(n_kinks).value_at_zero
+        rng = random.Random(n_kinks)
+        points = [(F(rng.randint(1, 96), 32), F(rng.randint(1, 96), 32)) for _ in range(40)]
+        for r in (F(3, 4), F(1), F(7, 5)):
+            # the crossing at x = 0, and no crossing at all
+            points += [(r, r * top), (r, r * top + F(1, 3)), (r, r / 2 - F(1, 64)), (r, r / 5)]
+        assert any(r < s for r, s in points) and any(r > s for r, s in points)
+        for r, s in points:
+            assert thm2_ord0(r, s, n_kinks) == region_intersect(p.scale(r), q.scale(s)).ord0()
+
     def test_domain(self):
         with pytest.raises(EvaluationOutOfDomain):
             thm2_ord0(0, 1, 1)
@@ -307,3 +327,97 @@ class TestDiffQuotient:
     def test_smooth_point_has_no_gap(self):
         dq = diff_quotient_scan(lambda s: thm2_ord0(1, s, 1), F(11, 10))
         assert dq.gap == 0 and dq.stable
+
+
+def gauge_along(body):
+    return lambda t: body.gauge((1, t))
+
+
+class TestKinkTables:
+    """The closed-form tables against the difference-quotient scan, and the
+    midpoint check against tables that are wrong."""
+
+    @pytest.mark.parametrize("r", [F(3, 4), F(1), F(5, 4)])
+    @pytest.mark.parametrize("n_kinks", [1, 4, 8, 32])
+    def test_thm2_table_matches_scan(self, n_kinks, r):
+        table, crossings = thm2_kink_table(r, n_kinks, 0, 10)
+        assert list(zip(table.cuts[1:-1], crossings)) == thm2_kink_locations(r, n_kinks, 0, 10)
+        assert len(crossings) == n_kinks
+        for s0, left, right in table.kinks():
+            dq = diff_quotient_scan(lambda s: thm2_ord0(r, s, n_kinks), s0)
+            assert dq.stable and (dq.left, dq.right) == (left, right)
+
+    def test_thm2_window(self):
+        r, n_kinks = F(5, 4), 8
+        full, _ = thm2_kink_table(r, n_kinks, 0, 10)
+        assert (full.cuts[0], full.cuts[-1]) == (r / 2, r * build_kinked_f(n_kinks).value_at_zero)
+        kinks = full.cuts[1:-1]
+        tiny = F(1, 10**9)
+        windows = [(kinks[2], kinks[5]), (kinks[2] + tiny, kinks[5] - tiny), (0, kinks[0]),
+                   (kinks[-1], 10), (kinks[3], kinks[3]), (3, 4), (2, 1), (0, r / 2)]
+        for lo, hi in windows:
+            table, crossings = thm2_kink_table(r, n_kinks, lo, hi)
+            got = [(s0, x0) for (s0, _, _), x0 in zip(table.kinks(), crossings)]
+            assert got == thm2_kink_locations(r, n_kinks, lo, hi)
+            assert len(table.slopes) == len(table.cuts) - 1 == len(crossings) + 1
+            # the cells beside the window's kinks end at the nearest cut outside
+            if crossings:
+                assert table.cuts[0] == max([r / 2] + [k for k in kinks if k < lo])
+                assert table.cuts[-1] == min([full.cuts[-1]] + [k for k in kinks if k > hi])
+
+    def test_thm2_refuses_r_outside_the_domain(self):
+        with pytest.raises(EvaluationOutOfDomain):
+            thm2_kink_table(0, 1, 0, 10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_appendix_table_matches_scan(self, n):
+        _, body = appendix_boundary(n)
+        table = appendix_kink_table(body)
+        assert list(table.cuts[1:-1]) == sorted(y / x for x, y in body.kink_vertices)
+        for t0, left, right in table.kinks():
+            dq = diff_quotient_scan(gauge_along(body), t0)
+            assert dq.stable and (dq.left, dq.right) == (left, right)
+
+    def test_single_kink_values(self):
+        table, crossings = thm2_kink_table(1, 1, F(9, 8), F(11, 8))
+        assert list(table.kinks()) == [(F(5, 4), F(2, 3), F(9, 13))] and crossings == (F(1, 2),)
+        assert list(appendix_kink_table(appendix_boundary(1)[1]).kinks()) == [(1, 1, 2)]
+
+    def wrong_tables(self, table):
+        """One cell slope perturbed, two neighbouring slopes perturbed with
+        the rise over the whole table kept, one kink moved, one kink dropped
+        (its two cells merged under either slope)."""
+        cuts, slopes = table.cuts, table.slopes
+        for j in range(len(slopes)):
+            yield replace(table, slopes=slopes[:j] + (slopes[j] + F(1, 1000),) + slopes[j + 1:])
+        for j in range(len(slopes) - 1):
+            d = F(1, 1000)
+            back = d * (cuts[j + 1] - cuts[j]) / (cuts[j + 2] - cuts[j + 1])
+            yield replace(table, slopes=(*slopes[:j], slopes[j] + d, slopes[j + 1] - back,
+                                         *slopes[j + 2:]))
+        for j in range(1, len(cuts) - 1):
+            shift = min(cuts[j] - cuts[j - 1], cuts[j + 1] - cuts[j]) / 3
+            yield replace(table, cuts=cuts[:j] + (cuts[j] + shift,) + cuts[j + 1:])
+            for keep in (j - 1, j):
+                yield KinkTable(cuts[:j] + cuts[j + 1:],
+                                slopes[:j - 1] + (slopes[keep],) + slopes[j + 1:])
+
+    @pytest.mark.parametrize("construction", ["thm2", "appendix"])
+    def test_midpoint_check_rejects_wrong_tables(self, construction):
+        if construction == "thm2":
+            table, fn = thm2_kink_table(1, 8, 0, 10)[0], lambda s: thm2_ord0(1, s, 8)
+        else:
+            _, body = appendix_boundary(5)
+            table, fn = appendix_kink_table(body), gauge_along(body)
+        assert table.matches(fn)
+        wrong = list(self.wrong_tables(table))
+        assert len(wrong) == 5 * len(table.cuts) - 9
+        for bad in wrong:
+            assert not bad.matches(fn)
+
+    def test_midpoint_check_on_a_window(self):
+        # the cells beside a window's kinks are whole cells of ord0
+        table, _ = thm2_kink_table(1, 32, 1, F(3, 2))
+        assert table.matches(lambda s: thm2_ord0(1, s, 32))
+        bad = replace(table, cuts=(table.cuts[0] - F(1, 100), *table.cuts[1:]))
+        assert not bad.matches(lambda s: thm2_ord0(1, s, 32))
