@@ -402,6 +402,9 @@ def cmd_repro_thm2(args) -> int:
 
 
 def cmd_repro_appendix(args) -> int:
+    if args.samples < 2:
+        # fewer samples would pass the convexity check on no pair
+        raise ParseError(f"--samples needs at least 2, got {args.samples}")
     boundary, body = appendix_boundary(args.kinks)
     lines, rows = [], []
     ok = True

@@ -7,9 +7,13 @@ closed forms for the ceiling construction and the kinked intersection
 construction live here too.  The kink tables of the kinked intersection's
 ord0 and of the appendix gauge come in closed form from one O(N) walk
 each, as ``KinkTable``s, and ``KinkTable.matches`` certifies a table
-against an evaluation route at its cell midpoints.  The exact one-sided
-difference quotient scanner, which finds the same slopes with 21
-evaluations per kink, stays as the reference of the tests and perfbench.
+against an evaluation route at its cell midpoints.  The kinked
+intersection's evaluation route, ``thm2_ord0``, is an exact 2D linear
+program on the kinked region's cached integer vertex chain, solved by
+integer bisection in O(log N) steps; it shares no code with the crossing
+walk or the tables.  The exact one-sided difference quotient scanner,
+which finds the same slopes with 21 evaluations per kink, stays as the
+reference of the tests and perfbench.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .newton import NewtonPolyhedron
-from .regions import SymmetricBody, build_kinked_f, region_intersect, thm2_regions
+from .regions import SymmetricBody, build_kinked_f, thm2_regions, thm2_vertex_chain
+from .regions import region_intersect  # noqa: F401  (an alias that perfbench's self-test wraps)
 from .systems import CeilingSystem, SystemExpr
 
 QUANTITIES = ("ord0", "arn", "mult")
@@ -144,16 +149,64 @@ def ceiling_closed_forms(system: CeilingSystem, v) -> GeometricInvariants:
 
 
 def thm2_ord0(r, s, n_kinks: int) -> Fraction:
-    """ord0 of the kinked intersection system at direction (r, s), r, s > 0,
-    as the exact min of x + y over the vertices of rP intersect sQ.
+    """ord0 of the kinked intersection system at direction (r, s), r, s > 0:
+    the exact min of x + y over rP intersect sQ = r(P intersect (s/r)Q).
 
-    rP intersect sQ = r(P intersect (s/r)Q), so only the one-facet Q is
-    scaled and P is the shared, unscaled region of ``thm2_regions``."""
+    P is the cached integer vertex chain of ``thm2_vertex_chain``, scaled
+    by D; Q's one facet, scaled by s/r and D, is an integer line a.X >= c,
+    and ``_chain_min`` solves the linear program in O(log N) integer steps.
+    """
     r, s = Fraction(r), Fraction(s)
     if r <= 0 or s <= 0:
         raise EvaluationOutOfDomain("defined on the open first quadrant")
-    p, q = thm2_regions(n_kinks)
-    return r * region_intersect(p, q.scale(s / r)).ord0()
+    den, chain = thm2_vertex_chain(n_kinks)
+    ((a1, a2), c), = thm2_regions(n_kinks)[1].facets
+    level = c * s * den / r
+    q = level.denominator
+    return r * _chain_min(chain, a1 * q, a2 * q, level.numerator) / den
+
+
+def _chain_min(chain, a1: int, a2: int, c: int):
+    """min of x + y over (conv(chain) + orthant) cut by a1 x + a2 y >= c,
+    for an integer staircase chain (x ascending, y descending, convex) and
+    a1, a2 > 0.
+
+    Along the chain a.X and x + y are unimodal, so integer bisections find
+    the argmin j of a.X, the kept vertices (a prefix left of j and a suffix
+    right of it) and the min of x + y on each kept part.  The line crosses
+    the boundary at most twice, each time on the edge beside a kept part
+    or, with none, on the vertical or horizontal end ray; the min is one of
+    these at most four candidates.
+    """
+    def dot(i):
+        x, y = chain[i]
+        return a1 * x + a2 * y
+
+    def height(i):
+        return sum(chain[i])
+
+    def crossing(u, w):
+        # the point of the edge from vertex u to vertex w on the line
+        return height(u) + (height(w) - height(u)) * Fraction(dot(u) - c, dot(u) - dot(w))
+
+    m = len(chain)
+    j = _first(0, m - 1, lambda i: dot(i + 1) >= dot(i))
+    left = _first(0, j, lambda i: dot(i) < c)
+    right = _first(j, m, lambda i: dot(i) >= c)
+    candidates = [height(_first(lo, hi - 1, lambda i: height(i + 1) >= height(i)))
+                  for lo, hi in ((0, left), (right, m)) if lo < hi]
+    if dot(j) < c:
+        candidates.append(crossing(left - 1, left) if left
+                          else height(0) + Fraction(c - dot(0), a2))
+        candidates.append(crossing(right - 1, right) if right < m
+                          else height(m - 1) + Fraction(c - dot(m - 1), a1))
+    return min(candidates)
+
+
+def _first(lo: int, hi: int, pred) -> int:
+    """The least i in [lo, hi) with pred(i), or hi; pred must be false,
+    then true."""
+    return lo + bisect_left(range(lo, hi), True, key=pred)
 
 
 def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:

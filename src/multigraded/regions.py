@@ -187,6 +187,16 @@ def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
     return epigraph_region(build_kinked_f(n_kinks)), epigraph_region(build_g())
 
 
+@lru_cache(maxsize=64)
+def thm2_vertex_chain(n_kinks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(D, D * vertices of P) for the P of ``thm2_regions``, with D the lcm of
+    the vertices' denominators: P's boundary chain in integers, from the
+    vertex on the y-axis to the one on the x-axis; built once per n_kinks."""
+    verts = thm2_regions(n_kinks)[0].vertices
+    den = lcm(*(c.denominator for v in verts for c in v))
+    return den, tuple((int(x * den), int(y * den)) for x, y in verts)
+
+
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
     """P intersect Q from the concatenated facets of both (see
     ``_from_halfspaces``): repeated facets cost nothing, as the envelope

@@ -505,6 +505,19 @@ class TestRepro:
         assert "gauge((1, 0)) = 1" in out
         assert "gauge((0, 1)) = 2" in out
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-1"])
+    def test_appendix_too_few_samples_refused_up_front(self, samples, capsys):
+        # with fewer than two samples the convexity check has no pair to check
+        code, out = run_cli(["repro", "appendix", "--samples", samples])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples needs at least 2, got {samples}\n"
+
+    def test_appendix_two_samples_check_one_pair(self):
+        code, out = run_cli(["repro", "appendix", "--samples", "2"])
+        assert code == 0
+        assert "[PASS] gauge midpoint-convex on 1 sample pairs" in out
+
 
 
 class TestThm1Cones:

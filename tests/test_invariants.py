@@ -10,6 +10,7 @@ from multigraded.cones import abs_sum_cone
 from multigraded.errors import EvaluationOutOfDomain, ZeroIdealInDirection
 from multigraded.invariants import (
     KinkTable,
+    _chain_min,
     appendix_kink_table,
     ceiling_closed_forms,
     diff_quotient_scan,
@@ -22,7 +23,7 @@ from multigraded.invariants import (
     thm2_ord0,
 )
 from multigraded.monomial import MonomialIdeal, minimalize
-from multigraded.newton import newton_polyhedron
+from multigraded.newton import from_vertices, newton_polyhedron
 from multigraded.regions import (
     appendix_boundary,
     build_g,
@@ -205,18 +206,63 @@ class TestThm2Ord0:
         for r, s in points:
             assert thm2_ord0(r, s, n_kinks) == region_intersect(p.scale(r), q.scale(s)).ord0()
 
+    @pytest.mark.parametrize("n_kinks", [0, 1, 2, 8, 32, 128])
+    def test_matches_the_envelope_route(self, n_kinks):
+        # reference: the envelope of all facets of P intersect (s/r)Q, min of
+        # x + y over its vertices, times r
+        p, q = thm2_regions(n_kinks)
+        ((a1, a2), c), = q.facets
+        top = build_kinked_f(n_kinks).value_at_zero
+        rng = random.Random(n_kinks)
+        for r in (F(3, 4), F(1), F(5, 4)):
+            # s on the line through each vertex of P; the crossing at x = 0;
+            # the whole chain cut off; no crossing at all (s <= r/2)
+            svals = [r * (a1 * x + a2 * y) / c for x, y in p.vertices]
+            svals += [r * top, r * top + F(1, 3), 10 * r * top, r / 2, r / 2 - F(1, 64), r / 5]
+            svals += [F(rng.randint(1, 96), 32) for _ in range(20)]
+            for s in svals:
+                assert thm2_ord0(r, s, n_kinks) == r * region_intersect(p, q.scale(s / r)).ord0()
+
+    def test_chain_min_matches_the_envelope_route(self):
+        # random integer chains and lines reach the branches that the kinked
+        # region never takes: an interior argmin of a.X and of x + y, a kept
+        # suffix and a crossing on the edge before it
+        rng = random.Random(13)
+        for _ in range(600):
+            poly = from_vertices([(rng.randint(0, 12), rng.randint(0, 12))
+                                  for _ in range(rng.randint(1, 8))])
+            chain = tuple((int(x), int(y)) for x, y in poly.vertices)
+            a1, a2 = rng.randint(1, 6), rng.randint(1, 6)
+            dots = [a1 * x + a2 * y for x, y in chain]
+            c = rng.choice([rng.randint(1, 90), min(dots), max(dots) + rng.randint(0, 9),
+                            rng.choice(dots)])
+            line = region_from_halfspaces(2, [((a1, a2), c)])
+            assert _chain_min(chain, a1, a2, c) == region_intersect(poly, line).ord0()
+
     def test_domain(self):
         with pytest.raises(EvaluationOutOfDomain):
             thm2_ord0(0, 1, 1)
 
     def test_subadditive_in_the_index(self):
-        # convexity of ord0 as a function of the direction, at the level of
-        # argument-wise subadditivity
+        # the body at u + w contains the Minkowski sum of the bodies at u and
+        # w, so ord0 is subadditive in the direction
+        rng = random.Random(4)
         pts = [(1, 1), (F(3, 4), F(5, 4)), (F(5, 4), F(3, 4)), (1, F(3, 2))]
-        for u in pts:
-            for w in pts:
-                total = thm2_ord0(u[0] + w[0], u[1] + w[1], 1)
-                assert total <= thm2_ord0(*u, 1) + thm2_ord0(*w, 1)
+        for n_kinks in (1, 8, 32):
+            window = pts + [(F(rng.randint(1, 24), 8), F(rng.randint(1, 24), 8))
+                            for _ in range(12)]
+            for u in window:
+                for w in window:
+                    total = thm2_ord0(u[0] + w[0], u[1] + w[1], n_kinks)
+                    assert total <= thm2_ord0(*u, n_kinks) + thm2_ord0(*w, n_kinks)
+
+    def test_positively_homogeneous_in_the_index(self):
+        rng = random.Random(5)
+        for n_kinks in (1, 8, 32):
+            for _ in range(60):
+                r, s = F(rng.randint(1, 24), 8), F(rng.randint(1, 24), 8)
+                t = F(rng.randint(1, 40), rng.randint(1, 12))
+                assert thm2_ord0(t * r, t * s, n_kinks) == t * thm2_ord0(r, s, n_kinks)
 
     def test_kink_locations(self):
         got = thm2_kink_locations(1, 1, F(9, 8), F(11, 8))
