@@ -12,7 +12,7 @@ intersection's evaluation route, ``thm2_ord0``, is an exact 2D linear
 program on the kinked region's cached integer vertex chain, solved by
 integer bisection in O(log N) steps; it shares no code with the crossing
 walk or the tables.  The exact one-sided difference quotient scanner,
-which finds the same slopes with 21 evaluations per kink, stays as the
+which finds the same slopes with 5 evaluations per kink, stays as the
 reference of the tests and perfbench.
 """
 
@@ -35,8 +35,6 @@ from .newton import NewtonPolyhedron
 from .regions import SymmetricBody, build_kinked_f, thm2_regions, thm2_vertex_chain
 from .regions import region_intersect  # noqa: F401  (an alias that perfbench's self-test wraps)
 from .systems import CeilingSystem, SystemExpr
-
-QUANTITIES = ("ord0", "arn", "mult")
 
 FACTORIAL_CAP = 7
 DOUBLING_CAP = 12
@@ -237,15 +235,10 @@ def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:
 
 def thm2_kink_locations(r, n_kinks: int, s_lo, s_hi) -> list[tuple[Fraction, Fraction]]:
     """(s0, crossing abscissa) for every kink of the scaled boundary whose
-    crossing parameter s0 = r f(e) + r e / 2 lies in [s_lo, s_hi]."""
-    r = Fraction(r)
-    f = build_kinked_f(n_kinks)
-    out = []
-    for e in f.kinks:
-        s0 = r * f(e) + r * e / 2
-        if Fraction(s_lo) <= s0 <= Fraction(s_hi):
-            out.append((s0, r * e))
-    return sorted(out)
+    crossing parameter s0 = r f(e) + r e / 2 lies in [s_lo, s_hi], ascending:
+    the kinks of ``thm2_kink_table``."""
+    table, crossings = thm2_kink_table(r, n_kinks, s_lo, s_hi)
+    return list(zip(table.cuts[1:-1], crossings))
 
 
 # -- exact kink tables -------------------------------------------------------------
@@ -286,8 +279,7 @@ class KinkTable:
 
 def thm2_kink_table(r, n_kinks: int, s_lo, s_hi) -> tuple[KinkTable, tuple[Fraction, ...]]:
     """The kinks of s -> ord0(r, s) with s_lo <= s <= s_hi, in closed form,
-    and the crossing abscissa r e of each; the same kinks, in the same
-    order, as ``thm2_kink_locations``.
+    and the crossing abscissa r e of each.
 
     On the cell where the line s - x/2 crosses the piece of slope f' of
     r f(x/r), ord0 = s + x/2 has slope 1 + 1/(2 f' + 1) in s.  Raising s
@@ -338,23 +330,21 @@ class DiffQuotient:
         return self.right - self.left
 
 
-# The scan steps, largest first: 1/8 down to 1/4096.
-SCAN_STEPS = tuple(Fraction(1, 2**j) for j in range(3, 13))
+# The two scan steps, the larger first.
+SCAN_STEPS = (Fraction(1, 2048), Fraction(1, 4096))
 
 
 def diff_quotient_scan(fn, s0) -> DiffQuotient:
-    """One-sided difference quotients of fn at s0, at the smallest step of
-    ``SCAN_STEPS``.
+    """One-sided difference quotients of fn at s0, at the smaller step of
+    ``SCAN_STEPS``: five evaluations of fn.
 
     For piecewise-linear fn the quotients are exactly the one-sided slopes
     once the step drops below the nearest breakpoint gap; ``stable`` records
-    that the two smallest steps agreed on both sides.
+    that the two steps agreed on both sides.
     """
     s0 = Fraction(s0)
-    lefts, rights = [], []
     center = fn(s0)
-    for h in SCAN_STEPS:
-        lefts.append((center - fn(s0 - h)) / h)
-        rights.append((fn(s0 + h) - center) / h)
-    stable = lefts[-1] == lefts[-2] and rights[-1] == rights[-2]
-    return DiffQuotient(lefts[-1], rights[-1], stable)
+    (left2, right2), (left, right) = (
+        ((center - fn(s0 - h)) / h, (fn(s0 + h) - center) / h) for h in SCAN_STEPS
+    )
+    return DiffQuotient(left, right, left == left2 and right == right2)

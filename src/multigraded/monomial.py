@@ -2,8 +2,8 @@
 
 Exponent vectors are plain tuples of nonnegative ints.  A MonomialIdeal
 holds a canonical minimal generating set: a lexicographically sorted
-antichain under componentwise <=.  The zero ideal (empty generating set,
-``is_zero`` flag) is distinct from the unit ideal (generated by the zero
+antichain under componentwise <=.  The zero ideal (the empty generating
+set, ``is_zero``) is distinct from the unit ideal (generated by the zero
 vector); both flow through all the algebra below.
 
 All values are immutable and every operation is a pure function.
@@ -101,7 +101,6 @@ def _trusted(k: int, gens: tuple[Vec, ...]) -> MonomialIdeal:
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "dim", k)  # frozen: as the dataclass __init__ does
     object.__setattr__(ideal, "gens", gens)
-    object.__setattr__(ideal, "is_zero", False)
     return ideal
 
 
@@ -154,11 +153,8 @@ class MonomialIdeal:
 
     dim: int
     gens: tuple[Vec, ...]
-    is_zero: bool = False
 
     def __post_init__(self):
-        if self.is_zero and self.gens:
-            raise ValueError("zero ideal carries no generators")
         if tuple(_antichain(_check_vectors(self.gens, self.dim), self.dim)) != self.gens:
             raise ValueError("generators must be a lex-sorted antichain")
 
@@ -166,7 +162,7 @@ class MonomialIdeal:
 
     @staticmethod
     def zero(k: int) -> MonomialIdeal:
-        return MonomialIdeal(k, (), is_zero=True)
+        return MonomialIdeal(k, ())
 
     @staticmethod
     def unit(k: int) -> MonomialIdeal:
@@ -177,6 +173,11 @@ class MonomialIdeal:
         """The maximal ideal (x_1, ..., x_k)."""
         gens = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
         return minimalize(gens, k)
+
+    @property
+    def is_zero(self) -> bool:
+        """No generators: the zero ideal."""
+        return not self.gens
 
     @property
     def is_unit(self) -> bool:

@@ -50,12 +50,12 @@ def _remember(cache: dict, key, value):
 
 
 class SystemExpr:
-    """Base node.  Subclasses set rank, ambient_dim and implement _eval."""
+    """Base node of index rank ``rank`` over ``ambient_dim`` variables.
+    Subclasses implement _eval."""
 
-    rank: int
-    ambient_dim: int
-
-    def __init__(self):
+    def __init__(self, rank: int, ambient_dim: int):
+        self.rank = rank
+        self.ambient_dim = ambient_dim
         self._cache: dict[tuple[int, ...], MonomialIdeal] = {}
 
     def eval(self, v) -> MonomialIdeal:
@@ -115,15 +115,13 @@ class IdealPowers(SystemExpr):
     """a_(n_1,...,n_rho) = I_1^{n_1} ... I_rho^{n_rho}, with I^n = (1) for n <= 0."""
 
     def __init__(self, ideals):
-        super().__init__()
         self.ideals = tuple(ideals)
         if not self.ideals:
             raise ValueError("need at least one ideal")
         dims = {i.dim for i in self.ideals}
         if len(dims) != 1:
             raise DimensionMismatch("ideals in different ambient dimensions")
-        self.rank = len(self.ideals)
-        self.ambient_dim = self.ideals[0].dim
+        super().__init__(len(self.ideals), dims.pop())
 
     def _eval(self, v):
         result = MonomialIdeal.unit(self.ambient_dim)
@@ -144,10 +142,8 @@ class RegionSystem(SystemExpr):
     """a_n = ideal of all lattice points of n*P; a_n = (1) for n <= 0."""
 
     def __init__(self, region: NewtonPolyhedron):
-        super().__init__()
+        super().__init__(1, region.dim)
         self.region = region
-        self.rank = 1
-        self.ambient_dim = region.dim
 
     def _eval(self, v):
         n = v[0]
@@ -178,13 +174,11 @@ class CeilingSystem(SystemExpr):
     """
 
     def __init__(self, cone: ConeRep, base: MonomialIdeal | None = None):
-        super().__init__()
         if cone.forms is None:
             raise ValueError("ceiling systems need an epigraph cone")
         self.cone = cone
         self.base = base if base is not None else MonomialIdeal.maximal(2)
-        self.rank = cone.rank
-        self.ambient_dim = self.base.dim
+        super().__init__(cone.rank, self.base.dim)
         self._denom = lcm(*(c.denominator for form in cone.forms for c in form))
         self._forms = tuple(tuple(int(c * self._denom) for c in form) for form in cone.forms)
         self._powers: dict[int, MonomialIdeal] = {}
@@ -222,7 +216,6 @@ class Pullback(SystemExpr):
     """a_w = inner_{phi(w)} for an integer matrix phi: Z^rank -> Z^inner.rank."""
 
     def __init__(self, matrix, inner: SystemExpr):
-        super().__init__()
         self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
         self.inner = inner
         if len(self.matrix) != inner.rank:
@@ -230,8 +223,7 @@ class Pullback(SystemExpr):
         widths = {len(row) for row in self.matrix}
         if len(widths) != 1:
             raise RankMismatch("ragged matrix")
-        self.rank = widths.pop()
-        self.ambient_dim = inner.ambient_dim
+        super().__init__(widths.pop(), inner.ambient_dim)
 
     def apply(self, w):
         return tuple(sum(a * b for a, b in zip(row, w)) for row in self.matrix)
@@ -243,17 +235,19 @@ class Pullback(SystemExpr):
         return self.inner.limit_body(self.apply(w))
 
 
-class Product(SystemExpr):
+class _Pair(SystemExpr):
+    """A node on two children of the same rank and ambient dimension."""
+
     def __init__(self, left: SystemExpr, right: SystemExpr):
-        super().__init__()
         if left.rank != right.rank:
             raise RankMismatch("children of different rank")
         if left.ambient_dim != right.ambient_dim:
             raise DimensionMismatch("children in different ambient dimensions")
+        super().__init__(left.rank, left.ambient_dim)
         self.left, self.right = left, right
-        self.rank = left.rank
-        self.ambient_dim = left.ambient_dim
 
+
+class Product(_Pair):
     def _eval(self, v):
         return self.left.eval(v).product(self.right.eval(v))
 
@@ -261,17 +255,7 @@ class Product(SystemExpr):
         return region_minkowski(self.left.limit_body(v), self.right.limit_body(v))
 
 
-class Intersect(SystemExpr):
-    def __init__(self, left: SystemExpr, right: SystemExpr):
-        super().__init__()
-        if left.rank != right.rank:
-            raise RankMismatch("children of different rank")
-        if left.ambient_dim != right.ambient_dim:
-            raise DimensionMismatch("children in different ambient dimensions")
-        self.left, self.right = left, right
-        self.rank = left.rank
-        self.ambient_dim = left.ambient_dim
-
+class Intersect(_Pair):
     def _eval(self, v):
         return self.left.eval(v).intersect(self.right.eval(v))
 
@@ -283,13 +267,11 @@ class Truncate(SystemExpr):
     """Zero outside the subsemigroup S = cone intersect Z^rank."""
 
     def __init__(self, inner: SystemExpr, cone: ConeRep):
-        super().__init__()
         if cone.rank != inner.rank:
             raise RankMismatch("truncation cone of wrong rank")
+        super().__init__(inner.rank, inner.ambient_dim)
         self.inner = inner
         self.cone = cone
-        self.rank = inner.rank
-        self.ambient_dim = inner.ambient_dim
 
     def _eval(self, v):
         if self.cone.contains(v):
@@ -306,15 +288,13 @@ class ColonSystem(SystemExpr):
     """b_(m, n) = (inner_m : I^n), with I^n = (1) for n <= 0."""
 
     def __init__(self, inner: SystemExpr, ideal: MonomialIdeal):
-        super().__init__()
         if ideal.dim != inner.ambient_dim:
             raise DimensionMismatch("colon ideal in the wrong ambient dimension")
         if ideal.is_zero:
             raise ValueError("colon by the zero ideal")
+        super().__init__(inner.rank + 1, inner.ambient_dim)
         self.inner = inner
         self.ideal = ideal
-        self.rank = inner.rank + 1
-        self.ambient_dim = inner.ambient_dim
 
     def _eval(self, v):
         head, n = v[:-1], v[-1]

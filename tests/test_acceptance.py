@@ -304,7 +304,7 @@ def test_criterion_9_determinism(tmp_path):
             ["repro", "thm1", "--radius", "3", "--max", "3"],
             ["repro", "thm2", "--kinks", "1", "--radius", "4",
              "--truncate", "1/8", "--out", str(csv_path)],
-            ["repro", "appendix", "--kinks", "5", "--samples", "25"],
+            ["repro", "appendix", "--kinks", "5"],
         ]
         for argv in commands:
             runs = []

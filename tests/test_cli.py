@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multigraded
-from multigraded import newton
+from multigraded import cli, newton
 from multigraded.cli import _ceiling_sample, _thm1_directions, build_parser, main
 from multigraded.cones import lattice_window
 from multigraded.invariants import ceiling_closed_forms, sequence_invariant
 from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
+from multigraded.regions import PiecewiseLinearFn, appendix_boundary
 from multigraded.systems import CeilingSystem
 from multigraded.textio import (
     ParseError,
@@ -500,23 +501,35 @@ class TestRepro:
         assert ("[FAIL] truncation leaves the kink table unchanged" in out) == (code == 1)
 
     def test_appendix(self):
-        code, out = run_cli(["repro", "appendix", "--kinks", "1", "--samples", "20"])
+        code, out = run_cli(["repro", "appendix", "--kinks", "1"])
         assert code == 0
         assert "gauge((1, 0)) = 1" in out
         assert "gauge((0, 1)) = 2" in out
+        assert ("[PASS] boundary concave, its 2 slopes decreasing strictly from 0: the "
+                "reflected body is convex and its gauge a norm") in out
 
-    @pytest.mark.parametrize("samples", ["0", "1", "-1"])
-    def test_appendix_too_few_samples_refused_up_front(self, samples, capsys):
-        # with fewer than two samples the convexity check has no pair to check
-        code, out = run_cli(["repro", "appendix", "--samples", samples])
+    @pytest.mark.parametrize("kinks", ["0", "-3"])
+    def test_appendix_kinks_refused_up_front(self, kinks, capsys):
+        code, out = run_cli(["repro", "appendix", "--kinks", kinks])
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
-        assert err == f"error: --samples needs at least 2, got {samples}\n"
+        assert err == f"error: --kinks needs N >= 1, got {kinks}\n"
 
-    def test_appendix_two_samples_check_one_pair(self):
-        code, out = run_cli(["repro", "appendix", "--samples", "2"])
-        assert code == 0
-        assert "[PASS] gauge midpoint-convex on 1 sample pairs" in out
+    @pytest.mark.parametrize("slopes", [(Fraction(-1), Fraction(-1, 2)),
+                                        (Fraction(1, 2), Fraction(-1)),
+                                        (Fraction(-1), Fraction(-1))],
+                             ids=["rising", "rising from 0", "no kink"])
+    def test_appendix_certificate_fails_unless_strictly_concave(
+            self, slopes, monkeypatch):
+        # the body and its gauge stay the real ones: only the boundary's
+        # slopes can fail the certificate
+        boundary = PiecewiseLinearFn(((Fraction(0), Fraction(2)), (Fraction(1), 2 + slopes[0])),
+                                     slopes)
+        body = appendix_boundary(1)[1]
+        monkeypatch.setattr(cli, "appendix_boundary", lambda n: (boundary, body))
+        code, out = run_cli(["repro", "appendix"])
+        assert code == 1
+        assert out.count("[FAIL]") == 1 and "[FAIL] boundary concave, its 2 slopes" in out
 
 
 
@@ -603,7 +616,7 @@ class TestDeterminism:
             ["ideal", "info", str(ideal_file), "--decimals"],
             ["system", "invariants", str(wedge_file), "--direction", "1", "--max", "4"],
             ["repro", "thm2", "--kinks", "1", "--radius", "3"],
-            ["repro", "appendix", "--kinks", "2", "--samples", "10"],
+            ["repro", "appendix", "--kinks", "2"],
         ]
         for argv in commands:
             first = run_cli(argv)

@@ -374,9 +374,29 @@ class TestDiffQuotient:
         dq = diff_quotient_scan(lambda s: thm2_ord0(1, s, 1), F(11, 10))
         assert dq.gap == 0 and dq.stable
 
+    def test_five_evaluations(self):
+        calls = []
+        dq = diff_quotient_scan(lambda s: calls.append(s) or abs(s - 1), 1)
+        assert sorted(calls) == [1 - F(1, 2048), 1 - F(1, 4096), 1, 1 + F(1, 4096),
+                                 1 + F(1, 2048)]
+        assert (dq.left, dq.right, dq.stable) == (-1, 1, True)
+
+    def test_unstable_when_a_breakpoint_lies_between_the_steps(self):
+        # a breakpoint at 1 + 3/8192, between the two steps right of 1
+        dq = diff_quotient_scan(lambda s: max(s - 1, 3 * (s - 1) - F(3, 4096)), 1)
+        assert (dq.left, dq.right, dq.stable) == (1, 1, False)
+
 
 def gauge_along(body):
     return lambda t: body.gauge((1, t))
+
+
+def evaluated_kink_locations(r, n_kinks, s_lo, s_hi):
+    """Reference: (s0, r e) for every kink e of f, with s0 = r f(e) + r e/2
+    evaluated, kept when it lies in [s_lo, s_hi]."""
+    f = build_kinked_f(n_kinks)
+    s0s = [(r * f(e) + r * e / 2, r * e) for e in f.kinks]
+    return sorted((s0, x0) for s0, x0 in s0s if s_lo <= s0 <= s_hi)
 
 
 class TestKinkTables:
@@ -387,7 +407,8 @@ class TestKinkTables:
     @pytest.mark.parametrize("n_kinks", [1, 4, 8, 32])
     def test_thm2_table_matches_scan(self, n_kinks, r):
         table, crossings = thm2_kink_table(r, n_kinks, 0, 10)
-        assert list(zip(table.cuts[1:-1], crossings)) == thm2_kink_locations(r, n_kinks, 0, 10)
+        assert list(zip(table.cuts[1:-1], crossings)) == evaluated_kink_locations(
+            r, n_kinks, 0, 10)
         assert len(crossings) == n_kinks
         for s0, left, right in table.kinks():
             dq = diff_quotient_scan(lambda s: thm2_ord0(r, s, n_kinks), s0)
@@ -405,6 +426,7 @@ class TestKinkTables:
             table, crossings = thm2_kink_table(r, n_kinks, lo, hi)
             got = [(s0, x0) for (s0, _, _), x0 in zip(table.kinks(), crossings)]
             assert got == thm2_kink_locations(r, n_kinks, lo, hi)
+            assert got == evaluated_kink_locations(r, n_kinks, lo, hi)
             assert len(table.slopes) == len(table.cuts) - 1 == len(crossings) + 1
             # the cells beside the window's kinks end at the nearest cut outside
             if crossings:

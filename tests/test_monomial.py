@@ -122,6 +122,16 @@ class TestValidation:
             with pytest.raises(ValueError):  # unsorted
                 MonomialIdeal(3, tuple(reversed(gens)))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_generators_is_the_zero_ideal(self, k):
+        a = MonomialIdeal(k, ())
+        assert a.is_zero and not a.is_unit
+        assert a == MonomialIdeal.zero(k) == minimalize([], k)
+        assert hash(a) == hash(MonomialIdeal.zero(k))
+        assert repr(a) == f"MonomialIdeal.zero({k})"
+        with pytest.raises(ZeroIdeal):
+            a.ord0()
+
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
             minimalize([()], 0)

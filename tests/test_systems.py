@@ -363,8 +363,8 @@ class Pooled(SystemExpr):
     a_{v+w} depend on more than the pool entries of a_v and a_w."""
 
     def __init__(self, rank, pool):
-        super().__init__()
-        self.rank, self.ambient_dim, self.pool = rank, pool[0].dim, pool
+        super().__init__(rank, pool[0].dim)
+        self.pool = pool
 
     def _eval(self, v):
         t = sum(3**i * x for i, x in enumerate(v))
