@@ -1,6 +1,6 @@
 """Exact-arithmetic invariants and cones of multigraded systems of monomial ideals."""
 
-from .cones import ConeRep, abs_sum_cone, cone_compare, eff_points, nef_points, ray_hull
+from .cones import ConeRep, abs_sum_cone, eff_points, nef_points, ray_hull
 from .invariants import (
     InvariantBracket,
     KinkTable,

@@ -1,5 +1,5 @@
-"""Cones in index space: membership, ray hulls (rank <= 3), nef/effective
-lattice-point estimation for graded systems, and exact cone comparison.
+"""Cones in index space: membership, ray hulls (rank <= 3), and nef/effective
+lattice-point estimation for graded systems.
 
 A ConeRep is one of: a halfspace intersection {<a, x> >= 0}, a ray span,
 the epigraph {(x, y) : y >= max of linear forms}, or the full space.
@@ -73,6 +73,11 @@ class ConeRep:
         if len(vt) != self.rank:
             raise RankMismatch(f"vector of length {len(vt)} in rank {self.rank}")
         return all(_dot(a, vt) >= 0 for a in self.halfspaces)
+
+
+def abs_sum_cone() -> ConeRep:
+    """The cone {(x1, x2, y) : y >= |x1| + |x2|} as an epigraph of four forms."""
+    return ConeRep.epigraph([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
 
 def ray_hull(points, rank: int | None = None) -> ConeRep:
@@ -157,56 +162,3 @@ def eff_points(system, radius: int) -> list[tuple[int, ...]]:
         raise ValueError("radius must be >= 1")
     return [v for v in lattice_window(system.rank, radius) if not system.eval(v).is_zero]
 
-
-# -- comparison ----------------------------------------------------------------
-
-
-def halton(index: int, base: int) -> Fraction:
-    """Deterministic low-discrepancy rational sequence in (0, 1)."""
-    result = Fraction(0)
-    f = Fraction(1, base)
-    i = index
-    while i > 0:
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
-
-
-@dataclass(frozen=True)
-class ConeCompareReport:
-    samples_tested: int
-    sample_disagreements: tuple[tuple, ...]
-    lattice_tested: int
-    lattice_disagreements: tuple[tuple, ...]
-
-    @property
-    def agrees(self) -> bool:
-        return not self.sample_disagreements and not self.lattice_disagreements
-
-
-_HALTON_BASES = (2, 3, 5)
-
-
-def cone_compare(estimated: ConeRep, expected: ConeRep, samples: int,
-                 radius: int) -> ConeCompareReport:
-    """Membership agreement over deterministic rational directions, plus an
-    exact lattice-point comparison within the given radius."""
-    if estimated.rank != expected.rank:
-        raise RankMismatch("cones of different rank")
-    rank = estimated.rank
-    bases = _HALTON_BASES[:rank]
-    sample_bad = []
-    for i in range(1, samples + 1):
-        v = tuple(2 * halton(i, b) - 1 for b in bases)
-        if estimated.contains(v) != expected.contains(v):
-            sample_bad.append(v)
-    lattice_bad = [v for v in lattice_window(rank, radius)
-                   if estimated.contains(v) != expected.contains(v)]
-    return ConeCompareReport(samples, tuple(sample_bad), (2 * radius + 1) ** rank,
-                             tuple(lattice_bad))
-
-
-def abs_sum_cone() -> ConeRep:
-    """The cone {(x1, x2, y) : y >= |x1| + |x2|} as an epigraph of four forms."""
-    return ConeRep.epigraph([(1, 1), (1, -1), (-1, 1), (-1, -1)])

@@ -4,8 +4,8 @@ Every region is a ``NewtonPolyhedron``, the one polyhedron type of
 ``newton``.  This module holds its builders: halfspace regions, the
 boundary functions of the pathological constructions and their
 epigraphs, the region algebra (intersection, Minkowski sum),
-lattice-generator extraction, and the gauge of the reflected symmetric
-body.
+lattice-generator extraction by one integer column scan for every
+k <= 3, and the gauge of the reflected symmetric body.
 
 Every boundary function is one ``PiecewiseLinearFn``.  Both of the
 paper's constructions are sums of dyadic hinge terms, built by one sweep
@@ -29,7 +29,9 @@ from .errors import (
     EmptyRegion,
     UnsupportedDimension,
 )
-from .monomial import MonomialIdeal, _trusted, minimalize
+# minimalize is unused here; perfbench's install test asserts that this
+# module's alias of it is wrapped
+from .monomial import MonomialIdeal, _trusted, minimalize  # noqa: F401
 from .newton import (
     NewtonPolyhedron,
     _chain_facets_2d,
@@ -219,65 +221,34 @@ def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedr
 def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
     """Minimal generators of the ideal of all lattice points of m * region.
 
-    k = 2 and k = 3 scan columns in integer arithmetic and emit the
-    antichain directly: one column per x between the wall and the last
-    vertex (``_lattice_generators_2d``), or O(B^2) columns of the bounding
-    box (``_lattice_generators_3d``).
-    """
-    if m < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    scaled = region.scale(m) if m != 1 else region
-    k = region.dim
-    if k == 1:
-        return minimalize([(ceil(Fraction(scaled.vertices[0][0])),)], 1)
-    if k == 2:
-        return _lattice_generators_2d(scaled)
-    if k == 3:
-        return _lattice_generators_3d(scaled)
-    raise UnsupportedDimension("lattice scans are limited to k <= 3")
-
-
-def _lattice_generators_2d(scaled: NewtonPolyhedron) -> MonomialIdeal:
-    """Minimal lattice points of scaled, one column x at a time.
-
-    Column x holds the points y >= h(x), the least y >= 0 meeting every
-    sloped facet; h is nonincreasing, so (x, h(x)) is a minimal generator
-    exactly when h drops there, and the scan emits the antichain directly.
-    """
-    x_start = ceil(max([0] + [c for a, c in scaled.facets if a[1] == 0]))
-    x_stop = max(x_start, ceil(max(v[0] for v in scaled.vertices)))
-    # scaled to integers: a_x x + a_y y >= c
-    sloped = [(a[0] * c.denominator, a[1] * c.denominator, c.numerator)
-              for a, c in scaled.facets if a[1] > 0]
-    gens = []
-    for x in range(x_start, x_stop + 1):
-        h = max([0] + [-((ax * x - cc) // ay) for ax, ay, cc in sloped])
-        if not gens or h < gens[-1][1]:
-            gens.append((x, h))
-    return _trusted(2, tuple(gens))
-
-
-def _lattice_generators_3d(scaled: NewtonPolyhedron) -> MonomialIdeal:
-    """Minimal lattice points of scaled within the box [0, b_x] x [0, b_y] x [0, b_z].
-
-    Column (x, y) holds the points z >= h(x, y), where h is the least z >= 0
-    meeting every facet with a_z > 0 (never above b_z); a column breaking a
+    One integer column scan for every k <= 3.  A region with k < 3 gets
+    3 - k leading zero coordinates on its facets, and each generator drops
+    them again.  Column (x, y) holds the points z >= h(x, y), where h is
+    the least z >= 0 meeting every facet with a_z > 0; a column breaking a
     facet with a_z = 0 holds none.  h is nonincreasing in x and y, so
     (x, y, h) is a minimal generator exactly when h lies strictly below
     both h(x - 1, y) and h(x, y - 1); the scan emits the lex-sorted
     antichain directly, with no domination filter.
+
+    Each axis stops at the ceiling b_i of the largest vertex coordinate: a
+    point u = p + r of the region (p in the vertices' hull, r >= 0) with
+    u_i > b_i has r_i >= 1, so u - e_i is in the region too and u is not
+    minimal.  The same bound caps every nonempty column's h at b_z.
     """
-    bounds = []
-    for i in range(3):
-        per_axis = [ceil(Fraction(c, a[i])) + 1 for a, c in scaled.facets if a[i] > 0]
-        bounds.append(max(per_axis) if per_axis else 0)
-    bx, by, bz = bounds
+    if m < 1:
+        raise ValueError("dilation factor must be a positive integer")
+    k = region.dim
+    if k > 3:
+        raise UnsupportedDimension("lattice scans are limited to k <= 3")
+    scaled = region.scale(m) if m != 1 else region
+    pad = (0,) * (3 - k)
+    bx, by, bz = pad + tuple(ceil(max(v[i] for v in scaled.vertices)) for i in range(k))
     flat, sloped = [], []
     for a, c in scaled.facets:
         # scaled to integers: a_x x + a_y y + a_z z >= c
-        q = [Fraction(t) for t in (*a, c)]
+        q = (*pad, *a, c)
         scale = lcm(*(t.denominator for t in q))
-        ax, ay, az, cc = (int(t * scale) for t in q)
+        ax, ay, az, cc = (t.numerator * (scale // t.denominator) for t in q)
         (sloped if az > 0 else flat).append((ax, ay, az, cc))
     empty = bz + 1  # the height of a column holding no point
     gens = []
@@ -285,17 +256,17 @@ def _lattice_generators_3d(scaled: NewtonPolyhedron) -> MonomialIdeal:
     for x in range(bx + 1):
         left = empty  # h(x, y - 1)
         for y in range(by + 1):
-            if any(ax * x + ay * y < cc for ax, ay, _, cc in flat):
+            if flat and any(ax * x + ay * y < cc for ax, ay, _, cc in flat):
                 h = empty
             else:
                 # -(-n // az) is ceil(n / az) for n = cc - ax x - ay y
                 h = max([0] + [-((ax * x + ay * y - cc) // az) for ax, ay, az, cc in sloped])
             if h < left and h < below[y]:
-                gens.append((x, y, h))
+                gens.append((x, y, h)[3 - k:])
             below[y] = left = h
     if not gens:
         raise EmptyRegion("no lattice points in the scan box")
-    return _trusted(3, tuple(gens))
+    return _trusted(k, tuple(gens))
 
 
 # -- the appendix construction ---------------------------------------------------

@@ -15,7 +15,7 @@ from math import lcm
 import pytest
 
 from multigraded.cli import main
-from multigraded.cones import abs_sum_cone, eff_points, lattice_window, nef_points
+from multigraded.cones import ConeRep, abs_sum_cone, eff_points, lattice_window, nef_points
 from multigraded.invariants import (
     ceiling_closed_forms,
     diff_quotient_scan,
@@ -41,9 +41,20 @@ from multigraded.systems import (
     kinked_intersection_system,
     verify_gradedness,
 )
-from multigraded.cones import ConeRep, halton
 
 F = Fraction
+
+
+def halton(index: int, base: int) -> Fraction:
+    """Deterministic low-discrepancy rational sequence in (0, 1)."""
+    result = Fraction(0)
+    f = Fraction(1, base)
+    i = index
+    while i > 0:
+        result += f * (i % base)
+        i //= base
+        f /= base
+    return result
 
 
 def contains(p, q):

@@ -594,6 +594,44 @@ class TestThm1Cones:
             code, out = run_cli(["repro", "thm1", "--cone", str(cone), "--radius", radius])
             assert code == 0 and out.count("[PASS]") == 3 and "[FAIL]" not in out
 
+    @pytest.mark.parametrize("extra, drop", [((), True), (((2, 0, 1),), False)],
+                             ids=["too-small", "too-large"])
+    def test_wrong_nef_hull_fails(self, monkeypatch, extra, drop):
+        # the nef points reach cli.ray_hull through a wrapper that narrows
+        # them to y >= 2 (|x1| + |x2|) or adds the ray (2, 0, 1), which
+        # leaves a pointed hull that holds the whole cone
+        real = cli.ray_hull
+
+        def wrapped(points, rank=None):
+            pts = [tuple(p) for p in points]
+            if len(pts) > 10:  # the nef points, not a cone's few normals
+                if drop:
+                    pts = [p for p in pts if p[2] >= 2 * (abs(p[0]) + abs(p[1]))]
+                pts += extra
+            return real(pts, rank)
+
+        monkeypatch.setattr(cli, "ray_hull", wrapped)
+        code, out = run_cli(["repro", "thm1", "--radius", "3", "--max", "2"])
+        assert code == 1
+        assert out.count("[FAIL]") == 1
+        assert "[FAIL] ray hull of nef points equals the cone" in out
+
+    @pytest.mark.parametrize("text", ["rank 2\n", "rank 2\nhalfspace 1 0\n",
+                                      "rank 2\nray 1 0\nray 0 1\n"],
+                             ids=["full-space", "halfspace", "rays"])
+    def test_non_epigraph_cone_exits_2(self, tmp_path, capsys, text):
+        cone = tmp_path / "n.cone"
+        cone.write_text(text)
+        code, out = run_cli(["repro", "thm1", "--cone", str(cone)])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err == "error: ceiling systems need an epigraph cone\n"
+
+    def test_samples_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            build_parser().parse_args(["repro", "thm1", "--samples", "64"])
+        assert exc.value.code == 2
+
     def test_samples_are_the_powers_not_the_limit(self):
         system = CeilingSystem(parse_cone("rank 3\nform 1/2 -2/3\n"))
         v = (1, 0, 0)
@@ -636,7 +674,8 @@ class TestDeterminism:
 
 class TestGoldenStdout:
     """sha256 of stdout, recorded before ceiling systems moved to integer
-    exponents and a cache keyed by exponent."""
+    exponents and a cache keyed by exponent; the thm1 digest was recorded
+    again when its hull line became an exact two-way check."""
 
     GOLDEN = [
         (["system", "cones", "c2.system", "--radius", "31"],
@@ -646,7 +685,7 @@ class TestGoldenStdout:
         (["system", "cones", "c3.system", "--radius", "2"],
          "efb8287331504383750caad3646d5e9f61434e838d5e20c28894b531a99b2d45"),
         (["repro", "thm1", "--radius", "4"],
-         "3e5d81773a07ae930ec29c6bd9c27878f91c88ec1e70d617f907541be94b993d"),
+         "9513befeb5b9e7f5763ce53e582ea46da903e9550bb0ff6ad0cfc128413411dd"),
     ]
 
     @pytest.mark.parametrize("argv, digest", GOLDEN, ids=lambda x: "-".join(x)[:40])

@@ -245,6 +245,19 @@ class TestLatticeGenerators:
         p = region_from_halfspaces(2, [((1, 0), F(5, 2))])
         assert lattice_generators(p, 1).gens == ((3, 0),)
 
+    @pytest.mark.parametrize("facets", [
+        [((1,), 3)],
+        [((2,), 5), ((3,), 4)],
+        [((1,), F(7, 3)), ((2,), F(9, 2))],
+        [((F(2, 3),), 1), ((F(1, 2),), F(5, 4))],
+    ], ids=["integer-c", "two-facets", "fraction-c", "rational-normals"])
+    def test_k1_scan_is_the_ceiling_of_the_largest_bound(self, facets):
+        p = region_from_halfspaces(1, facets)
+        for m in range(1, 9):
+            want = ceil(m * max(F(c) / a[0] for a, c in facets))
+            assert lattice_generators(p, m).gens == ((want,),)
+        assert lattice_generators(full_orthant(1), 3).gens == ((0,),)
+
     @settings(max_examples=100, deadline=None)
     @given(halfspaces2, st.integers(1, 5))
     def test_2d_scan_matches_column_points(self, facets, m):
