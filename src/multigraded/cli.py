@@ -148,8 +148,10 @@ def cmd_system_invariants(args) -> int:
 
 
 def _nef_hull_text(hull):
-    """Label and vectors of a nef ray hull that is not the full space: its
+    """Label and vectors of a nef ray hull: none for the full space, its
     rays, or its facet normals when it contains a line."""
+    if hull.fullspace:
+        return "nef hull: full space", ()
     if not hull.pointed:
         return "nef hull: not pointed; facet normals:", hull.halfspaces
     return "nef hull rays:", hull.rays
@@ -164,13 +166,9 @@ def cmd_system_cones(args) -> int:
     lines.append(f"eff points ({len(eff)}):")
     lines.extend("  " + " ".join(str(x) for x in v) for v in eff)
     if nef:
-        hull = ray_hull(nef, system.rank)
-        if hull.fullspace:
-            lines.append("nef hull: full space")
-        else:
-            label, vecs = _nef_hull_text(hull)
-            lines.append(label)
-            lines.extend("  " + " ".join(str(x) for x in r) for r in vecs)
+        label, vecs = _nef_hull_text(ray_hull(nef, system.rank))
+        lines.append(label)
+        lines.extend("  " + " ".join(str(x) for x in r) for r in vecs)
     print("\n".join(lines))
     if args.out:
         rows = [("nef", *v) for v in nef] + [("eff", *v) for v in eff]
@@ -181,8 +179,14 @@ def cmd_system_cones(args) -> int:
 
 
 def cmd_system_verify(args) -> int:
+    try:
+        lo, hi = map(int, args.window.split(":"))
+    except ValueError:
+        raise ParseError(f"--window needs lo:hi (--window=-2:2), got {args.window!r}") from None
+    if not (2 * lo <= hi and lo <= 2 * hi):
+        raise ParseError(f"--window {lo}:{hi} holds no v, w with v + w inside it: "
+                         "it needs 2 lo <= hi and lo <= 2 hi")
     system = parse_system(args.path)
-    lo, hi = (int(t) for t in args.window.split(":"))
     report = verify_gradedness(system, box_window([(lo, hi)] * system.rank))
     print(f"pairs checked: {report.pairs_checked}")
     print(f"violations: {len(report.violations)}")
@@ -219,8 +223,8 @@ def _thm1_directions(rank: int, radius: int, count: int):
 
 def _ceiling_sample(system: CeilingSystem, v, quantity: str, n: int) -> Fraction:
     """The schedule sample at n along v: a_(nv) = base^m with m =
-    max(ceil(f(nx) - ny), 0) has m times the base's ord0 and arn and m^k
-    times its mult, normalized by n and n^k."""
+    ceil(h(nv)) has m times the base's ord0 and arn and m^k times its mult,
+    normalized by n and n^k."""
     m = max(system.exponent(tuple(n * x for x in v)), 0)
     base = system.base
     if quantity == "mult":
@@ -229,13 +233,15 @@ def _ceiling_sample(system: CeilingSystem, v, quantity: str, n: int) -> Fraction
 
 
 def cmd_repro_thm1(args) -> int:
+    if args.directions < 1:
+        raise ParseError(f"--directions needs N >= 1, got {args.directions}")
     cone = load_cone(args.cone) if args.cone else abs_sum_cone()
     base = load_ideal(args.base) if args.base else MonomialIdeal.maximal(2)
     system = CeilingSystem(cone, base)
     # the cone's primitive extreme rays and lineality vectors (with their
     # negatives): the ray hull of its halfspace normals, whose dual is the cone
     cone_gens = ray_hull(cone.halfspaces, cone.rank).halfspaces
-    need = max(max(map(abs, g)) for g in cone_gens)
+    need = max((max(map(abs, g)) for g in cone_gens), default=1)
     if args.radius < need:
         raise ParseError(
             f"radius {args.radius} is too small for this cone: its extreme rays "
@@ -253,12 +259,11 @@ def cmd_repro_thm1(args) -> int:
         f"({len(nef)} points)",
     )
     hull = ray_hull(nef, cone.rank)
-    if not hull.fullspace:
-        label, vecs = _nef_hull_text(hull)
-        lines.append(f"{label} " + "; ".join(" ".join(map(str, r)) for r in vecs))
+    label, vecs = _nef_hull_text(hull)
+    lines.append(f"{label} {'; '.join(' '.join(map(str, r)) for r in vecs)}".rstrip())
     # exact both ways: the hull holds every generator of the cone, and the
     # cone every generator of the hull
-    equal = (not hull.fullspace and all(map(hull.contains, cone_gens))
+    equal = (all(map(hull.contains, cone_gens))
              and all(map(cone.contains, ray_hull(hull.halfspaces, cone.rank).halfspaces)))
     ok &= _pass(
         lines,
@@ -267,7 +272,8 @@ def cmd_repro_thm1(args) -> int:
     )
 
     grid_ok = True
-    for v in _thm1_directions(cone.rank, 2, args.directions):
+    directions = _thm1_directions(cone.rank, 2, args.directions)
+    for v in directions:
         closed = ceiling_closed_forms(system, v)
         for q in ("ord0", "arn", "mult"):
             bracket = sequence_invariant(system, v, q, steps=args.max)
@@ -286,7 +292,7 @@ def cmd_repro_thm1(args) -> int:
     ok &= _pass(
         lines,
         grid_ok,
-        f"closed forms match every schedule sample exactly at {args.directions} "
+        f"closed forms match every schedule sample exactly at {len(directions)} "
         "integral directions",
     )
     print("\n".join(lines))

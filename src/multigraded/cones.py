@@ -1,17 +1,17 @@
 """Cones in index space: membership, ray hulls (rank <= 3), and nef/effective
 lattice-point estimation for graded systems.
 
-A ConeRep is one of: a halfspace intersection {<a, x> >= 0}, a ray span,
-the epigraph {(x, y) : y >= max of linear forms}, or the full space.
-Rays are stored as primitive integer vectors.  Ray spans are converted to
-halfspaces on construction, by one integer double description of the dual
-cone for every rank and span, so that membership is always an exact test.
+A ConeRep is one representation for every cone: the halfspace
+intersection {<a, x> >= 0} over primitive integer normals a, the full space
+having none.  Halfspace files, epigraphs {(x, y) : y >= max of linear forms}
+and ray spans all become such normals on construction; a ray span by one
+integer double description of the dual cone for every rank and span, so
+membership is always an exact test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iterprod
 
 from .errors import RankMismatch, UnsupportedDimension
@@ -23,16 +23,15 @@ class ConeRep:
     """Closed convex cone with vertex at the origin.
 
     ``halfspaces`` is the exact inequality description used for membership;
-    the cone is the full space exactly when it is empty.  ``forms`` is set
-    only for epigraph cones.  ``pointed`` and ``rays`` are set by
-    ``ray_hull``: ``rays`` are the extreme rays of a pointed hull and empty
-    for a hull that contains a line; ``pointed`` is None elsewhere.
+    the cone is the full space exactly when it is empty.  ``pointed`` and
+    ``rays`` are set by ``ray_hull``: ``rays`` are the extreme rays of a
+    pointed hull and empty for a hull that contains a line; ``pointed`` is
+    None elsewhere.
     """
 
     rank: int
     halfspaces: tuple[tuple[int, ...], ...] = ()
     rays: tuple[tuple[int, ...], ...] = ()
-    forms: tuple[tuple, ...] | None = None
     pointed: bool | None = None
 
     @property
@@ -41,7 +40,7 @@ class ConeRep:
 
     @staticmethod
     def from_halfspaces(rank: int, normals) -> ConeRep:
-        hs = tuple(tuple(a) for a in normals)
+        hs = tuple(primitive(a) for a in normals)
         if any(len(a) != rank for a in hs):
             raise RankMismatch("halfspace normal of wrong rank")
         return ConeRep(rank, halfspaces=hs)
@@ -53,20 +52,15 @@ class ConeRep:
         The zero form is appended when missing, so the boundary function is
         nonnegative, convex and positively homogeneous by construction.
         """
-        fs = [tuple(Fraction(c) for c in form) for form in forms]
+        fs = [tuple(form) for form in forms]
         if not fs:
             raise ValueError("need at least one linear form")
         n = len(fs[0])
         if any(len(f) != n for f in fs):
             raise RankMismatch("forms of mixed arity")
-        if (Fraction(0),) * n not in fs:
-            fs.append((Fraction(0),) * n)
-        hs = tuple(primitive(tuple(-c for c in f) + (1,)) for f in fs)
-        return ConeRep(n + 1, halfspaces=hs, forms=tuple(fs))
-
-    @staticmethod
-    def full(rank: int) -> ConeRep:
-        return ConeRep(rank)
+        if (0,) * n not in fs:
+            fs.append((0,) * n)
+        return ConeRep.from_halfspaces(n + 1, (tuple(-c for c in f) + (1,) for f in fs))
 
     def contains(self, v) -> bool:
         vt = tuple(v)
@@ -80,7 +74,7 @@ def abs_sum_cone() -> ConeRep:
     return ConeRep.epigraph([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
 
-def ray_hull(points, rank: int | None = None) -> ConeRep:
+def ray_hull(points, rank: int) -> ConeRep:
     """Closed convex cone spanned by integer points (rank <= 3).
 
     One exact integer double description (Motzkin et al. 1953; Fukuda and
@@ -88,16 +82,13 @@ def ray_hull(points, rank: int | None = None) -> ConeRep:
     halfspaces are its sorted extreme rays followed by each lineality
     vector and its negative, so membership is exact for every rank and
     span.  A cone whose halfspaces have full rank is pointed, and its rays
-    are the extreme ones; a cone that contains a line has no rays.
-    Positively spanning inputs return the full space.
+    are the extreme ones; a cone that contains a line has no rays.  No
+    points span the zero cone, whose halfspaces are the +-e_i; positively
+    spanning inputs return the full space.
     """
     pts = [tuple(p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    if rank is None:
-        rank = len(pts[0])
     if any(len(p) != rank for p in pts):
-        raise RankMismatch("points of mixed rank")
+        raise RankMismatch("point of wrong rank")
     if rank > 3:
         raise UnsupportedDimension("ray hulls are limited to rank <= 3")
     rays = sorted({primitive(p) for p in pts if any(x != 0 for x in p)})
@@ -134,7 +125,7 @@ def ray_hull(points, rank: int | None = None) -> ConeRep:
     hs = tuple(sorted(e for e, _ in extreme)) + tuple(
         v for w in lineality for v in (w, tuple(-x for x in w)))
     if not hs:
-        return ConeRep.full(rank)
+        return ConeRep(rank)
     if _rank(hs) < rank:
         return ConeRep(rank, halfspaces=hs, pointed=False)
     extreme_rays = tuple(r for r in rays if _rank([a for a in hs if _dot(a, r) == 0]) == rank - 1)

@@ -131,8 +131,8 @@ def geometric_invariants(body: NewtonPolyhedron) -> GeometricInvariants:
 def ceiling_closed_forms(system: CeilingSystem, v) -> GeometricInvariants:
     """Exact invariants of a ceiling system at a (rational) index vector.
 
-    With deficiency t = max(f(x) - y, 0) the invariants are t times the
-    base ideal's order and Arnold multiplicity and t^k times its Samuel
+    With deficiency t = h(v) (see ``CeilingSystem``) the invariants are t
+    times the base's order and Arnold multiplicity and t^k times its Samuel
     multiplicity; for the maximal ideal in two variables: (t, t/2, t^2).
     """
     t = system.deficiency(tuple(Fraction(x) for x in v))

@@ -159,43 +159,43 @@ class RegionSystem(SystemExpr):
 
 
 class CeilingSystem(SystemExpr):
-    """a_(x, y) = base^ceil(f(x) - y) for an epigraph cone {y >= f(x)}.
+    """a_v = base^ceil(h(v)) for a cone C = {<a_i, v> >= 0}, where
+    h(v) = max(0, max_i -<a_i, v> / w_i) and w_i is a_i's last entry when
+    that is positive, else 1.
 
-    The base chain I_m = base^m is decreasing and f is subadditive and
-    positively homogeneous (a max of linear forms through 0), which is
-    exactly what gradedness needs.
+    The base chain I_m = base^m is decreasing and h is subadditive (a max
+    of linear forms and 0), which is exactly what gradedness needs; h = 0
+    exactly on C, so the nef cone is C.  An epigraph normal is a multiple
+    w (-f, 1), so {y >= f(x)} gets h = max(f(x) - y, 0).
 
-    The forms are scaled once to integer forms F over their common
-    denominator D, so f(x) - y = (max <F, x> - D y) / D; exponents and
-    deficiencies both come from that numerator.  Behind the node cache, a
-    power table keyed by m = max(ceil(f(x) - y), 0) holds base^m: a window
-    sweep computes one power of the base per distinct exponent, not one
-    per index.
+    The forms -a_i / w_i are scaled once to integer forms F_i over
+    D = lcm(w_i); exponents and deficiencies both come from the numerator
+    max <F_i, v>.  Behind the node cache, a power table keyed by
+    m = ceil(h(v)) holds base^m: a window sweep computes one power of the
+    base per distinct exponent, not one per index.
     """
 
     def __init__(self, cone: ConeRep, base: MonomialIdeal | None = None):
-        if cone.forms is None:
-            raise ValueError("ceiling systems need an epigraph cone")
         self.cone = cone
         self.base = base if base is not None else MonomialIdeal.maximal(2)
         super().__init__(cone.rank, self.base.dim)
-        self._denom = lcm(*(c.denominator for form in cone.forms for c in form))
-        self._forms = tuple(tuple(int(c * self._denom) for c in form) for form in cone.forms)
+        self._denom = lcm(*(max(a[-1], 1) for a in cone.halfspaces))
+        self._forms = tuple(tuple(-x * (self._denom // max(a[-1], 1)) for x in a)
+                            for a in cone.halfspaces)
         self._powers: dict[int, MonomialIdeal] = {}
 
     def _excess(self, v):
-        """D (f(x) - y) at an index vector v = (x, y), integer or rational."""
+        """D max_i -<a_i, v> / w_i (0 with no normals), v integer or rational."""
         if len(v) != self.rank:
             raise RankMismatch(f"index of length {len(v)} in rank {self.rank}")
-        x, y = v[:-1], v[-1]
-        return max([sum(map(mul, form, x)) for form in self._forms]) - self._denom * y
+        return max([sum(map(mul, form, v)) for form in self._forms], default=0)
 
     def exponent(self, v) -> int:
-        """ceil(f(x) - y)."""
+        """ceil(max_i -<a_i, v> / w_i): at most 0 exactly on C."""
         return -(-self._excess(v) // self._denom)
 
     def deficiency(self, v) -> Fraction:
-        """max(f(x) - y, 0) at a rational index vector."""
+        """h(v) at a rational index vector."""
         return Fraction(max(self._excess(v), 0), self._denom)
 
     def _eval(self, v):

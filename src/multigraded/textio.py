@@ -194,7 +194,7 @@ def parse_cone(text: str) -> ConeRep:
     rank = _parse_int(_token(lines[0][1], 1, "rank <int>"), "rank")
     kinds = {tokens[0] for _, tokens in lines[1:]}
     if not kinds:
-        return ConeRep.full(rank)
+        return ConeRep(rank)
     if len(kinds) > 1:
         raise ParseError(f"cone file mixes line kinds {sorted(kinds)!r}")
     kind = kinds.pop()

@@ -455,6 +455,28 @@ class TestSystemCommands:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("window", ["3:1", "1:1", "-1:-1", "2:3", "-3:-2"])
+    def test_verify_window_without_a_pair_exits_2(self, wedge_file, window, capsys):
+        # no v, w in [lo, hi] with v + w in it: a check that cannot fail
+        code, out = run_cli(["system", "verify", str(wedge_file), f"--window={window}"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"--window {window} holds no v, w" in err
+
+    @pytest.mark.parametrize("window, pairs", [("0:0", 1), ("1:2", 1), ("-2:-1", 1),
+                                               ("-1:2", 7)])
+    def test_verify_smallest_windows_accepted(self, wedge_file, window, pairs):
+        code, out = run_cli(["system", "verify", str(wedge_file), f"--window={window}"])
+        assert code == 0 and out.startswith(f"pairs checked: {pairs}\n")
+
+    @pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", ""])
+    def test_verify_window_not_lo_hi_exits_2(self, wedge_file, window, capsys):
+        code, out = run_cli(["system", "verify", str(wedge_file), f"--window={window}"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err == f"error: --window needs lo:hi (--window=-2:2), got {window!r}\n"
+
+
 class TestRepro:
     def test_thm1(self):
         code, out = run_cli(["repro", "thm1", "--radius", "3", "--max", "3"])
@@ -617,15 +639,40 @@ class TestThm1Cones:
         assert "[FAIL] ray hull of nef points equals the cone" in out
 
     @pytest.mark.parametrize("text", ["rank 2\n", "rank 2\nhalfspace 1 0\n",
-                                      "rank 2\nray 1 0\nray 0 1\n"],
-                             ids=["full-space", "halfspace", "rays"])
-    def test_non_epigraph_cone_exits_2(self, tmp_path, capsys, text):
+                                      "rank 2\nray 1 0\nray 0 1\n",
+                                      "rank 2\nhalfspace 1/2 1\nhalfspace 1 -1/3\n",
+                                      "rank 2\nhalfspace 1 0\nhalfspace -1 0\n"
+                                      "halfspace 0 1\nhalfspace 0 -1\n"],
+                             ids=["full-space", "halfspace", "rays", "rational-halfspaces",
+                                  "origin"])
+    def test_any_cone_file_passes(self, tmp_path, capsys, text):
+        # the ceiling system reads the cone's halfspace normals, so a cone
+        # need not be an epigraph; the full space has no normals, and the
+        # origin no extreme rays or lineality vectors
         cone = tmp_path / "n.cone"
         cone.write_text(text)
         code, out = run_cli(["repro", "thm1", "--cone", str(cone)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_directions_below_one_exits_2(self, count, capsys):
+        code, out = run_cli(["repro", "thm1", "--directions", count])
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
-        assert err == "error: ceiling systems need an epigraph cone\n"
+        assert err == f"error: --directions needs N >= 1, got {count}\n"
+
+    @pytest.mark.parametrize("count, checked", [(None, 20), ("200", 24), ("7", 7)])
+    def test_directions_line_counts_the_directions_checked(self, tmp_path, count, checked):
+        # a rank-2 window of radius 2 holds only 24 nonzero directions
+        (tmp_path / "q.cone").write_text("rank 2\nray 1 0\nray 0 1\n")
+        out_csv = tmp_path / "d.csv"
+        argv = ["repro", "thm1", "--cone", str(tmp_path / "q.cone"), "--max", "2",
+                "--out", str(out_csv)] + (["--directions", count] if count else [])
+        code, out = run_cli(argv)
+        assert code == 0
+        assert f"exactly at {checked} integral directions\n" in out
+        assert len(out_csv.read_text().splitlines()) == checked + 1
 
     def test_samples_option_is_gone(self):
         with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):

@@ -5,9 +5,11 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigraded.cli import main
 from multigraded.cones import (
@@ -20,7 +22,13 @@ from multigraded.cones import (
 )
 from multigraded.errors import RankMismatch, UnsupportedDimension
 from multigraded.monomial import MonomialIdeal
-from multigraded.systems import CeilingSystem, IdealPowers, Truncate
+from multigraded.systems import (
+    CeilingSystem,
+    IdealPowers,
+    Truncate,
+    box_window,
+    verify_gradedness,
+)
 
 F = Fraction
 
@@ -297,3 +305,68 @@ class TestNefEff:
                 s = tuple(a + b for a, b in zip(v, w))
                 if max(abs(x) for x in s) <= 4:
                     assert s in nef
+
+    def test_truncated_ceiling_has_nef_cone_c_and_eff_cone_c_prime(self, tmp_path, monkeypatch):
+        # Truncate(ceiling(C), C') with C = cone((2, 1), (1, 2)) inside the
+        # first quadrant C': the ceiling is never zero, so eff is C'
+        (tmp_path / "c.cone").write_text("rank 2\nray 2 1\nray 1 2\n")
+        (tmp_path / "q.cone").write_text("rank 2\nray 1 0\nray 0 1\n")
+        (tmp_path / "t.system").write_text("truncate cone q.cone\n  ceiling c.cone\n")
+        monkeypatch.chdir(tmp_path)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["system", "cones", "t.system", "--radius", "3"])
+        out = buf.getvalue()
+        assert code == 0
+        c = ray_hull([(2, 1), (1, 2)], 2)
+        nef = [v for v in lattice_window(2, 3) if c.contains(v)]
+        eff = [v for v in lattice_window(2, 3) if min(v) >= 0]
+        assert (len(nef), len(eff)) == (8, 16)
+        assert out.startswith("nef points (8):\n" + "".join(f"  {x} {y}\n" for x, y in nef)
+                              + "eff points (16):\n"
+                              + "".join(f"  {x} {y}\n" for x, y in eff))
+        assert out.endswith("nef hull rays:\n  1 2\n  2 1\n")
+
+
+@st.composite
+def _ceiling_cones(draw):
+    """A rank 2 or 3 cone from 1-3 nonzero integer normals, with their
+    membership test computed from the drawn normals; or from up to four
+    rays (no rays span the origin), with the Caratheodory oracle."""
+    rank = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    if draw(st.booleans()):
+        normals = draw(st.lists(vec.filter(any), min_size=1, max_size=3))
+
+        def inside(v):
+            return all(sum(a * x for a, x in zip(n, v)) >= 0 for n in normals)
+
+        return ConeRep.from_halfspaces(rank, normals), [_prim(n) for n in normals], inside
+    rays = draw(st.lists(vec, max_size=4))
+    cone = ray_hull(rays, rank)
+    return cone, cone.halfspaces, cone_oracle(sorted({_prim(r) for r in rays if any(r)}), rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ceiling_cones(), st.integers(1, 7))
+def test_ceiling_over_any_cone(case, den):
+    """nef = the cone, gradedness on [-2, 2]^rank, and the deficiency
+    max(0, max_i -<a_i, v> / w_i) in Fractions, w_i = a_i's last entry if
+    positive, else 1, over the primitive normals a_i."""
+    cone, normals, inside = case
+    system = CeilingSystem(cone, MonomialIdeal.maximal(2))
+    window = list(lattice_window(cone.rank, 3))
+    assert nef_points(system, 3) == [v for v in window if inside(v)]
+    report = verify_gradedness(system, box_window([(-2, 2)] * cone.rank))
+    assert report.pairs_checked > 0 and report.ok
+
+    def h(v):
+        terms = [-sum(a * x for a, x in zip(n, v)) / F(n[-1] if n[-1] > 0 else 1)
+                 for n in normals]
+        return max(terms, default=F(0))
+
+    for v in window:
+        assert system.exponent(v) == ceil(h(v))
+        assert system.deficiency(v) == max(h(v), 0)
+        q = tuple(F(x, den) for x in v)
+        assert system.deficiency(q) == max(h(q), 0)
