@@ -126,13 +126,9 @@ def cmd_system_invariants(args) -> int:
                 lines.append(f"  n={n} value={fmt_q(val)} ({fmt_dec(val)})")
                 rows.append((q, n, fmt_q(val), fmt_dec(val)))
             if args.method == "both":
-                if bracket.geometric is None:
-                    lines.append(f"{q} geometric = unavailable")
-                else:
-                    lines.append(_print_rat(f"{q} geometric", bracket.geometric, True))
+                lines.append(_print_rat(f"{q} geometric", bracket.geometric, True))
                 lines.append(f"{q} certified = {'yes' if bracket.certified else 'no'}")
-                if bracket.geometric is not None and not bracket.certified:
-                    failed = True
+                failed |= not bracket.certified
         else:
             body = system.restrict(v).limit_body()
             geo = getattr(geometric_invariants(body), q)
@@ -148,12 +144,14 @@ def cmd_system_invariants(args) -> int:
 
 
 def _nef_hull_text(hull):
-    """Label and vectors of a nef ray hull: none for the full space, its
-    rays, or its facet normals when it contains a line."""
+    """Label and vectors of a nef ray hull: none for the full space or the
+    zero cone, its rays, or its facet normals when it contains a line."""
     if hull.fullspace:
         return "nef hull: full space", ()
     if not hull.pointed:
         return "nef hull: not pointed; facet normals:", hull.halfspaces
+    if not hull.rays:
+        return "nef hull: origin only", ()
     return "nef hull rays:", hull.rays
 
 

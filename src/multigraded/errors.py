@@ -45,10 +45,6 @@ class ZeroDirection(MultigradedError):
     """Direction restriction requires a nonzero index vector."""
 
 
-class NotRegionExpressible(MultigradedError):
-    """The system has no closed-form limit body (e.g. colon nodes)."""
-
-
 class ZeroIdealInDirection(MultigradedError):
     """The system is zero along the sampled direction."""
 

@@ -27,7 +27,6 @@ from math import factorial
 from .errors import (
     EvaluationOutOfDomain,
     MonotonicityError,
-    NotRegionExpressible,
     UnboundedComplement,
     ZeroIdealInDirection,
 )
@@ -79,9 +78,9 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
     """Sample the normalized invariant along a monotone schedule.
 
     Samples are asserted to be nonincreasing (they are, for any honestly
-    graded system).  When the system is region-expressible the geometric
-    value is attached and the bracket is certified: every sample must sit
-    at or above it.
+    graded system).  With geometry, the value read off the system's limit
+    body along v is attached and the bracket is certified when every sample
+    sits at or above it.
     """
     if steps is None:
         steps = 5 if schedule == "factorial" else 8
@@ -97,16 +96,10 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
             raise MonotonicityError(
                 f"{quantity} sample rose from {a} (n={n1}) to {b} (n={n2})"
             )
-    geometric = None
-    certified = False
+    geometric, certified = None, False
     if with_geometry:
-        try:
-            body = view.limit_body()
-            geometric = getattr(geometric_invariants(body), quantity)
-        except (NotRegionExpressible, ZeroIdealInDirection):
-            geometric = None
-        if geometric is not None:
-            certified = all(val >= geometric for _, val in samples)
+        geometric = getattr(geometric_invariants(view.limit_body()), quantity)
+        certified = all(val >= geometric for _, val in samples)
     return InvariantBracket(quantity, view.direction, tuple(samples), geometric, certified)
 
 

@@ -2,9 +2,9 @@
 
 Systems are intensional: a node knows how to produce the ideal at any
 index vector, and evaluation is memoized per node with a bounded cache.
-Region-expressible trees also produce the exact limit body of their
-restriction to a direction, which is what all asymptotic invariants are
-computed from on the geometric route.
+Every node also produces the exact limit body of its restriction to a
+direction, which is what all asymptotic invariants are computed from on
+the geometric route.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from operator import add, mul
 from .cones import ConeRep
 from .errors import (
     DimensionMismatch,
-    NotRegionExpressible,
     RankMismatch,
     ZeroDirection,
     ZeroIdealInDirection,
@@ -28,6 +27,7 @@ from .newton import NewtonPolyhedron
 from .regions import (
     full_orthant,
     lattice_generators,
+    region_from_halfspaces,
     region_intersect,
     region_minkowski,
     thm2_regions,
@@ -51,7 +51,7 @@ def _remember(cache: dict, key, value):
 
 class SystemExpr:
     """Base node of index rank ``rank`` over ``ambient_dim`` variables.
-    Subclasses implement _eval."""
+    Subclasses implement _eval and limit_body."""
 
     def __init__(self, rank: int, ambient_dim: int):
         self.rank = rank
@@ -75,13 +75,12 @@ class SystemExpr:
     def limit_body(self, v) -> NewtonPolyhedron:
         """Closure of the limit body of the restriction to direction v.
 
-        Every node with a limit body, apart from ``IdealPowers``, also
-        accepts a rational direction, where the body is fixed by
-        homogeneity: the body at t v is t times the body at v.
-        ``IdealPowers`` reads its body off one evaluated ideal, so it needs
-        an integral direction.
+        Every node apart from ``IdealPowers`` also accepts a rational
+        direction, where the body is fixed by homogeneity: the body at t v
+        is t times the body at v.  ``IdealPowers`` reads its body off one
+        evaluated ideal, so it needs an integral direction.
         """
-        raise NotRegionExpressible(type(self).__name__)
+        raise NotImplementedError
 
     def restrict(self, v) -> DirectionView:
         return DirectionView(self, v)
@@ -285,7 +284,14 @@ class Truncate(SystemExpr):
 
 
 class ColonSystem(SystemExpr):
-    """b_(m, n) = (inner_m : I^n), with I^n = (1) for n <= 0."""
+    """b_(m, n) = (inner_m : I^n), with I^n = (1) for n <= 0.
+
+    The limit body at (v, t) is P, the inner body at v, for t <= 0, else
+    P - t N(I) = {w >= 0 : w + t N(I) in P}: P's facets <a, w> >= c, each
+    c lowered by t min <a, q> over the vertices q of N(I).  It is exact for
+    a region inner: u + I^n lies in the lattice ideal of m P exactly when
+    u + n N(I) lies in m P, as m P is convex and absorbs the orthant.
+    """
 
     def __init__(self, inner: SystemExpr, ideal: MonomialIdeal):
         if ideal.dim != inner.ambient_dim:
@@ -299,6 +305,15 @@ class ColonSystem(SystemExpr):
     def _eval(self, v):
         head, n = v[:-1], v[-1]
         return self.inner.eval(head).colon(self.ideal.power(n))
+
+    def limit_body(self, v):
+        head, t = v[:-1], v[-1]
+        body = self.inner.limit_body(head)
+        if t <= 0:
+            return body
+        verts = self.ideal.newton().vertices
+        return region_from_halfspaces(self.ambient_dim, [
+            (a, c - t * min(sum(map(mul, a, q)) for q in verts)) for a, c in body.facets])
 
 
 # -- gradedness verification ----------------------------------------------------

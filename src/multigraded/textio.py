@@ -256,6 +256,18 @@ def _children(lines, i, parent_indent):
     return out, j
 
 
+def _groups(tokens, parse, skip=None) -> list[tuple]:
+    """The tokens split at each ';' into tuples of parsed entries, every
+    token equal to skip dropped."""
+    groups = [[]]
+    for t in tokens:
+        if t == ";":
+            groups.append([])
+        elif t != skip:
+            groups[-1].append(parse(t))
+    return [tuple(g) for g in groups]
+
+
 def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
     indent, tokens = lines[i]
     head = tokens[0]
@@ -284,14 +296,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         return CeilingSystem(cone, base), end
     if head == "pullback":
         need_children(1)
-        rows, current = [], []
-        for t in tokens[1:]:
-            if t == ";":
-                rows.append(current)
-                current = []
-            else:
-                current.append(_parse_int(t, "pullback entry"))
-        rows.append(current)
+        rows = _groups(tokens[1:], lambda t: _parse_int(t, "pullback entry"))
         child, _ = _parse_node(lines, kids[0], base_dir)
         return Pullback(rows, child), end
     if head in ("product", "intersect"):
@@ -306,15 +311,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         if kind == "cone":
             cone = load_cone(base_dir / _token(tokens, 2, "truncate cone <file>"))
         elif kind == "halfspace":
-            groups, current = [], []
-            for t in tokens[2:]:
-                if t == ";":
-                    groups.append(current)
-                    current = []
-                elif t != "halfspace":
-                    current.append(parse_q(t))
-            groups.append(current)
-            cone = ConeRep.from_halfspaces(child.rank, [tuple(g) for g in groups])
+            cone = ConeRep.from_halfspaces(child.rank, _groups(tokens[2:], parse_q, "halfspace"))
         else:
             raise ParseError("'truncate cone <file>' or 'truncate halfspace a1 ...'")
         return Truncate(child, cone), end

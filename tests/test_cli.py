@@ -146,6 +146,20 @@ class TestFormats:
         assert system.rank == 2
         assert system.eval((0, 0)).is_unit
 
+    def test_semicolon_groups(self, tmp_path):
+        # pullback rows and truncate normals split at ';', and truncate
+        # drops every 'halfspace' token, so a repeated keyword is optional
+        (tmp_path / "i.ideal").write_text("k=2\n1 0\n0 1\n")
+        (tmp_path / "s.system").write_text(
+            "truncate halfspace 1 0 ; halfspace 0 1 ; 1 -1\n"
+            "  pullback 1 0 ; 0 2\n    powers i.ideal i.ideal\n")
+        system = parse_system(tmp_path / "s.system")
+        assert system.cone.halfspaces == ((1, 0), (0, 1), (1, -1))
+        assert system.inner.matrix == ((1, 0), (0, 2))
+        (tmp_path / "s.system").write_text("pullback 1 halfspace\n  powers i.ideal\n")
+        with pytest.raises(ParseError, match="bad pullback entry 'halfspace'"):
+            parse_system(tmp_path / "s.system")
+
     def test_system_bad_children(self, tmp_path):
         bad = tmp_path / "bad.system"
         bad.write_text("intersect\n  pullback 1 0\n")
@@ -398,8 +412,8 @@ class TestSystemCommands:
         assert text.splitlines()[0] == "quantity,n,value,decimal"
         assert "mult,24,8/3,2.66666666667" in text
 
-    def test_invariants_without_geometry_exit_zero(self, tmp_path):
-        # a colon node has no limit body: nothing is verified, so nothing fails
+    def test_invariants_on_a_colon_tree_certified(self, tmp_path):
+        # a colon node's limit body is the inner body minus t N(I)
         (tmp_path / "r.region").write_text("k=3\nhalfspace 1 2 3 >= 6\nhalfspace 3 2 1 >= 6\n")
         (tmp_path / "a.ideal").write_text("k=3\n2 0 0\n0 3 0\n0 0 1\n")
         system = tmp_path / "colon.system"
@@ -409,8 +423,22 @@ class TestSystemCommands:
              "--quantity", "ord0", "--schedule", "doubling", "--max", "3"]
         )
         assert code == 0
-        assert "ord0 geometric = unavailable" in out
-        assert "ord0 certified = no" in out
+        assert "ord0 geometric = 9/4 (2.25)\n" in out
+        assert "ord0 certified = yes" in out
+
+    def test_invariants_on_the_colon_probe(self, tmp_path):
+        (tmp_path / "p.region").write_text("k=2\nhalfspace 1 2 >= 3\nhalfspace 3 1 >= 4\n")
+        (tmp_path / "i.ideal").write_text("k=2\n2 0\n1 1\n0 3\n")
+        system = tmp_path / "colon.system"
+        system.write_text("colon i.ideal\n  region p.region\n")
+        argv = ["system", "invariants", str(system), "--direction", "3,1"]
+        code, out = run_cli(argv + ["--method", "geometric"])
+        assert code == 0
+        assert out == ("direction: (3, 1)\nord0 geometric = 23/5 (4.6)\n"
+                       "arn geometric = 7/3 (2.33333333333)\nmult geometric = 183/5 (36.6)\n")
+        code, out = run_cli(argv + ["--schedule", "doubling", "--max", "4"])
+        assert code == 0
+        assert out.count("certified = yes") == 3
 
     @pytest.mark.parametrize("method", ["both", "sequence"])
     def test_invariants_not_cofinite_mult_unavailable(self, tmp_path, method):
@@ -654,6 +682,19 @@ class TestThm1Cones:
         code, out = run_cli(["repro", "thm1", "--cone", str(cone)])
         assert (code, capsys.readouterr().err) == (0, "")
         assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+    def test_origin_cone_nef_hull_label(self, tmp_path):
+        # the zero cone is pointed with no extreme rays: it gets its own label
+        (tmp_path / "o.cone").write_text(
+            "rank 2\nhalfspace 1 0\nhalfspace -1 0\nhalfspace 0 1\nhalfspace 0 -1\n")
+        (tmp_path / "o.system").write_text("ceiling o.cone\n")
+        code, out = run_cli(["repro", "thm1", "--cone", str(tmp_path / "o.cone")])
+        assert code == 0
+        assert "\nnef hull: origin only\n" in out and "rays" not in out
+        code, out = run_cli(["system", "cones", str(tmp_path / "o.system"), "--radius", "2"])
+        assert code == 0
+        assert out.startswith("nef points (1):\n  0 0\n")
+        assert out.endswith("\nnef hull: origin only\n")
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_directions_below_one_exits_2(self, count, capsys):

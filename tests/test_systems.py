@@ -12,17 +12,18 @@ from hypothesis import strategies as st
 
 from multigraded.cones import ConeRep, abs_sum_cone, eff_points, nef_points
 from multigraded.errors import (
-    NotRegionExpressible,
     RankMismatch,
     ZeroDirection,
     ZeroIdealInDirection,
 )
+from multigraded.invariants import geometric_invariants
 from multigraded.monomial import MonomialIdeal, dominates, minimalize
 from multigraded.newton import newton_polyhedron
 from multigraded.regions import (
     build_g,
     build_kinked_f,
     epigraph_region,
+    full_orthant,
     lattice_generators,
     region_from_halfspaces,
     region_intersect,
@@ -216,6 +217,21 @@ class TestRestrictDirection:
             system.restrict((F(1, 2), 0, 1))
 
 
+def _probe_colon():
+    p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
+    return ColonSystem(RegionSystem(p), ideal((2, 0), (1, 1), (0, 3)))
+
+
+def _colon_case(k):
+    """Halfspaces of a k-dimensional region, generators of a colon ideal and
+    an index (m, n) with m <= 3 and 0 <= n <= 2."""
+    normals = st.tuples(*[st.integers(0, 3)] * k).filter(any)
+    rhs = st.fractions(min_value=F(1, 3), max_value=5, max_denominator=3)
+    facets = st.lists(st.tuples(normals, rhs), min_size=1, max_size=4)
+    gens = st.lists(st.tuples(*[st.integers(0, 3)] * k), min_size=1, max_size=4)
+    return st.tuples(st.just(k), facets, gens, st.integers(-1, 3), st.integers(0, 2))
+
+
 class TestLimitBody:
     def test_region_system_identity(self, wedge_system):
         assert wedge_system.limit_body((1,)) == wedge_system.region
@@ -248,10 +264,55 @@ class TestLimitBody:
         assert body == newton_polyhedron(MonomialIdeal.maximal(2)).scale(3)
         assert body.facets == (((1, 1), 3),)
 
-    def test_colon_not_expressible(self):
-        system = ColonSystem(IdealPowers([ideal((2, 1))]), ideal((0, 1)))
-        with pytest.raises(NotRegionExpressible):
-            system.limit_body((1, 1))
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(_colon_case))
+    def test_colon_body_exact_for_region_inner(self, case):
+        # for a region inner the colon at (m, n) is the lattice ideal of its
+        # body: monomial.colon against the halfspace builder and column scan
+        k, facets, gens, m, n = case
+        system = ColonSystem(RegionSystem(region_from_halfspaces(k, facets)),
+                             minimalize(gens, k))
+        assert system.eval((m, n)) == lattice_generators(system.limit_body((m, n)), 1)
+
+    def test_colon_probe_values(self):
+        # inner facets (1,2).x >= 3 and (3,1).x >= 4, colon by (x^2, xy, y^3)
+        system = _probe_colon()
+        at31 = geometric_invariants(system.limit_body((3, 1)))
+        assert (at31.ord0, at31.arn, at31.mult) == (F(23, 5), F(7, 3), F(183, 5))
+        per_m = geometric_invariants(system.limit_body((1, F(1, 3))))
+        assert (per_m.ord0, per_m.mult) == (F(23, 15), F(61, 15))
+        at11 = geometric_invariants(system.limit_body((1, 1)))
+        assert (at11.ord0, at11.mult) == (F(3, 5), F(3, 5))
+
+    def test_colon_body_below_n_one_is_the_inner_body(self):
+        system = _probe_colon()
+        for n in (0, -2):
+            assert system.limit_body((2, n)) == system.inner.limit_body((2,))
+        assert system.limit_body((-1, 3)) == full_orthant(2)
+
+    def test_colon_body_shape_on_a_window(self):
+        # a_v a_w inside a_(v+w) makes ord0 and arn subadditive and positively
+        # homogeneous over Z x N, and mult^(1/2) subadditive (Teissier): checked
+        # on the bodies of a colon over a product, with nothing shared with
+        # the Minkowski difference
+        p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
+        inner = Product(RegionSystem(p), IdealPowers([ideal((1, 1), (3, 0), (0, 2))]))
+        system = ColonSystem(inner, ideal((2, 0), (1, 1), (0, 3)))
+        window = box_window([(-2, 3), (0, 3)])
+        inv = {v: geometric_invariants(system.limit_body(v)) for v in window}
+        for v in window:
+            for s in (2, 3):
+                scaled = geometric_invariants(system.limit_body((s * v[0], s * v[1])))
+                assert (scaled.ord0, scaled.arn) == (s * inv[v].ord0, s * inv[v].arn)
+        for v, w in combinations_with_replacement(window, 2):
+            total = inv.get((v[0] + w[0], v[1] + w[1]))
+            if total is None:
+                continue
+            a, b = inv[v], inv[w]
+            assert total.ord0 <= a.ord0 + b.ord0 and total.arn <= a.arn + b.arn
+            # mult(v + w) <= (sqrt(a) + sqrt(b))^2 = a + b + 2 sqrt(ab)
+            gap = total.mult - a.mult - b.mult
+            assert gap <= 0 or gap * gap <= 4 * a.mult * b.mult
 
     def test_truncated_direction_outside(self):
         system = Truncate(
