@@ -313,8 +313,8 @@ def cmd_repro_thm2(args) -> int:
         raise ParseError(f"--r needs r > 0, got {fmt_q(r_fixed)}")
     if s_lo > s_hi:
         raise ParseError("--scan needs SMIN <= SMAX")
-    if steps < 2 or rmax <= rmin or smax <= smin:
-        raise ParseError("grid needs rmin < rmax, smin < smax and steps >= 2")
+    if steps < 2 or not 0 < rmin < rmax or not 0 < smin < smax:
+        raise ParseError("--grid needs 0 < rmin < rmax, 0 < smin < smax and steps >= 2")
     table, crossings = thm2_kink_table(r_fixed, n_kinks, s_lo, s_hi)
     if not crossings:
         raise ParseError(

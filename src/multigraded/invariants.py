@@ -4,14 +4,15 @@ The sequence route samples per-ideal invariants along monotone schedules
 (n = 1!, 2!, ..., L! or n = 1, 2, 4, ..., 2^J) and normalizes; the
 geometric route reads the same numbers off the exact limit body.  The
 closed forms for the ceiling construction and the kinked intersection
-construction live here too.  The kink tables of the kinked intersection's
-ord0 and of the appendix gauge come in closed form from one O(N) walk
-each, as ``KinkTable``s, and ``KinkTable.matches`` certifies a table
-against an evaluation route at its cell midpoints.  The kinked
-intersection's evaluation route, ``thm2_ord0``, is an exact 2D linear
-program on the kinked region's cached integer vertex chain, solved by
-integer bisection in O(log N) steps; it shares no code with the crossing
-walk or the tables.  The exact one-sided difference quotient scanner,
+construction live here too.  The kinked intersection has two exact
+routes to ord0 that share only ``build_kinked_f``: ``thm2_crossing``
+bisects the cached levels of h = f(x) + x/2 at f's breakpoints for the
+cell that Q's line crosses, and ``thm2_ord0`` solves the 2D linear
+program on the kinked region's integer vertex chain, tabled once per N
+(``ChainTable``), with two integer bisections; both take O(log N) steps.
+Its ord0 kink table, read off the crossing's levels, and the appendix
+gauge's come in closed form as ``KinkTable``s, and ``KinkTable.matches``
+certifies a table against an evaluation route at its cell midpoints.  The exact one-sided difference quotient scanner,
 which finds the same slopes with 5 evaluations per kink, stays as the
 reference of the tests and perfbench.
 """
@@ -21,8 +22,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise
-from math import factorial
+from functools import lru_cache
+from itertools import accumulate, pairwise
+from math import factorial, lcm
 
 from .errors import (
     EvaluationOutOfDomain,
@@ -31,7 +33,7 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .newton import NewtonPolyhedron
-from .regions import SymmetricBody, build_kinked_f, thm2_regions, thm2_vertex_chain
+from .regions import SymmetricBody, build_kinked_f, thm2_regions
 from .regions import region_intersect  # noqa: F401  (an alias that perfbench's self-test wraps)
 from .systems import CeilingSystem, SystemExpr
 
@@ -140,90 +142,102 @@ def ceiling_closed_forms(system: CeilingSystem, v) -> GeometricInvariants:
 
 
 def thm2_ord0(r, s, n_kinks: int) -> Fraction:
-    """ord0 of the kinked intersection system at direction (r, s), r, s > 0:
-    the exact min of x + y over rP intersect sQ = r(P intersect (s/r)Q).
-
-    P is the cached integer vertex chain of ``thm2_vertex_chain``, scaled
-    by D; Q's one facet, scaled by s/r and D, is an integer line a.X >= c,
-    and ``_chain_min`` solves the linear program in O(log N) integer steps.
-    """
-    r, s = Fraction(r), Fraction(s)
-    if r <= 0 or s <= 0:
+    """ord0 of the kinked intersection system at direction (r, s), for
+    rationals (ints or Fractions) r, s > 0: the exact min of x + y over
+    rP intersect sQ = r(P intersect (s/r)Q).  Q's one facet a.X >= c,
+    scaled by s/r and by the D of P's cached ``ChainTable``, is the line
+    a.X >= p/q: O(log N) integer steps and one ``Fraction`` on return."""
+    rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    if rn <= 0 or sn <= 0:
         raise EvaluationOutOfDomain("defined on the open first quadrant")
-    den, chain = thm2_vertex_chain(n_kinks)
-    ((a1, a2), c), = thm2_regions(n_kinks)[1].facets
-    level = c * s * den / r
-    q = level.denominator
-    return r * _chain_min(chain, a1 * q, a2 * q, level.numerator) / den
+    den, cn, cd, table = _thm2_chain_table(n_kinks)
+    num, dd = table.min_above(cn * sn * rd, cd * sd * rn)
+    return Fraction(rn * num, rd * dd * den)
 
 
-def _chain_min(chain, a1: int, a2: int, c: int):
-    """min of x + y over (conv(chain) + orthant) cut by a1 x + a2 y >= c,
-    for an integer staircase chain (x ascending, y descending, convex) and
-    a1, a2 > 0.
-
-    Along the chain a.X and x + y are unimodal, so integer bisections find
-    the argmin j of a.X, the kept vertices (a prefix left of j and a suffix
-    right of it) and the min of x + y on each kept part.  The line crosses
-    the boundary at most twice, each time on the edge beside a kept part
-    or, with none, on the vertical or horizontal end ray; the min is one of
-    these at most four candidates.
-    """
-    def dot(i):
-        x, y = chain[i]
-        return a1 * x + a2 * y
-
-    def height(i):
-        return sum(chain[i])
-
-    def crossing(u, w):
-        # the point of the edge from vertex u to vertex w on the line
-        return height(u) + (height(w) - height(u)) * Fraction(dot(u) - c, dot(u) - dot(w))
-
-    m = len(chain)
-    j = _first(0, m - 1, lambda i: dot(i + 1) >= dot(i))
-    left = _first(0, j, lambda i: dot(i) < c)
-    right = _first(j, m, lambda i: dot(i) >= c)
-    candidates = [height(_first(lo, hi - 1, lambda i: height(i + 1) >= height(i)))
-                  for lo, hi in ((0, left), (right, m)) if lo < hi]
-    if dot(j) < c:
-        candidates.append(crossing(left - 1, left) if left
-                          else height(0) + Fraction(c - dot(0), a2))
-        candidates.append(crossing(right - 1, right) if right < m
-                          else height(m - 1) + Fraction(c - dot(m - 1), a1))
-    return min(candidates)
+@lru_cache(maxsize=64)
+def _thm2_chain_table(n_kinks: int) -> tuple[int, int, int, ChainTable]:
+    """(D, D c as cn / cd, the table of D P's vertices against a) for the
+    (P, Q = {a.X >= c}) of ``thm2_regions``, D the lcm of the vertices'
+    denominators; keyed by n_kinks, as hashing the chain costs O(N)."""
+    p, q = thm2_regions(n_kinks)
+    den = lcm(*(t.denominator for v in p.vertices for t in v))
+    ((a1, a2), c), = q.facets
+    chain = [(int(x * den), int(y * den)) for x, y in p.vertices]
+    return den, c.numerator * den, c.denominator, ChainTable(chain, a1, a2)
 
 
-def _first(lo: int, hi: int, pred) -> int:
-    """The least i in [lo, hi) with pred(i), or hi; pred must be false,
-    then true."""
-    return lo + bisect_left(range(lo, hi), True, key=pred)
+class ChainTable:
+    """min of x + y over (conv(chain) + orthant) cut by a1 x + a2 y >= p/q,
+    for an integer staircase chain (x ascending, y descending, convex),
+    integers a1, a2 > 0 and any level p/q.  a.X is unimodal along the chain
+    with argmin j, so the cut keeps a prefix left of j and a suffix right
+    of it, found by bisecting the dot products against ceil(p/q), and the
+    line crosses the boundary on the edge beside a kept part or on an end
+    ray: the min is one of these at most four candidates."""
+
+    def __init__(self, chain, a1: int, a2: int):
+        self.a1, self.a2 = a1, a2
+        self.dots = [a1 * x + a2 * y for x, y in chain]
+        self.heights = [x + y for x, y in chain]
+        self.j = self.dots.index(min(self.dots))
+        self.falling = [-d for d in self.dots[:self.j]]  # ascending; dots[j:] nondecreasing
+        self.prefix_min = list(accumulate(self.heights, min))
+        self.suffix_min = list(accumulate(reversed(self.heights), min))[::-1]
+
+    def min_above(self, p: int, q: int) -> tuple[int, int]:
+        """The min at level p/q, q > 0, as (num, den) with den > 0."""
+        dots, heights, m = self.dots, self.heights, len(self.dots)
+        t = -(-p // q)  # an integer dot is below p/q exactly when below t
+        left = bisect_right(self.falling, -t)  # first i < j with dots[i] < t, else j
+        right = bisect_left(dots, t, self.j)  # first i >= j with dots[i] >= t, else m
+        best = [(self.prefix_min[left - 1], 1)] if left else []
+        best += [(self.suffix_min[right], 1)] if right < m else []
+        if dots[self.j] < t:
+            for u, w, end, a in ((left - 1, left, 0, self.a2), (right, right - 1, m - 1, self.a1)):
+                if 0 <= u < m:  # the point of the edge from vertex u to vertex w on the line
+                    gap = q * (dots[u] - dots[w])
+                    best.append((heights[u] * gap + (heights[w] - heights[u]) * (q * dots[u] - p),
+                                 gap))
+                else:  # the end ray leaving the chain's end vertex along an axis
+                    best.append((heights[end] * a * q + p - q * dots[end], a * q))
+        num, den = best[0]
+        for n, d in best[1:]:
+            if n * den < num * d:
+                num, den = n, d
+        return num, den
 
 
 def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:
     """Crossing abscissa x of the scaled boundaries r*f(x/r) and s - x/2,
     and the closed form s + x/2 for ord0.  None when the line stays below
     the kinked boundary over its whole support (no crossing with x >= 0).
-
-    h(x) = r f(x/r) + x/2 is read off the stored breakpoints cell by cell,
-    so a call costs O(N) for N kinks.
+    One bisection of h's cached levels (``_thm2_levels``) against s/r finds
+    the crossed cell: O(log N) for N kinks.
     """
     r, s = Fraction(r), Fraction(s)
-    f = build_kinked_f(n_kinks)
-    if s >= r * f.value_at_zero:
+    if r <= 0 or s <= 0:
+        raise EvaluationOutOfDomain("defined on the open first quadrant")
+    levels, at, slopes = _thm2_levels(n_kinks)
+    level = s / r
+    if level >= levels[-1]:
         return Fraction(0), s
-    if s < r / 2:
-        # the line hits zero before reaching the kinked boundary
-        return None
-    # h strictly decreases from r f(0) to r/2 on [0, r]; cell j runs from
-    # breakpoint j to the next one (the last to the intercept) with slope j
-    ends = chain(((r * bx, r * (bv + bx / 2)) for bx, bv in f.breakpoints),
-                 [(r * f.intercept, r * f.intercept / 2)])
-    for ((x1, h1), (_, h2)), slope in zip(pairwise(ends), f.slopes):
-        if h2 <= s <= h1:
-            x = x1 + (s - h1) / (slope + Fraction(1, 2))
-            return x, s + x / 2
-    return None
+    if level < levels[0]:
+        return None  # the line hits zero before reaching the kinked boundary
+    i = bisect_right(levels, level) - 1
+    x = r * (at[i] + (level - levels[i]) / (slopes[i] + Fraction(1, 2)))
+    return x, s + x / 2
+
+
+@lru_cache(maxsize=64)
+def _thm2_levels(n_kinks: int):
+    """The levels of h(x) = f(x) + x/2, f = ``build_kinked_f(n_kinks)``, at
+    f's intercept and breakpoints right to left (h falls strictly, so they
+    ascend), the abscissa of each, and f's slope on the cell above each."""
+    f = build_kinked_f(n_kinks)
+    ends = ((f.intercept, Fraction(0)), *reversed(f.breakpoints))
+    return (tuple(v + x / 2 for x, v in ends), tuple(x for x, _ in ends),
+            tuple(reversed(f.slopes)))
 
 
 def thm2_kink_locations(r, n_kinks: int, s_lo, s_hi) -> list[tuple[Fraction, Fraction]]:
@@ -277,21 +291,20 @@ def thm2_kink_table(r, n_kinks: int, s_lo, s_hi) -> tuple[KinkTable, tuple[Fract
     On the cell where the line s - x/2 crosses the piece of slope f' of
     r f(x/r), ord0 = s + x/2 has slope 1 + 1/(2 f' + 1) in s.  Raising s
     moves the crossing left, so the cells run over f's pieces right to
-    left: from s = r/2 (crossing at the intercept) through s0 = r f(e) +
-    r e/2 at each kink e to s = r f(0) (crossing at 0).  One O(N) walk.
+    left, from s = r/2 through s0 = r f(e) + r e/2 at each kink e to
+    s = r f(0): r times the levels of ``_thm2_levels``.  Two bisections
+    find the window, so a call costs O(log N) plus its kinks.
     """
     r = Fraction(r)
     if r <= 0:
         raise EvaluationOutOfDomain("defined on the open first quadrant")
-    f = build_kinked_f(n_kinks)
-    cuts = [r * f.intercept / 2] + [r * (v + x / 2) for x, v in reversed(f.breakpoints)]
-    slopes = [1 + 1 / (2 * sl + 1) for sl in reversed(f.slopes)]
-    crossings = [r * x for x in reversed(f.kinks)]
-    # cuts[i:j] are the kinks in the window, cuts[i - 1] and cuts[j] end their cells
-    i = bisect_left(cuts, Fraction(s_lo), 1, len(cuts) - 1)
-    j = max(i, bisect_right(cuts, Fraction(s_hi), 1, len(cuts) - 1))
-    table = KinkTable(tuple(cuts[i - 1:j + 1]), tuple(slopes[i - 1:j]))
-    return table, tuple(crossings[i - 1:j - 1])
+    levels, at, slopes = _thm2_levels(n_kinks)
+    # levels[i:j] are the kinks in the window, levels[i - 1] and levels[j] end their cells
+    i = bisect_left(levels, Fraction(s_lo) / r, 1, len(levels) - 1)
+    j = max(i, bisect_right(levels, Fraction(s_hi) / r, 1, len(levels) - 1))
+    table = KinkTable(tuple(r * h for h in levels[i - 1:j + 1]),
+                      tuple(1 + 1 / (2 * sl + 1) for sl in slopes[i - 1:j]))
+    return table, tuple(r * x for x in at[i:j])
 
 
 def appendix_kink_table(body: SymmetricBody) -> KinkTable:

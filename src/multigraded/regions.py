@@ -82,17 +82,9 @@ class PiecewiseLinearFn:
             raise ValueError("the last slope must be negative")
 
     @property
-    def value_at_zero(self) -> Fraction:
-        return self.breakpoints[0][1]
-
-    @property
     def intercept(self) -> Fraction:
         x, v = self.breakpoints[-1]
         return x - v / self.slopes[-1]
-
-    @property
-    def kinks(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints[1:])
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
@@ -128,6 +120,8 @@ def build_kinked_f(n_kinks: int) -> PiecewiseLinearFn:
     stays below 1, so the function keeps slope <= -2 and intercept 1.
     The result is frozen, so it is built once per n_kinks and shared.
     """
+    if n_kinks < 0:
+        raise ValueError(f"n_kinks must be >= 0, got {n_kinks}")
     eps = dyadic_sequence(n_kinks)
     weights = [Fraction(1, 2 ** (i + 2)) for i in range(1, n_kinks + 1)]
     return _hinge_sum(2 + sum(map(mul, weights, eps)), -2 - sum(weights), zip(eps, weights))
@@ -187,16 +181,6 @@ def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
     ``build_kinked_f(n_kinks)`` and of the line ``build_g()``; built once per
     n_kinks and shared (both regions are frozen)."""
     return epigraph_region(build_kinked_f(n_kinks)), epigraph_region(build_g())
-
-
-@lru_cache(maxsize=64)
-def thm2_vertex_chain(n_kinks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(D, D * vertices of P) for the P of ``thm2_regions``, with D the lcm of
-    the vertices' denominators: P's boundary chain in integers, from the
-    vertex on the y-axis to the one on the x-axis; built once per n_kinks."""
-    verts = thm2_regions(n_kinks)[0].vertices
-    den = lcm(*(c.denominator for v in verts for c in v))
-    return den, tuple((int(x * den), int(y * den)) for x, y in verts)
 
 
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:

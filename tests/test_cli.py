@@ -129,6 +129,10 @@ class TestFormats:
         r = parse_region("kinked 0\n")
         assert r.facets == (((2, 1), 2),)
 
+    def test_region_kinked_negative_count_refused(self):
+        with pytest.raises(ValueError, match="n_kinks must be >= 0, got -1"):
+            parse_region("kinked -1\n")
+
     def test_region_appendix_rejected(self):
         with pytest.raises(ParseError):
             parse_region("appendix 1\n")
@@ -531,7 +535,11 @@ class TestRepro:
         (["--kinks", "0"], "--kinks"), (["--kinks", "-1"], "--kinks"),
         (["--r", "0"], "--r"), (["--r", "-1"], "--r"),
         (["--scan", "2", "1"], "--scan"), (["--scan", "3", "4"], "scan window [3, 4]"),
-    ], ids=["kinks 0", "kinks -1", "r 0", "r -1", "scan 2 1", "scan 3 4"])
+        (["--grid", "0", "1", "3/4", "3/2", "3"], "--grid needs 0 < rmin"),
+        (["--grid", "3/4", "3/2", "0", "1", "3"], "--grid needs 0 < rmin"),
+        (["--grid", "1", "1", "3/4", "3/2", "3"], "--grid needs 0 < rmin"),
+    ], ids=["kinks 0", "kinks -1", "r 0", "r -1", "scan 2 1", "scan 3 4", "grid rmin 0",
+            "grid smin 0", "grid empty"])
     def test_thm2_refused_up_front(self, argv, names, capsys):
         # nothing to verify is an input error, not a failed verification
         code, out = run_cli(["repro", "thm2", "--radius", "2", *argv])

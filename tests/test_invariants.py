@@ -3,14 +3,17 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain, pairwise
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigraded.cones import abs_sum_cone
 from multigraded.errors import EvaluationOutOfDomain, ZeroIdealInDirection
 from multigraded.invariants import (
+    ChainTable,
     KinkTable,
-    _chain_min,
     appendix_kink_table,
     ceiling_closed_forms,
     diff_quotient_scan,
@@ -37,6 +40,11 @@ from multigraded.regions import (
 from multigraded.systems import CeilingSystem, IdealPowers, RegionSystem
 
 F = Fraction
+
+
+def kink_abscissae(f):
+    """The abscissae of a piecewise-linear function's kinks, ascending."""
+    return tuple(x for x, _ in f.breakpoints[1:])
 
 
 def triple(inv):
@@ -196,7 +204,7 @@ class TestThm2Ord0:
     def test_matches_both_regions_scaled(self, n_kinks):
         # reference: rP intersect sQ with both regions scaled
         p, q = thm2_regions(n_kinks)
-        top = build_kinked_f(n_kinks).value_at_zero
+        top = build_kinked_f(n_kinks)(0)
         rng = random.Random(n_kinks)
         points = [(F(rng.randint(1, 96), 32), F(rng.randint(1, 96), 32)) for _ in range(40)]
         for r in (F(3, 4), F(1), F(7, 5)):
@@ -212,7 +220,7 @@ class TestThm2Ord0:
         # x + y over its vertices, times r
         p, q = thm2_regions(n_kinks)
         ((a1, a2), c), = q.facets
-        top = build_kinked_f(n_kinks).value_at_zero
+        top = build_kinked_f(n_kinks)(0)
         rng = random.Random(n_kinks)
         for r in (F(3, 4), F(1), F(5, 4)):
             # s on the line through each vertex of P; the crossing at x = 0;
@@ -226,7 +234,8 @@ class TestThm2Ord0:
     def test_chain_min_matches_the_envelope_route(self):
         # random integer chains and lines reach the branches that the kinked
         # region never takes: an interior argmin of a.X and of x + y, a kept
-        # suffix and a crossing on the edge before it
+        # suffix and a crossing on the edge before it; the level c/q need
+        # not be an integer
         rng = random.Random(13)
         for _ in range(600):
             poly = from_vertices([(rng.randint(0, 12), rng.randint(0, 12))
@@ -234,14 +243,20 @@ class TestThm2Ord0:
             chain = tuple((int(x), int(y)) for x, y in poly.vertices)
             a1, a2 = rng.randint(1, 6), rng.randint(1, 6)
             dots = [a1 * x + a2 * y for x, y in chain]
-            c = rng.choice([rng.randint(1, 90), min(dots), max(dots) + rng.randint(0, 9),
-                            rng.choice(dots)])
-            line = region_from_halfspaces(2, [((a1, a2), c)])
-            assert _chain_min(chain, a1, a2, c) == region_intersect(poly, line).ord0()
+            q = rng.choice([1, 1, 2, 3])
+            c = rng.choice([rng.randint(1, 90), min(dots) * q, (max(dots) + rng.randint(0, 9)) * q,
+                            rng.choice(dots) * q, rng.choice(dots) * q + rng.choice([-1, 1])])
+            line = region_from_halfspaces(2, [((a1, a2), F(c, q))])
+            num, den = ChainTable(chain, a1, a2).min_above(c, q)
+            assert den > 0 and F(num, den) == region_intersect(poly, line).ord0()
 
     def test_domain(self):
         with pytest.raises(EvaluationOutOfDomain):
             thm2_ord0(0, 1, 1)
+        with pytest.raises(EvaluationOutOfDomain):
+            thm2_ord0(1, F(-1, 2), 1)
+        with pytest.raises(ValueError, match="n_kinks must be >= 0, got -1"):
+            thm2_ord0(1, 1, -1)
 
     def test_subadditive_in_the_index(self):
         # the body at u + w contains the Minkowski sum of the bodies at u and
@@ -293,11 +308,11 @@ def quadratic_crossing(r, s, n_kinks):
     """Reference: the O(N^2) walk that evaluates f at every grid abscissa."""
     r, s = F(r), F(s)
     f = build_kinked_f(n_kinks)
-    if s >= r * f.value_at_zero:
+    if s >= r * f(0):
         return F(0), s
     if s < r / 2:
         return None
-    xs = [F(0)] + [r * x for x in f.kinks] + [r * f.intercept]
+    xs = [F(0)] + [r * x for x in kink_abscissae(f)] + [r * f.intercept]
     for x1, x2 in zip(xs, xs[1:]):
         h1 = r * scan_value(f, x1 / r) + x1 / 2
         h2 = r * scan_value(f, x2 / r) + x2 / 2
@@ -307,14 +322,61 @@ def quadratic_crossing(r, s, n_kinks):
     return None
 
 
+def walk_crossing(r, s, n_kinks):
+    """Reference: the O(N) walk over f's cells, h(x) = r f(x/r) + x/2
+    evaluated cell by cell from the stored breakpoints."""
+    r, s = F(r), F(s)
+    f = build_kinked_f(n_kinks)
+    if s >= r * f(0):
+        return F(0), s
+    if s < r / 2:
+        return None
+    ends = chain(((r * bx, r * (bv + bx / 2)) for bx, bv in f.breakpoints),
+                 [(r * f.intercept, r * f.intercept / 2)])
+    for ((x1, h1), (_, h2)), slope in zip(pairwise(ends), f.slopes):
+        if h2 <= s <= h1:
+            x = x1 + (s - h1) / (slope + F(1, 2))
+            return x, s + x / 2
+    return None
+
+
+@st.composite
+def crossing_cases(draw):
+    """(r, s, N): s at random, at a breakpoint level r (f(e) + e/2), at
+    r f(0), at r/2 or just below it."""
+    n_kinks = draw(st.sampled_from([0, 1, 2, 3, 8, 32]))
+    r = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=64))
+    f = build_kinked_f(n_kinks)
+    levels = [r * (v + x / 2) for x, v in f.breakpoints]
+    s = draw(st.one_of(
+        st.fractions(min_value=F(1, 64), max_value=4 * r, max_denominator=256),
+        st.sampled_from(levels + [r * f(0), r / 2, r / 2 - F(1, 2**20)]),
+    ))
+    return r, s, n_kinks
+
+
 class TestThm2Crossing:
+    @settings(max_examples=300, deadline=None)
+    @given(crossing_cases())
+    def test_bisection_matches_the_walk(self, case):
+        r, s, n_kinks = case
+        got = thm2_crossing(r, s, n_kinks)
+        assert repr(got) == repr(walk_crossing(r, s, n_kinks))
+        if got is not None:
+            assert thm2_ord0(r, s, n_kinks) == got[1]
+
+    @pytest.mark.parametrize("r, s", [(-1, 1), (0, 1), (1, -1), (1, 0)])
+    def test_domain(self, r, s):
+        with pytest.raises(EvaluationOutOfDomain):
+            thm2_crossing(r, s, 1)
+
     @pytest.mark.parametrize("n_kinks", [0, 1, 8, 32])
     def test_matches_quadratic_walk(self, n_kinks):
         f = build_kinked_f(n_kinks)
         for r in (F(3, 4), F(1), F(5, 4), F(3, 2)):
             # every cell boundary, the two cut-offs, and points between
             ss = {r * bv + r * bx / 2 for bx, bv in f.breakpoints}
-            ss |= {r / 2, r * f.value_at_zero, r / 2 - F(1, 64), r * f.value_at_zero + 1}
+            ss |= {r / 2, r * f(0), r / 2 - F(1, 64), r * f(0) + 1}
             ss |= {F(3, 4) + F(i, 16) for i in range(13)}
             for s in sorted(ss):
                 assert repr(thm2_crossing(r, s, n_kinks)) == repr(quadratic_crossing(r, s, n_kinks))
@@ -353,9 +415,9 @@ class TestDiffQuotient:
         # slope in s takes f' right of the kink and the right slope f' left of it
         f = build_kinked_f(8)
         kinks = thm2_kink_locations(1, 8, 0, 10)
-        assert [x0 for _, x0 in kinks] == sorted(f.kinks, reverse=True)
+        assert [x0 for _, x0 in kinks] == sorted(kink_abscissae(f), reverse=True)
         for s0, x0 in kinks:
-            j = f.kinks.index(x0) + 1
+            j = kink_abscissae(f).index(x0) + 1
             f_left, f_right = f.slopes[j - 1], f.slopes[j]
             dq = diff_quotient_scan(lambda s: thm2_ord0(1, s, 8), s0)
             assert dq.stable
@@ -395,7 +457,7 @@ def evaluated_kink_locations(r, n_kinks, s_lo, s_hi):
     """Reference: (s0, r e) for every kink e of f, with s0 = r f(e) + r e/2
     evaluated, kept when it lies in [s_lo, s_hi]."""
     f = build_kinked_f(n_kinks)
-    s0s = [(r * f(e) + r * e / 2, r * e) for e in f.kinks]
+    s0s = [(r * f(e) + r * e / 2, r * e) for e in kink_abscissae(f)]
     return sorted((s0, x0) for s0, x0 in s0s if s_lo <= s0 <= s_hi)
 
 
@@ -417,7 +479,7 @@ class TestKinkTables:
     def test_thm2_window(self):
         r, n_kinks = F(5, 4), 8
         full, _ = thm2_kink_table(r, n_kinks, 0, 10)
-        assert (full.cuts[0], full.cuts[-1]) == (r / 2, r * build_kinked_f(n_kinks).value_at_zero)
+        assert (full.cuts[0], full.cuts[-1]) == (r / 2, r * build_kinked_f(n_kinks)(0))
         kinks = full.cuts[1:-1]
         tiny = F(1, 10**9)
         windows = [(kinks[2], kinks[5]), (kinks[2] + tiny, kinks[5] - tiny), (0, kinks[0]),

@@ -29,6 +29,11 @@ from multigraded.regions import (
 F = Fraction
 
 
+def kink_abscissae(f):
+    """The abscissae of a piecewise-linear function's kinks, ascending."""
+    return tuple(x for x, _ in f.breakpoints[1:])
+
+
 def contains(p, q):
     """Membership in a stored polyhedron: q >= 0 and every facet holds."""
     return min(q) >= 0 and all(sum(a * x for a, x in zip(n, q)) >= c for n, c in p.facets)
@@ -117,26 +122,26 @@ class TestDyadics:
 class TestKinkedBuilder:
     def test_zero_kinks_is_the_base_line(self):
         f = build_kinked_f(0)
-        assert f.value_at_zero == 2 and f.intercept == 1
+        assert f(0) == 2 and f.intercept == 1
         assert f.slopes == (F(-2),)
 
     def test_one_kink(self):
         f = build_kinked_f(1)
-        assert f.kinks == (F(1, 2),)
+        assert kink_abscissae(f) == (F(1, 2),)
         assert f.slopes == (F(-17, 8), F(-2))
-        assert f.value_at_zero == F(33, 16)
+        assert f(0) == F(33, 16)
         assert f(F(1, 2)) == 1 and f(1) == 0
 
     def test_two_kinks(self):
         f = build_kinked_f(2)
-        assert f.kinks == (F(1, 4), F(1, 2))
+        assert kink_abscissae(f) == (F(1, 4), F(1, 2))
         # extra slope 1/16 active only left of 1/4
         assert f.slopes == (F(-35, 16), F(-17, 8), F(-2))
 
     def test_slope_jump_at_each_kink(self):
         f = build_kinked_f(5)
         eps = dyadic_sequence(5)
-        jumps = {x: b - a for x, a, b in zip(f.kinks, f.slopes, f.slopes[1:])}
+        jumps = {x: b - a for x, a, b in zip(kink_abscissae(f), f.slopes, f.slopes[1:])}
         for i, e in enumerate(eps, start=1):
             assert jumps[e] == F(1, 2 ** (i + 2))
 
@@ -146,7 +151,12 @@ class TestKinkedBuilder:
 
     def test_side_condition(self):
         # total lift of f(0) stays below 1
-        assert build_kinked_f(12).value_at_zero - 2 < 1
+        assert build_kinked_f(12)(0) - 2 < 1
+
+    def test_refuses_a_negative_count(self):
+        # dyadic_sequence(-1) is empty, which would build the N = 0 line
+        with pytest.raises(ValueError, match="n_kinks must be >= 0, got -1"):
+            build_kinked_f(-1)
 
 
 class TestG:

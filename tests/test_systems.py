@@ -217,6 +217,28 @@ class TestRestrictDirection:
             system.restrict((F(1, 2), 0, 1))
 
 
+def assert_body_shape(system, window):
+    """a_v a_w inside a_(v+w) makes ord0 and arn of the limit bodies
+    subadditive and positively homogeneous, and mult^(1/2) subadditive
+    (Teissier) where finite, for k = 2: checked over the window, whose
+    points must all have a body."""
+    inv = {v: geometric_invariants(system.limit_body(v)) for v in window}
+    for v in window:
+        for t in (2, 3):
+            scaled = geometric_invariants(system.limit_body(tuple(t * x for x in v)))
+            assert (scaled.ord0, scaled.arn) == (t * inv[v].ord0, t * inv[v].arn)
+    for v, w in combinations_with_replacement(window, 2):
+        total = inv.get(tuple(a + b for a, b in zip(v, w)))
+        if total is None:
+            continue
+        a, b = inv[v], inv[w]
+        assert total.ord0 <= a.ord0 + b.ord0 and total.arn <= a.arn + b.arn
+        if None not in (total.mult, a.mult, b.mult):
+            # mult(v + w) <= (sqrt(a) + sqrt(b))^2 = a + b + 2 sqrt(ab)
+            gap = total.mult - a.mult - b.mult
+            assert gap <= 0 or gap * gap <= 4 * a.mult * b.mult
+
+
 def _probe_colon():
     p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
     return ColonSystem(RegionSystem(p), ideal((2, 0), (1, 1), (0, 3)))
@@ -291,28 +313,26 @@ class TestLimitBody:
         assert system.limit_body((-1, 3)) == full_orthant(2)
 
     def test_colon_body_shape_on_a_window(self):
-        # a_v a_w inside a_(v+w) makes ord0 and arn subadditive and positively
-        # homogeneous over Z x N, and mult^(1/2) subadditive (Teissier): checked
-        # on the bodies of a colon over a product, with nothing shared with
-        # the Minkowski difference
+        # checked on the bodies of a colon over a product, with nothing
+        # shared with the Minkowski difference
         p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
         inner = Product(RegionSystem(p), IdealPowers([ideal((1, 1), (3, 0), (0, 2))]))
         system = ColonSystem(inner, ideal((2, 0), (1, 1), (0, 3)))
-        window = box_window([(-2, 3), (0, 3)])
-        inv = {v: geometric_invariants(system.limit_body(v)) for v in window}
-        for v in window:
-            for s in (2, 3):
-                scaled = geometric_invariants(system.limit_body((s * v[0], s * v[1])))
-                assert (scaled.ord0, scaled.arn) == (s * inv[v].ord0, s * inv[v].arn)
-        for v, w in combinations_with_replacement(window, 2):
-            total = inv.get((v[0] + w[0], v[1] + w[1]))
-            if total is None:
-                continue
-            a, b = inv[v], inv[w]
-            assert total.ord0 <= a.ord0 + b.ord0 and total.arn <= a.arn + b.arn
-            # mult(v + w) <= (sqrt(a) + sqrt(b))^2 = a + b + 2 sqrt(ab)
-            gap = total.mult - a.mult - b.mult
-            assert gap <= 0 or gap * gap <= 4 * a.mult * b.mult
+        assert_body_shape(system, box_window([(-2, 3), (0, 3)]))
+
+    @pytest.mark.parametrize("make, bounds", [
+        (lambda: _tree(Intersect), [(-2, 4)] * 2),
+        (lambda: Pullback([(2, -1)], RegionSystem(
+            region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)]))), [(-3, 3)] * 2),
+        (lambda: Truncate(_tree(Intersect), ConeRep.from_halfspaces(2, [(-1, 2)])),
+         [(-2, 4)] * 2),
+        (lambda: CeilingSystem(abs_sum_cone()), [(-2, 2)] * 3),
+    ], ids=["intersect", "pullback", "truncate", "ceiling"])
+    def test_body_shape_on_a_window(self, make, bounds):
+        system = make()
+        window = [v for v in box_window(bounds)
+                  if not isinstance(system, Truncate) or system.cone.contains(v)]
+        assert_body_shape(system, window)
 
     def test_truncated_direction_outside(self):
         system = Truncate(
