@@ -236,9 +236,7 @@ def cmd_repro_thm1(args) -> int:
     cone = load_cone(args.cone) if args.cone else abs_sum_cone()
     base = load_ideal(args.base) if args.base else MonomialIdeal.maximal(2)
     system = CeilingSystem(cone, base)
-    # the cone's primitive extreme rays and lineality vectors (with their
-    # negatives): the ray hull of its halfspace normals, whose dual is the cone
-    cone_gens = ray_hull(cone.halfspaces, cone.rank).halfspaces
+    cone_gens = cone.generators
     need = max((max(map(abs, g)) for g in cone_gens), default=1)
     if args.radius < need:
         raise ParseError(
@@ -261,8 +259,7 @@ def cmd_repro_thm1(args) -> int:
     lines.append(f"{label} {'; '.join(' '.join(map(str, r)) for r in vecs)}".rstrip())
     # exact both ways: the hull holds every generator of the cone, and the
     # cone every generator of the hull
-    equal = (all(map(hull.contains, cone_gens))
-             and all(map(cone.contains, ray_hull(hull.halfspaces, cone.rank).halfspaces)))
+    equal = all(map(hull.contains, cone_gens)) and all(map(cone.contains, hull.generators))
     ok &= _pass(
         lines,
         equal,

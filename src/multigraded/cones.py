@@ -4,9 +4,9 @@ lattice-point estimation for graded systems.
 A ConeRep is one representation for every cone: the halfspace
 intersection {<a, x> >= 0} over primitive integer normals a, the full space
 having none.  Halfspace files, epigraphs {(x, y) : y >= max of linear forms}
-and ray spans all become such normals on construction; a ray span by one
-integer double description of the dual cone for every rank and span, so
-membership is always an exact test.
+and ray spans all become such normals on construction, a ray span by one
+integer double description of the dual cone, so membership is always exact;
+pointedness, generators and extreme rays are derived from the normals.
 """
 
 from __future__ import annotations
@@ -23,27 +23,38 @@ class ConeRep:
     """Closed convex cone with vertex at the origin.
 
     ``halfspaces`` is the exact inequality description used for membership;
-    the cone is the full space exactly when it is empty.  ``pointed`` and
-    ``rays`` are set by ``ray_hull``: ``rays`` are the extreme rays of a
-    pointed hull and empty for a hull that contains a line; ``pointed`` is
-    None elsewhere.
+    the cone is the full space exactly when it is empty.  The cone is
+    ``pointed`` when its normals have full rank.  Its ``generators`` are
+    its primitive extreme rays, then each lineality vector and its
+    negative: the ray hull of the normals, whose dual is the cone.  Its
+    ``rays`` are the generators of a pointed cone and empty otherwise.
     """
 
     rank: int
     halfspaces: tuple[tuple[int, ...], ...] = ()
-    rays: tuple[tuple[int, ...], ...] = ()
-    pointed: bool | None = None
 
     @property
     def fullspace(self) -> bool:
         return not self.halfspaces
+
+    @property
+    def pointed(self) -> bool:
+        return _rank(self.halfspaces) == self.rank
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return ray_hull(self.halfspaces, self.rank).halfspaces
+
+    @property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        return self.generators if self.pointed else ()
 
     @staticmethod
     def from_halfspaces(rank: int, normals) -> ConeRep:
         hs = tuple(primitive(a) for a in normals)
         if any(len(a) != rank for a in hs):
             raise RankMismatch("halfspace normal of wrong rank")
-        return ConeRep(rank, halfspaces=hs)
+        return ConeRep(rank, hs)
 
     @staticmethod
     def epigraph(forms) -> ConeRep:
@@ -81,10 +92,8 @@ def ray_hull(points, rank: int) -> ConeRep:
     Prodon 1996) of the dual cone {a : <a, r> >= 0 for every ray r}: the
     halfspaces are its sorted extreme rays followed by each lineality
     vector and its negative, so membership is exact for every rank and
-    span.  A cone whose halfspaces have full rank is pointed, and its rays
-    are the extreme ones; a cone that contains a line has no rays.  No
-    points span the zero cone, whose halfspaces are the +-e_i; positively
-    spanning inputs return the full space.
+    span.  No points span the zero cone, whose halfspaces are the +-e_i;
+    positively spanning inputs return the full space.
     """
     pts = [tuple(p) for p in points]
     if any(len(p) != rank for p in pts):
@@ -124,12 +133,7 @@ def ray_hull(points, rank: int) -> ConeRep:
                         (primitive(tuple(dp * b - dn * a for a, b in zip(p, n))), (tp & tn) | bit))
     hs = tuple(sorted(e for e, _ in extreme)) + tuple(
         v for w in lineality for v in (w, tuple(-x for x in w)))
-    if not hs:
-        return ConeRep(rank)
-    if _rank(hs) < rank:
-        return ConeRep(rank, halfspaces=hs, pointed=False)
-    extreme_rays = tuple(r for r in rays if _rank([a for a in hs if _dot(a, r) == 0]) == rank - 1)
-    return ConeRep(rank, halfspaces=hs, rays=extreme_rays, pointed=True)
+    return ConeRep(rank, hs)
 
 
 # -- lattice estimation of nef / effective cones ------------------------------

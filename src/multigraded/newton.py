@@ -55,26 +55,24 @@ def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _rank(rows) -> int:
-    """Rank of a small matrix of rationals, by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of exact rows of length <= 3, padded to 3, without division: 0
+    without a nonzero row u, 1 if every row has zero cross product with u,
+    2 if every row is orthogonal to the first nonzero u x v, else 3."""
+    rows = [tuple(r) + (0,) * (3 - len(r)) for r in rows]
+    if any(len(r) > 3 for r in rows):
+        raise UnsupportedDimension("rank of rows longer than 3")
+    u = next((r for r in rows if any(r)), None)
+    if u is None:
+        return 0
+    n = next((n for n in (_cross(u, r) for r in rows) if any(n)), None)
+    if n is None:
+        return 1
+    return 3 if any(_dot(n, r) for r in rows) else 2
 
 
 def primitive(nums) -> tuple[int, ...]:
@@ -394,14 +392,6 @@ def _primitive_facet(facet) -> Facet:
     return tuple(a), (c.numerator if c.denominator == 1 else c)
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 # -- 3d volume ----------------------------------------------------------------
 
 
@@ -420,7 +410,7 @@ def _covolume_3d(vertices, facets) -> Fraction:
     for a, c in facets:
         ring = _ring([v for v in vertices if _dot(a, v) == c])
         for i in range(1, len(ring) - 1):
-            total += abs(_det3((ring[0], ring[i], ring[i + 1])))
+            total += abs(_dot(ring[0], _cross(ring[i], ring[i + 1])))
     return total / 6
 
 

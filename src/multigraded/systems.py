@@ -33,19 +33,18 @@ from .regions import (
     thm2_regions,
 )
 
-# Entries kept per node cache and per ceiling power table; the oldest entry
-# is evicted first.  A sweep over a window of more indices than this misses
-# every entry of an earlier sweep; for a ceiling node such a miss costs an
-# integer exponent and a table lookup, since a window of radius r reaches
-# only O(r) exponents.
+# Entries kept per node cache and per ceiling power table.  A full cache
+# admits nothing more and evicts nothing, so a second sweep over a window of
+# more indices than this still hits the first _CACHE_MAX of them; for a
+# ceiling node a miss costs an integer exponent and a table lookup, since a
+# window of radius r reaches only O(r) exponents.
 _CACHE_MAX = 4096
 
 
 def _remember(cache: dict, key, value):
-    """Store value under key, first evicting the oldest entry of a full cache."""
-    if len(cache) >= _CACHE_MAX:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+    """Store value under key while the cache has room, and return it."""
+    if len(cache) < _CACHE_MAX:
+        cache[key] = value
     return value
 
 

@@ -192,6 +192,8 @@ def parse_cone(text: str) -> ConeRep:
     if not lines or lines[0][1][0] != "rank":
         raise ParseError("cone file must start with 'rank <int>'")
     rank = _parse_int(_token(lines[0][1], 1, "rank <int>"), "rank")
+    if rank < 1:
+        raise ParseError(f"cone rank must be >= 1, got {rank}")
     kinds = {tokens[0] for _, tokens in lines[1:]}
     if not kinds:
         return ConeRep(rank)

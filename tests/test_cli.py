@@ -145,6 +145,12 @@ class TestFormats:
         c = parse_cone("rank 2\nray 1 0\nray 0 1\n")
         assert c.contains((2, 3)) and not c.contains((-1, 0))
 
+    @pytest.mark.parametrize("text", ["rank 0\n", "rank -1\n", "rank 0\nhalfspace\n"])
+    def test_cone_rank_below_one_refused(self, text):
+        rank = text.split()[1]
+        with pytest.raises(ParseError, match=f"^cone rank must be >= 1, got {rank}$"):
+            parse_cone(text)
+
     def test_system_tree(self, thm2_file):
         system = parse_system(thm2_file)
         assert system.rank == 2
@@ -690,6 +696,18 @@ class TestThm1Cones:
         code, out = run_cli(["repro", "thm1", "--cone", str(cone)])
         assert (code, capsys.readouterr().err) == (0, "")
         assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_cone_rank_below_one_exits_2(self, tmp_path, rank):
+        # a rank-0 cone used to pass three checks, one "at 0 integral
+        # directions", and rank -1 failed on an index of length 0
+        (tmp_path / "r.cone").write_text(f"rank {rank}\n")
+        (tmp_path / "r.system").write_text("ceiling r.cone\n")
+        for argv in (["repro", "thm1", "--cone", "r.cone"],
+                     ["system", "cones", "r.system", "--radius", "1"]):
+            proc = run_module(argv, tmp_path)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: cone rank must be >= 1, got {rank}\n"
 
     def test_origin_cone_nef_hull_label(self, tmp_path):
         # the zero cone is pointed with no extreme rays: it gets its own label

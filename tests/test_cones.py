@@ -29,6 +29,7 @@ from multigraded.systems import (
     box_window,
     verify_gradedness,
 )
+from multigraded.textio import parse_cone
 
 F = Fraction
 
@@ -151,6 +152,39 @@ class TestRayHull3:
     def test_rank_cap(self):
         with pytest.raises(UnsupportedDimension):
             ray_hull([(1, 0, 0, 0)], 4)
+
+
+class TestDerivedProperties:
+    """Pointedness, generators and rays come from the normals, so a cone
+    read from a halfspace file reports what the ray hull of its own
+    generators reports."""
+
+    @pytest.mark.parametrize("text", [
+        "rank 2\nhalfspace 1 0\nhalfspace 0 1\n",
+        "rank 2\nhalfspace 1 -2\n",
+        "rank 2\nhalfspace 1 0\nhalfspace -1 0\nhalfspace 0 1\nhalfspace 0 -1\n",
+        "rank 3\nhalfspace 1 0 0\nhalfspace 0 1 0\nhalfspace 0 0 1\nhalfspace 1 1 -1\n",
+        "rank 3\nhalfspace 1 2 0\nhalfspace -1 0 3\n",
+        "rank 3\nhalfspace 1/2 1 0\n",
+        "rank 1\nhalfspace -3\n",
+    ], ids=["quadrant", "half-plane", "origin", "pointed-3d", "wedge", "half-space", "ray"])
+    def test_halfspace_file_matches_its_ray_hull(self, text):
+        cone = parse_cone(text)
+        hull = ray_hull(cone.generators, cone.rank)
+        window = list(lattice_window(cone.rank, 3))
+        assert [hull.contains(v) for v in window] == [cone.contains(v) for v in window]
+        assert (cone.pointed, cone.rays, cone.generators) == (
+            hull.pointed, hull.rays, hull.generators)
+
+    def test_examples(self):
+        quadrant = parse_cone("rank 2\nhalfspace 1 0\nhalfspace 0 1\n")
+        assert (quadrant.pointed, quadrant.rays) == (True, ((0, 1), (1, 0)))
+        half_plane = parse_cone("rank 2\nhalfspace 1 -2\n")
+        assert (half_plane.pointed, half_plane.rays) == (False, ())
+        assert half_plane.generators == ((1, 0), (2, 1), (-2, -1))
+        full = ConeRep(2)
+        assert (full.pointed, full.rays) == (False, ())
+        assert full.generators == ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 # -- reference routes that share no code with ray_hull -------------------------

@@ -431,6 +431,72 @@ def _det(u, v, w):
     return _dot(u, _cross(v, w))
 
 
+def gauss_rank(rows) -> int:
+    """Reference: rank of a small matrix of rationals, by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+_entries = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def rank_rows(draw):
+    """0-6 rows of one length 1-3: ints and Fractions, zero rows, and rows
+    that are rational combinations of earlier ones."""
+    width = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append((0,) * width)
+        elif kind == "combination" and rows:
+            coefs = [draw(_entries) for _ in rows]
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(width)))
+        else:
+            rows.append(tuple(draw(_entries) for _ in range(width)))
+    return rows
+
+
+class TestIntegerRank:
+    @settings(max_examples=400, deadline=None)
+    @given(rank_rows())
+    def test_matches_gaussian_elimination(self, rows):
+        assert _rank(rows) == gauss_rank(rows)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([], 0),
+        ([(0, 0, 0)], 0),
+        ([(2, 4, 6), (F(-1, 2), -1, F(-3, 2))], 1),
+        ([(1, 0), (0, 3)], 2),
+        ([(1, 1, 0), (0, 1, 1), (1, 2, 1)], 2),
+        ([(0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 0)], 3),
+        ([(F(1, 3),), (5,)], 1),
+    ])
+    def test_examples(self, rows, expected):
+        assert _rank(rows) == gauss_rank(rows) == expected
+
+    def test_rows_longer_than_three_raise(self):
+        with pytest.raises(UnsupportedDimension):
+            _rank([(1, 0, 0), (0, 1, 0, 0)])
+
+
 def brute_orthant_hull_3d(points):
     """Reference: every plane through a generator triple, a generator pair and
     an axis, or one generator and two axes is a candidate normal; keep those
@@ -449,14 +515,14 @@ def brute_orthant_hull_3d(points):
         c = min(_dot(n, p) for p in pts)
         tight = [p for p in pts if _dot(n, p) == c]
         spanning = [_sub(t, tight[0]) for t in tight[1:]] + [e for e, x in zip(axes, n) if x == 0]
-        if _rank(spanning) != 2:
+        if gauss_rank(spanning) != 2:
             continue
         for p in tight:
             tight_normals[p].append(n)
         if c > 0:
             facets.append((n, c))
     verts = [p for p in pts
-             if _rank(tight_normals[p] + [e for e, x in zip(axes, p) if x == 0]) == 3]
+             if gauss_rank(tight_normals[p] + [e for e, x in zip(axes, p) if x == 0]) == 3]
     return tuple(sorted(verts)), tuple(sorted(facets))
 
 
@@ -516,7 +582,7 @@ def brute_covolume_3d(vertices, facets):
     inside = Fraction(0)
     for a, c in planes:
         tight = [v for v in corners if _dot(a, v) == c]
-        if len(tight) < 3 or _rank([_sub(t, tight[0]) for t in tight[1:]]) != 2:
+        if len(tight) < 3 or gauss_rank([_sub(t, tight[0]) for t in tight[1:]]) != 2:
             continue
         ring = [_sub(v, centroid) for v in _angular_sort(tight, a)]
         inside += sum(abs(_det(ring[0], ring[i], ring[i + 1])) for i in range(1, len(ring) - 1))

@@ -171,6 +171,21 @@ class TestCeilingPowerTable:
         assert set(calls) == exponents and max(calls.values()) == 1
         assert len(exponents) < 200
 
+    def test_second_sweep_hits_what_the_first_stored(self):
+        # a full cache admits nothing more and evicts nothing: the eff
+        # sweep hits the first _CACHE_MAX indices of the nef sweep and
+        # misses only the rest of the 67 x 67 window
+        system = CeilingSystem(ConeRep.epigraph([(Fraction(3, 2),), (Fraction(-5, 3),)]),
+                               minimalize([(1,)], 1))
+        calls = []
+        inner = system._eval
+        system._eval = lambda v: calls.append(v) or inner(v)
+        nef_points(system, 33)
+        assert len(calls) == 67 * 67 == 4489
+        calls.clear()
+        eff_points(system, 33)
+        assert len(calls) == 4489 - _CACHE_MAX == 393
+
 
 class TestPullback:
     def test_functoriality(self):
