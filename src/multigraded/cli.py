@@ -20,6 +20,7 @@ from .cones import (
     abs_sum_cone,
     eff_points,
     lattice_window,
+    nef_eff_points,
     nef_points,
     ray_hull,
 )
@@ -157,8 +158,7 @@ def _nef_hull_text(hull):
 
 def cmd_system_cones(args) -> int:
     system = parse_system(args.path)
-    nef = nef_points(system, args.radius)
-    eff = eff_points(system, args.radius)
+    nef, eff = nef_eff_points(system, args.radius)
     lines = [f"nef points ({len(nef)}):"]
     lines.extend("  " + " ".join(str(x) for x in v) for v in nef)
     lines.append(f"eff points ({len(eff)}):")

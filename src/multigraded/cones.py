@@ -144,16 +144,27 @@ def lattice_window(rank: int, radius: int):
     return iterprod(*(range(-radius, radius + 1) for _ in range(rank)))
 
 
-def nef_points(system, radius: int) -> list[tuple[int, ...]]:
-    """Indices v with ||v||_inf <= radius where the system's ideal is the unit."""
+def nef_eff_points(system, radius: int) -> tuple[list, list]:
+    """The nef and the eff points of the window ||v||_inf <= radius, in one
+    sweep that evaluates each index once."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return [v for v in lattice_window(system.rank, radius) if system.eval(v).is_unit]
+    nef, eff = [], []
+    for v in lattice_window(system.rank, radius):
+        ideal = system.eval(v)
+        if ideal.is_unit:
+            nef.append(v)
+        if not ideal.is_zero:
+            eff.append(v)
+    return nef, eff
+
+
+def nef_points(system, radius: int) -> list[tuple[int, ...]]:
+    """Indices v with ||v||_inf <= radius where the system's ideal is the unit."""
+    return nef_eff_points(system, radius)[0]
 
 
 def eff_points(system, radius: int) -> list[tuple[int, ...]]:
     """Indices v with ||v||_inf <= radius where the system's ideal is nonzero."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    return [v for v in lattice_window(system.rank, radius) if not system.eval(v).is_zero]
+    return nef_eff_points(system, radius)[1]
 

@@ -12,9 +12,10 @@ program on the kinked region's integer vertex chain, tabled once per N
 (``ChainTable``), with two integer bisections; both take O(log N) steps.
 Its ord0 kink table, read off the crossing's levels, and the appendix
 gauge's come in closed form as ``KinkTable``s, and ``KinkTable.matches``
-certifies a table against an evaluation route at its cell midpoints.  The exact one-sided difference quotient scanner,
-which finds the same slopes with 5 evaluations per kink, stays as the
-reference of the tests and perfbench.
+certifies a table against an evaluation route at its cell midpoints.  The
+exact one-sided difference quotient scanner, which finds the same slopes
+with 5 evaluations per kink, stays as the reference of the tests and
+perfbench.
 """
 
 from __future__ import annotations

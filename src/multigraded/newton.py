@@ -14,7 +14,10 @@ nonnegativity separately.
 One exact routine per dimension builds the polyhedron: a sorted
 staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
 incremental beneath-beyond hull with integer orientation tests that
-treats the axis directions as points at infinity.  A region given by
+treats the axis directions as points at infinity.  For integer points,
+such as the generators of an ideal, the whole build, the facet
+normalization and the covolume stay in ints; ``Fraction`` appears only
+where a value is not an integer.  A region given by
 halfspaces (``vertices_from_halfspaces``) comes from the same routines:
 in k = 2 from ``envelope_2d``, an upper envelope of lines in integer
 arithmetic that returns the vertices together with the facets of the
@@ -23,7 +26,8 @@ whose facets are the region's vertices and whose vertices are the
 region's facets.  The 3D covolume is a sum of cones from the origin
 over the facets.
 
-Everything is exact rational arithmetic; no floats anywhere.
+Everything is exact: ints where the data are integral, ``Fraction``
+otherwise, and no floats anywhere.
 """
 
 from __future__ import annotations
@@ -89,7 +93,13 @@ def primitive(nums) -> tuple[int, ...]:
 
 
 def _normalize_facet(normal, c) -> Facet:
-    """Rescale so the normal is primitive integer; c scales along."""
+    """Rescale so the normal is primitive integer; c scales along.  An
+    integer normal is divided by its gcd, so an integer c that the gcd
+    divides stays an int."""
+    if type(c) is int and all(type(x) is int for x in normal):
+        g = gcd(*normal)
+        if c % g == 0:
+            return tuple(x // g for x in normal), c // g
     prim = primitive(normal)
     i = next(j for j, x in enumerate(prim) if x != 0)
     scale = Fraction(prim[i], 1) / Fraction(normal[i])
@@ -108,7 +118,11 @@ def staircase_vertices(points) -> list[Point]:
     """
     hull: list[Point] = []
     for p in _antichain(map(tuple, points), 2):
-        while len(hull) >= 2 and _cross2(hull[-2], hull[-1], p) <= 0:
+        x, y = p
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break  # a strict left turn: hull[-1] stays
             hull.pop()
         hull.append(p)
     return hull
@@ -140,7 +154,14 @@ class NewtonPolyhedron:
         """inf of lambda with lambda*(1,...,1) in the polyhedron."""
         if not self.facets:
             return Fraction(0)
-        return max(Fraction(c) / sum(a) for a, c in self.facets)
+        # the largest c / sum(a), compared as cross products (every sum > 0)
+        (a, best_c), *rest = self.facets
+        best_s = sum(a)
+        for a, c in rest:
+            s = sum(a)
+            if c * best_s > best_c * s:
+                best_c, best_s = c, s
+        return Fraction(best_c, best_s)
 
     def ord0(self) -> Fraction:
         """min over the polyhedron of the coordinate sum, attained at a vertex."""
@@ -173,13 +194,9 @@ class NewtonPolyhedron:
 
 
 def _shoelace(poly) -> Fraction:
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        total += Fraction(x1) * y2 - Fraction(x2) * y1
-    return abs(total) / 2
+    """Area of a polygon; exact sums of its coordinates' type, one division."""
+    total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
+    return Fraction(abs(total), 2)
 
 
 # -- construction -------------------------------------------------------------
@@ -210,78 +227,96 @@ def from_vertices(points) -> NewtonPolyhedron:
     raise UnsupportedDimension(f"from_vertices in dimension {k}")
 
 
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def orthant_hull_3d(points):
     """Vertices and facets of conv(points) + orthant in R^3, for points >= 0.
 
     Beneath-beyond incremental hull (the deterministic form of the
     Clarkson-Shor randomized incremental construction) in homogeneous
-    integer coordinates: a point p becomes (L p, L), with L the lcm of its
-    denominators, and the axis directions e_i become points at infinity
-    (e_i, 0).  Starting from the tetrahedron e_1, e_2, e_3, p_0, each point
-    in lex order removes the triangles it sees strictly (the sign of an
-    integer 4x4 determinant) and joins their horizon to itself; O(n F)
-    tests for n points and F triangles.  At the end the face at infinity
-    (w = 0) is dropped and coplanar triangles merge by primitive normal.
+    integer coordinates: an integer point p becomes (p, 1), a rational one
+    (L p, L) with L the lcm of its denominators, and the axis directions
+    e_i become points at infinity (e_i, 0).  Starting from the tetrahedron
+    e_1, e_2, e_3 and the first point, the points are inserted by
+    decreasing largest coordinate: those far out on the axes carry the
+    facets that meet the axes, so most later points lie beneath the hull
+    and see no triangle.  A point that sees triangles strictly (the sign of
+    an integer 4x4 determinant, a dot product with each triangle's plane)
+    removes them and joins their horizon to itself; O(n F) tests for n
+    points and F triangles.  Triangles are index triples into the sorted
+    input, so the result does not depend on the input's order.  At the end
+    the face at infinity (w = 0) is dropped and coplanar triangles merge by
+    primitive normal.
 
     Vertices are input tuples.  A facet's c is <a, p> for the lex-first
-    input point p on it, so c has that point's type; facets with c <= 0
-    are not stored.  A point is a vertex when the normals of its facets,
-    with e_i wherever its i-th coordinate is 0, have rank 3.
+    input point p on it (a vertex of the facet, so on some triangle), so c
+    is an int for integer input and has that point's type otherwise;
+    facets with c <= 0 are not stored.  A point is a vertex when it lies on
+    three distinct facets, counting the coordinate plane x_i = 0 wherever
+    its i-th coordinate is 0: in a 3-dimensional polyhedron a point in the
+    relative interior of an edge lies on two facets, one inside a facet on
+    one.
     """
     pts = sorted(set(map(tuple, points)))
     gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     for p in pts:
-        den = lcm(*(x.denominator for x in p))
-        gens.append(tuple(x.numerator * (den // x.denominator) for x in p) + (den,))
+        if type(p[0]) is int and type(p[1]) is int and type(p[2]) is int:
+            gens.append((*p, 1))
+        else:
+            den = lcm(*(x.denominator for x in p))
+            gens.append(tuple(x.numerator * (den // x.denominator) for x in p) + (den,))
+    order = sorted(range(3, len(gens)), key=lambda i: -max(pts[i - 3]))
     # strictly inside the first tetrahedron, hence inside every later hull
-    inner = tuple(map(sum, zip(*gens[:4])))
+    w0, w1, w2, w3 = map(sum, zip(*gens[:3], gens[order[0]]))
 
     def triangle(i, j, k):
-        n = _plane(gens[i], gens[j], gens[k])
-        if _dot(n, inner) < 0:
-            n = tuple(-x for x in n)
-        return i, j, k, n
+        """(i, j, k, n_0, n_1, n_2, n_3) for i < j < k, n the inward normal."""
+        n0, n1, n2, n3 = _plane(gens[i], gens[j], gens[k])
+        if n0 * w0 + n1 * w1 + n2 * w2 + n3 * w3 < 0:
+            return i, j, k, -n0, -n1, -n2, -n3
+        return i, j, k, n0, n1, n2, n3
 
-    # triangles (i < j < k, inward normal n): <n, g> >= 0 for every point g taken
-    tris = [triangle(0, 1, 2), triangle(0, 1, 3), triangle(0, 2, 3), triangle(1, 2, 3)]
-    for q in range(4, len(gens)):
+    # <n, g> >= 0 for every point g taken, each triangle (i, j, k, *n)
+    q = order[0]
+    tris = [triangle(0, 1, 2), triangle(0, 1, q), triangle(0, 2, q), triangle(1, 2, q)]
+    for q in order[1:]:
         g0, g1, g2, g3 = gens[q]
-        kept, horizon = [], {}
-        for t in tris:
-            n = t[3]
-            if n[0] * g0 + n[1] * g1 + n[2] * g2 + n[3] * g3 >= 0:
-                kept.append(t)
-                continue
-            i, j, k = t[:3]
+        seen = [t for t in tris if t[3] * g0 + t[4] * g1 + t[5] * g2 + t[6] * g3 < 0]
+        if not seen:
+            continue
+        horizon: dict[tuple[int, int], bool] = {}
+        for i, j, k, *_ in seen:
             for edge in ((i, j), (j, k), (i, k)):
                 horizon[edge] = edge not in horizon
-        kept.extend(triangle(i, j, q) for (i, j), once in horizon.items() if once)
-        tris = kept
+        tris = [t for t in tris if t[3] * g0 + t[4] * g1 + t[5] * g2 + t[6] * g3 >= 0]
+        for (i, j), once in horizon.items():
+            if once:
+                tris.append(triangle(i, j, q) if q > j else
+                            triangle(i, q, j) if q > i else triangle(q, i, j))
 
     first: dict[tuple, int] = {}  # primitive normal -> lex-first point on it
     incident: dict[int, set] = {}
-    for t in tris:
-        ends = [i for i in t[:3] if i >= 3]
-        if not ends:
+    for i, j, k, n0, n1, n2, _ in tris:
+        if k < 3:
             continue  # the face at infinity
-        n = t[3][:3]
-        g = gcd(*n)
-        a = tuple(x // g for x in n)
+        g = gcd(n0, n1, n2)
+        a = (n0 // g, n1 // g, n2 // g)
+        ends = (i, j, k) if i >= 3 else (j, k) if j >= 3 else (k,)
         first[a] = min(first.get(a, ends[0]), ends[0])
-        for i in ends:
-            incident.setdefault(i, set()).add(a)
+        for e in ends:
+            incident.setdefault(e, set()).add(a)
     facets = []
     for a, i in first.items():
         c = _dot(a, pts[i - 3])
         if c > 0:
             facets.append((a, c))
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     verts = []
-    for i, normals in incident.items():
-        p = pts[i - 3]
-        if _rank([*normals, *(axes[j] for j in range(3) if p[j] == 0)]) == 3:
+    for i in sorted(incident):
+        p, normals = pts[i - 3], incident[i]
+        if len(normals | {_AXES[j] for j in range(3) if p[j] == 0}) >= 3:
             verts.append(p)
-    return tuple(sorted(verts)), tuple(sorted(facets))
+    return tuple(verts), tuple(sorted(facets))
 
 
 def _plane(a, b, c):
@@ -399,19 +434,20 @@ def _covolume_3d(vertices, facets) -> Fraction:
     """Volume of orthant minus P as a sum of cones from the origin.
 
     Each stored facet <a, x> >= c (c > 0) contributes the cone over its
-    vertex ring, fanned as |det(r_0, r_i, r_{i+1})| / 6.  When every axis
-    meets P, such facets have strictly positive normals, so they are
-    compact and their cones tile the complement.
+    vertex ring, fanned as |det(r_0, r_i, r_{i+1})| / 6; the determinants
+    are summed in the vertices' type (ints for an ideal) and divided once.
+    When every axis meets P, such facets have strictly positive normals, so
+    they are compact and their cones tile the complement.
     """
     for i in range(3):
         if not any(all(v[j] == 0 for j in range(3) if j != i) for v in vertices):
             raise UnboundedComplement(f"axis {i} never enters the polyhedron")
-    total = Fraction(0)
-    for a, c in facets:
-        ring = _ring([v for v in vertices if _dot(a, v) == c])
-        for i in range(1, len(ring) - 1):
-            total += abs(_dot(ring[0], _cross(ring[i], ring[i + 1])))
-    return total / 6
+    total = 0
+    for (a0, a1, a2), c in facets:
+        r0, *ring = _ring([v for v in vertices if a0 * v[0] + a1 * v[1] + a2 * v[2] == c])
+        for u, w in zip(ring, ring[1:]):
+            total += abs(_dot(r0, _cross(u, w)))
+    return Fraction(total, 6)
 
 
 def _ring(points):

@@ -283,11 +283,15 @@ class Truncate(SystemExpr):
 
 
 class ColonSystem(SystemExpr):
-    """b_(m, n) = (inner_m : I^n), with I^n = (1) for n <= 0.
+    """b_(m, n) = (inner_m : I^n) for n >= 0, and the zero ideal for n < 0.
 
-    The limit body at (v, t) is P, the inner body at v, for t <= 0, else
-    P - t N(I) = {w >= 0 : w + t N(I) in P}: P's facets <a, w> >= c, each
-    c lowered by t min <a, q> over the vertices q of N(I).  It is exact for
+    The system is graded on Z^r x N: the colon grows with n, so a unit
+    ideal at some n < 0 would make b_(m, n) b_(m', n') exceed
+    b_(m + m', n + n') for n + n' >= 0.
+
+    The limit body at (v, t) is P - t N(I) = {w >= 0 : w + t N(I) in P}
+    for t >= 0, with P the inner body at v: P's facets <a, w> >= c, each c
+    lowered by t min <a, q> over the vertices q of N(I).  It is exact for
     a region inner: u + I^n lies in the lattice ideal of m P exactly when
     u + n N(I) lies in m P, as m P is convex and absorbs the orthant.
     """
@@ -303,12 +307,16 @@ class ColonSystem(SystemExpr):
 
     def _eval(self, v):
         head, n = v[:-1], v[-1]
+        if n < 0:
+            return MonomialIdeal.zero(self.ambient_dim)
         return self.inner.eval(head).colon(self.ideal.power(n))
 
     def limit_body(self, v):
         head, t = v[:-1], v[-1]
+        if t < 0:
+            raise ZeroIdealInDirection(f"direction {v} has a negative colon index")
         body = self.inner.limit_body(head)
-        if t <= 0:
+        if t == 0:
             return body
         verts = self.ideal.newton().vertices
         return region_from_halfspaces(self.ambient_dim, [

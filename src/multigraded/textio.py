@@ -40,6 +40,8 @@ class ParseError(MultigradedError):
 
 
 def fmt_q(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

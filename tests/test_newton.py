@@ -19,7 +19,11 @@ from multigraded.errors import (
 from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import (
     NewtonPolyhedron,
+    _covolume_3d,
+    _normalize_facet,
     _rank,
+    _ring,
+    _shoelace,
     envelope_2d,
     from_vertices,
     newton_polyhedron,
@@ -628,9 +632,15 @@ class TestOrthantHull3d:
     # a hexagonal facet x+y+z >= 6: its ring order matters to the fan
     @example([(7, 0, 0), (0, 7, 0), (0, 0, 7), (1, 2, 3), (1, 3, 2), (2, 1, 3),
               (2, 3, 1), (3, 1, 2), (3, 2, 1)])
+    @example(list(MonomialIdeal.maximal(3).power(4).gens))  # 15 coplanar generators
+    @example([(3, 0, 0), (0, 5, 0), (0, 0, 2)])  # pure powers only
     def test_int_antichains(self, gens):
         p = self._agree(gens)
         assert p == newton_polyhedron(minimalize(gens, 3))
+        assert all(type(c) is int for _, c in p.facets)
+        shuffled = list(gens)
+        random.Random(len(gens)).shuffle(shuffled)
+        assert orthant_hull_3d(shuffled) == orthant_hull_3d(gens[::-1]) == (p.vertices, p.facets)
 
     @settings(max_examples=150, deadline=None)
     @given(RAW)
@@ -638,15 +648,25 @@ class TestOrthantHull3d:
     @example([(0, 0, 0), (1, 2, 3)])  # the origin swallows everything
     @example([(0, 0, 2), (0, 1, 1), (0, 2, 0), (0, 1, 1)])  # collinear, duplicated
     @example([(1, 1, 1), (2, 2, 2), (1, 1, 1), (3, 0, 4)])  # dominated points
+    @example([(4, 0, 0), (1, 0, 0), (0, 0, 3), (0, 2, 0), (0, 5, 0)])  # on the axes
+    @example([(3, 0, 0), (0, 0, 2)])  # two axes, the third never enters
     def test_raw_point_sets(self, points):
-        self._agree(points)
+        p = self._agree(points)
+        shuffled = list(points)
+        random.Random(len(points)).shuffle(shuffled)
+        assert orthant_hull_3d(shuffled) == (p.vertices, p.facets)
 
     @settings(max_examples=150, deadline=None)
     @given(MIXED)
     @example([(Fraction(3), 0, 0), (0, 3, 0), (0, 0, Fraction(3, 2))])
     @example([(1, 2, 3), (Fraction(1), 2, 3), (0, Fraction(7, 2), 1)])  # equal tuples, mixed types
+    # the blocker's points a / c of the facets (1,2,3), (3,2,1), (2,3,1) >= 6, (1,1,1) >= 3
+    @example([(F(1, 6), F(1, 3), F(1, 2)), (F(1, 2), F(1, 3), F(1, 6)),
+              (F(1, 3), F(1, 2), F(1, 6)), (F(1, 3), F(1, 3), F(1, 3))])
     def test_mixed_int_fraction_points(self, points):
         self._agree(points)
+        # which of two equal tuples is kept follows the input order, in both routes
+        assert repr(orthant_hull_3d(points[::-1])) == repr(brute_orthant_hull_3d(points[::-1]))
 
     @settings(max_examples=60, deadline=None)
     @given(ANTICHAIN, st.fractions(Fraction(1, 4), 4, max_denominator=4))
@@ -663,6 +683,85 @@ class TestOrthantHull3d:
     @pytest.mark.parametrize("d", [1, 2, 5, 12])
     def test_multiplicity_of_maximal_power(self, d):
         assert MonomialIdeal.maximal(3).power(d).multiplicity() == d**3
+
+
+# -- integer kernels against their Fraction routes ---------------------------
+
+
+def fraction_shoelace(poly):
+    """Reference: the shoelace sum accumulated in Fractions."""
+    total = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        total += Fraction(x1) * y2 - Fraction(x2) * y1
+    return abs(total) / 2
+
+
+def fraction_covolume_3d(vertices, facets):
+    """Reference: the cone fan of ``_covolume_3d`` accumulated in Fractions."""
+    total = Fraction(0)
+    for a, c in facets:
+        ring = _ring([v for v in vertices if _dot(a, v) == c])
+        for i in range(1, len(ring) - 1):
+            total += abs(_det(ring[0], ring[i], ring[i + 1]))
+    return total / 6
+
+
+def fraction_normalize_facet(normal, c):
+    """Reference: rescale through Fractions; c an int exactly when integral."""
+    prim = fraction_primitive(normal)
+    i = next(j for j, x in enumerate(prim) if x != 0)
+    cc = Fraction(c) * Fraction(prim[i]) / Fraction(normal[i])
+    return prim, (int(cc) if cc.denominator == 1 else cc)
+
+
+def fraction_diagonal_lambda(p):
+    return max(Fraction(c) / sum(a) for a, c in p.facets) if p.facets else Fraction(0)
+
+
+Q_COORD = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5))
+Q_RHS = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=6))
+K2_GENS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=8)
+SCALE = st.one_of(st.just(Fraction(1)), st.fractions(Fraction(1, 5), 3, max_denominator=5))
+
+
+class TestIntegerKernels:
+    """The integer paths of newton equal the Fraction routes they replaced,
+    by ``repr`` where the type of a result counts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(Q_COORD, Q_COORD), min_size=1, max_size=8))
+    def test_shoelace(self, poly):
+        got = _shoelace(poly)
+        assert got == fraction_shoelace(poly) and type(got) is Fraction
+
+    @settings(max_examples=80, deadline=None)
+    @given(ANTICHAIN, SCALE)
+    def test_covolume_3d(self, gens, t):
+        p = newton_polyhedron(minimalize(gens, 3)).scale(t)
+        got = _covolume_3d(p.vertices, p.facets)
+        assert got == fraction_covolume_3d(p.vertices, p.facets) and type(got) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(Q_COORD, min_size=2, max_size=3).filter(any), Q_RHS)
+    @example([6, 4, 0], 10)  # gcd 2 divides c
+    @example([6, 4, 0], 9)  # it does not
+    @example([F(3, 2), 3], 6)
+    def test_normalize_facet(self, normal, c):
+        assert repr(_normalize_facet(normal, c)) == repr(fraction_normalize_facet(normal, c))
+
+    @settings(max_examples=80, deadline=None)
+    @given(K2_GENS, ANTICHAIN, SCALE)
+    def test_integral_data_stays_int(self, gens2, gens3, t):
+        # integer generators give int vertices and int c in k = 2 and 3; the
+        # diagonal lambda agrees with the Fraction route before and after
+        # scaling, which makes the data rational
+        for ideal_ in (minimalize(gens2, 2), minimalize(gens3, 3)):
+            p = newton_polyhedron(ideal_)
+            assert all(type(x) is int for v in p.vertices for x in v)
+            assert all(type(c) is int for _, c in p.facets)
+            for q in (p, p.scale(t)):
+                got = q.diagonal_lambda()
+                assert got == fraction_diagonal_lambda(q) and type(got) is Fraction
 
 
 # -- 3D halfspace regions against the triple enumeration ---------------------

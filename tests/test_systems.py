@@ -1,7 +1,9 @@
 """System expression trees: node semantics, limit bodies, gradedness."""
 
+import io
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iterprod
 from math import ceil
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigraded.cli import main
 from multigraded.cones import ConeRep, abs_sum_cone, eff_points, nef_points
 from multigraded.errors import (
     RankMismatch,
@@ -95,7 +98,8 @@ class TestEval:
         assert system.rank == 2
         assert system.eval((1, 1)) == ideal((2, 0))
         assert system.eval((1, 0)) == ideal((2, 1))
-        assert system.eval((1, -3)) == ideal((2, 1))
+        # graded on Z x N: zero below n = 0, where the colon would shrink
+        assert system.eval((1, -3)).is_zero
 
     def test_non_integral_index_refused(self):
         system = CeilingSystem(abs_sum_cone())
@@ -185,6 +189,27 @@ class TestCeilingPowerTable:
         calls.clear()
         eff_points(system, 33)
         assert len(calls) == 4489 - _CACHE_MAX == 393
+
+    def test_system_cones_evaluates_each_index_once(self, tmp_path, monkeypatch):
+        # one sweep records unit and nonzero together: at radius 33 each of
+        # the 4,489 indices reaches _eval once, past the node cache's size
+        (tmp_path / "c.cone").write_text("rank 2\nform 3/2\nform -5/3\n")
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        (tmp_path / "c.system").write_text("ceiling c.cone base x.ideal\n")
+        calls = Counter()
+        inner = CeilingSystem._eval
+        monkeypatch.setattr(CeilingSystem, "_eval",
+                            lambda self, v: calls.update([v]) or inner(self, v))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["system", "cones", str(tmp_path / "c.system"), "--radius", "33"]) == 0
+        assert len(calls) == 4489 > _CACHE_MAX and set(calls.values()) == {1}
+        system = CeilingSystem(ConeRep.epigraph([(F(3, 2),), (F(-5, 3),)]), minimalize([(1,)], 1))
+        nef, eff = nef_points(system, 33), eff_points(system, 33)
+        lines = out.getvalue().splitlines()
+        assert lines[0] == f"nef points ({len(nef)}):"
+        assert lines[len(nef) + 1] == f"eff points ({len(eff)}):" == "eff points (4489):"
+        assert lines[1:len(nef) + 1] == ["  " + " ".join(map(str, v)) for v in nef]
 
 
 class TestPullback:
@@ -322,9 +347,12 @@ class TestLimitBody:
         assert (at11.ord0, at11.mult) == (F(3, 5), F(3, 5))
 
     def test_colon_body_below_n_one_is_the_inner_body(self):
+        # at n = 0 the body is the inner one; below it the ideals are zero
         system = _probe_colon()
-        for n in (0, -2):
-            assert system.limit_body((2, n)) == system.inner.limit_body((2,))
+        assert system.limit_body((2, 0)) == system.inner.limit_body((2,))
+        for v in ((2, -2), (0, -1), (1, F(-1, 3))):
+            with pytest.raises(ZeroIdealInDirection):
+                system.limit_body(v)
         assert system.limit_body((-1, 3)) == full_orthant(2)
 
     def test_colon_body_shape_on_a_window(self):
@@ -426,13 +454,41 @@ class TestGradedness:
         assert report.ok
 
     def test_colon_system_gradedness_on_its_semigroup(self):
-        # colon systems are graded over Z x N; the n <= 0 convention makes
-        # evaluation total but does not extend the grading below n = 0
+        # colon systems are graded over Z x N, and zero below n = 0
         system = ColonSystem(
             IdealPowers([ideal((2, 0), (0, 3))]), MonomialIdeal.maximal(2)
         )
-        report = verify_gradedness(system, box_window([(-2, 2), (0, 3)]))
+        report = verify_gradedness(system, box_window([(-2, 2), (-2, 3)]))
         assert report.ok
+
+    def test_colon_probe_window(self):
+        # the colon over a region and (x^2, xy, y^3) on [-3, 3]^2: at n < 0
+        # a unit colon used to break 60 pairs, the first (-2, -3) + (3, 3)
+        report = verify_gradedness(_probe_colon(), box_window([(-3, 3)] * 2))
+        assert report.ok and report.pairs_checked == 689
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_colon_trees_graded_below_n_zero(self, data):
+        # a colon over a random region, powers, product or intersect inner,
+        # by a random ideal, on a window reaching n = -2
+        gens = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                        max_size=3).map(lambda g: minimalize(g, 2))
+        facets = st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+                                    st.integers(1, 4)), min_size=1, max_size=3)
+
+        def leaf():
+            if data.draw(st.booleans()):
+                return RegionSystem(region_from_halfspaces(2, data.draw(facets)))
+            return IdealPowers([data.draw(gens)])
+
+        inner = leaf()
+        op = data.draw(st.sampled_from([None, Product, Intersect]))
+        if op is not None:
+            inner = op(inner, leaf())
+        system = ColonSystem(inner, data.draw(gens))
+        report = verify_gradedness(system, box_window([(-2, 2), (-2, 2)]))
+        assert report.ok, report.violations[:3]
 
 
 def pairwise_gradedness(system, window):
