@@ -2,15 +2,18 @@
 
 Commands: ideal info | system eval/invariants/cones/verify | repro
 thm1/thm2/appendix.  Exit codes: 0 success, 1 verification failure,
-2 input error.  All output is a pure function of the inputs; CSV files
-are written atomically (write-then-rename).
+2 input error, 141 (128 + SIGPIPE) when the reader closes stdout early.
+All output is a pure function of the inputs; CSV files are written
+atomically (write-then-rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from itertools import pairwise
@@ -298,6 +301,9 @@ def cmd_repro_thm1(args) -> int:
     return 0 if ok else 1
 
 
+TRUNC_RADIUS = 8  # of the eff-point sweep that checks the truncated system
+
+
 def cmd_repro_thm2(args) -> int:
     n_kinks = args.kinks
     r_fixed = parse_q(args.r)
@@ -368,11 +374,11 @@ def cmd_repro_thm2(args) -> int:
         eps = parse_q(args.truncate)
         cone = ConeRep.from_halfspaces(2, [(-eps.numerator, eps.denominator)])
         truncated = Truncate(system, cone)
-        eff = eff_points(truncated, args.trunc_radius)
+        eff = eff_points(truncated, TRUNC_RADIUS)
         ok &= _pass(
             lines,
             all(cone.contains(v) for v in eff),
-            f"truncated system: eff points within radius {args.trunc_radius} "
+            f"truncated system: eff points within radius {TRUNC_RADIUS} "
             f"lie in s >= {fmt_q(eps)} r",
         )
         # the truncated system has no ideal below s = eps r: certify the part
@@ -512,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--truncate", default=None, metavar="EPS",
                       help="also verify truncation by s >= EPS * r; a negative EPS needs "
                            "the = form, --truncate=-1/2")
-    p_t2.add_argument("--trunc-radius", type=int, default=8)
     p_t2.add_argument("--out", default=None)
     p_t2.add_argument("--kink-out", default=None)
     p_t2.set_defaults(func=cmd_repro_thm2)
@@ -531,6 +536,13 @@ def main(argv=None) -> int:
     except MonotonicityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot raise again (a redirected stdout has no descriptor)
+        with suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except (MultigradedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -247,16 +247,16 @@ class MonomialIdeal:
         return result
 
     def power(self, n: int) -> MonomialIdeal:
-        """n-th power by binary exponentiation; n <= 0 gives the unit ideal."""
+        """n-th power by binary exponentiation from a power of self, not (1); n <= 0 gives (1)."""
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
         if self.is_zero:
             return MonomialIdeal.zero(self.dim)
-        result = MonomialIdeal.unit(self.dim)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result.product(base)
+                result = base if result is None else result.product(base)
             n >>= 1
             if n:
                 base = base._square()

@@ -11,20 +11,18 @@ R_{>=0}^k.  Facets are stored as pairs (normal, c) meaning
 points in the orthant they are vacuous, and membership tests check
 nonnegativity separately.
 
-One exact routine per dimension builds the polyhedron: a sorted
-staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
+One exact routine per dimension builds the polyhedron from points: a
+sorted staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
 incremental beneath-beyond hull with integer orientation tests that
 treats the axis directions as points at infinity.  For integer points,
 such as the generators of an ideal, the whole build, the facet
 normalization and the covolume stay in ints; ``Fraction`` appears only
-where a value is not an integer.  A region given by
-halfspaces (``vertices_from_halfspaces``) comes from the same routines:
-in k = 2 from ``envelope_2d``, an upper envelope of lines in integer
-arithmetic that returns the vertices together with the facets of the
-lines it keeps; in k = 3 from one ``orthant_hull_3d`` of its blocker,
-whose facets are the region's vertices and whose vertices are the
-region's facets.  The 3D covolume is a sum of cones from the origin
-over the facets.
+where a value is not an integer.  The 3D covolume is a sum of cones from
+the origin over the facets.  One routine, ``vertices_from_halfspaces``,
+builds every region given by any list of halfspaces in k <= 3: it drops
+the vacuous ones (c <= 0), reads k = 1 and 3 off one ``from_vertices`` of
+the blocker, whose facets are the region's vertices and whose vertices
+are its facets, and keeps the faster integer line envelope for k = 2.
 
 Everything is exact: ints where the data are integral, ``Fraction``
 otherwise, and no floats anywhere.
@@ -42,7 +40,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroIdeal,
 )
-from .monomial import MonomialIdeal, _antichain
+from .monomial import MonomialIdeal
 
 Point = tuple
 Facet = tuple  # (normal: tuple[int, ...], c: Fraction or int)
@@ -93,13 +91,15 @@ def primitive(nums) -> tuple[int, ...]:
 
 
 def _normalize_facet(normal, c) -> Facet:
-    """Rescale so the normal is primitive integer; c scales along.  An
-    integer normal is divided by its gcd, so an integer c that the gcd
-    divides stays an int."""
-    if type(c) is int and all(type(x) is int for x in normal):
+    """Rescale so the normal is primitive integer; c scales along and is an
+    int when integral.  An integer normal is divided by its gcd."""
+    if all(type(x) is int for x in normal):
         g = gcd(*normal)
-        if c % g == 0:
+        if type(c) is int and c % g == 0:
             return tuple(x // g for x in normal), c // g
+        if g > 1:
+            c = Fraction(c, g)
+        return tuple(x // g for x in normal), (c.numerator if c.denominator == 1 else c)
     prim = primitive(normal)
     i = next(j for j, x in enumerate(prim) if x != 0)
     scale = Fraction(prim[i], 1) / Fraction(normal[i])
@@ -114,11 +114,14 @@ def staircase_vertices(points) -> list[Point]:
     """Extreme points of conv(points) + orthant in the plane.
 
     Returns the boundary chain sorted by increasing x (so decreasing y),
-    with collinear interior points dropped.
+    with collinear interior points dropped.  One pass in lex order skips
+    every point no lower than the last one kept, the lowest so far.
     """
     hull: list[Point] = []
-    for p in _antichain(map(tuple, points), 2):
+    for p in sorted(map(tuple, points)):
         x, y = p
+        if hull and y >= hull[-1][1]:
+            continue
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
@@ -332,24 +335,32 @@ def _plane(a, b, c):
 
 
 def vertices_from_halfspaces(k: int, facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
-    """Vertices (sorted) and facets of {x >= 0 : <a, x> >= c} for k = 2, 3,
-    integer normals a >= 0, a != 0, and (in k = 3) every c > 0.
+    """Vertices (sorted) and facets of {x >= 0 : <a, x> >= c} for k <= 3 and
+    any list of integer normals a >= 0, a != 0: facets with c <= 0 are
+    dropped, and with none left the region is the orthant.
 
-    k = 2 is ``envelope_2d``.  k = 3 is one ``orthant_hull_3d`` of the
-    blocker B = conv(a / c) + orthant, the set of y >= 0 with <y, x> >= 1
-    on the region (Fulkerson, "Blocking and anti-blocking pairs of
-    polyhedra", 1971).  The region's vertices are n / d for the stored
-    facets (n, d) of B, and its facets are <b, x> >= 1, made primitive,
-    for the vertices b of B; so c is a ``Fraction``.
+    k = 1 and 3 are one ``from_vertices`` of the blocker B = conv(a / c) +
+    orthant, the y >= 0 with <y, x> >= 1 on the region (Fulkerson,
+    "Blocking and anti-blocking pairs of polyhedra", 1971): the region's
+    vertices are n / d for the stored facets (n, d) of B, and its facets
+    <b, x> >= 1, made primitive, for the vertices b of B; so c is a
+    ``Fraction``.  k = 2 is ``envelope_2d``: on Theorem 2 intersections of
+    130 to 2,050 facets the blocker took 13-14 times as long, and one
+    homogeneous-integer 2D hull for points and halfspaces 7-11 times
+    (Python 3.11.7, 2 shared vCPUs).
     """
+    facets = [(a, c) for a, c in facets if c > 0]
     if k == 2:
         return envelope_2d(facets)
-    if k != 3:
+    if k not in (1, 3):
         raise UnsupportedDimension("halfspace regions are limited to k <= 3")
-    points, dual = orthant_hull_3d([tuple(Fraction(x) / c for x in a) for a, c in facets])
-    verts = sorted(tuple(Fraction(x * d.denominator, d.numerator) for x in n) for n, d in dual)
+    if not facets:
+        return ((0,) * k,), ()
+    blocker = from_vertices([tuple(Fraction(x) / c for x in a) for a, c in facets])
+    verts = sorted(tuple(Fraction(x * d.denominator, d.numerator) for x in n)
+                   for n, d in blocker.facets)
     out = []
-    for b in points:
+    for b in blocker.vertices:
         a = primitive(b)
         i = next(j for j, x in enumerate(a) if x)
         out.append((a, Fraction(a[i] * b[i].denominator, b[i].numerator)))
@@ -411,20 +422,12 @@ def envelope_2d(facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
     verts = [(Fraction(wall_num, wall_den), Fraction(k * wall_den - s * wall_num, wall_den * scale))]
     for (s1, k1, _), (s2, k2, _) in zip(hull[first:], hull[first + 1:]):
         verts.append((Fraction(k1 - k2, s1 - s2), Fraction(s1 * k2 - s2 * k1, (s1 - s2) * scale)))
-    out = [_primitive_facet(f) for _, _, f in hull[first:-1]]
+    out = [_normalize_facet(*f) for _, _, f in hull[first:-1]]
     if wall_num > 0:
         out.append(((1, 0), verts[0][0]))
     if hull[-1][1] > 0:
         out.append(((0, 1), verts[-1][1]))
     return tuple(verts), tuple(sorted(out))
-
-
-def _primitive_facet(facet) -> Facet:
-    """An input facet in stored form: primitive normal, c an int when integral."""
-    a, c = facet
-    if gcd(*a) != 1:
-        return _normalize_facet(a, c)
-    return tuple(a), (c.numerator if c.denominator == 1 else c)
 
 
 # -- 3d volume ----------------------------------------------------------------

@@ -5,7 +5,9 @@ Every region is a ``NewtonPolyhedron``, the one polyhedron type of
 boundary functions of the pathological constructions and their
 epigraphs, the region algebra (intersection, Minkowski sum),
 lattice-generator extraction by one integer column scan for every
-k <= 3, and the gauge of the reflected symmetric body.
+k <= 3, and the gauge of the reflected symmetric body.  Every halfspace
+region is one ``newton.vertices_from_halfspaces``, which takes any list
+of facets, so ``region_from_halfspaces`` only checks outside input.
 
 Every boundary function is one ``PiecewiseLinearFn``.  Both of the
 paper's constructions are sums of dyadic hinge terms, built by one sweep
@@ -140,30 +142,16 @@ def full_orthant(k: int) -> NewtonPolyhedron:
 
 
 def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
-    """Region {x >= 0 : <a, x> >= c} from nonnegative-normal halfspaces.
-
-    Rational normals are scaled to integer ones, c along; the k = 2
-    envelope makes only the lines it keeps primitive."""
-    kept = []
+    """Region {x >= 0 : <a, x> >= c} from outside input: every normal must be
+    nonnegative and nonzero, and rational normals are scaled to integer
+    ones, c along; ``vertices_from_halfspaces`` does the rest."""
+    scaled = []
     for a, c in facets:
         if any(x < 0 for x in a) or all(x == 0 for x in a):
             raise ValueError(f"facet normal {a!r} must be nonzero and nonnegative")
-        if Fraction(c) > 0:
-            den = lcm(*(Fraction(x).denominator for x in a))
-            kept.append((tuple(int(x * den) for x in a), Fraction(c) * den))
-    if not kept:
-        return full_orthant(k)
-    return _from_halfspaces(k, kept)
-
-
-def _from_halfspaces(k: int, facets) -> NewtonPolyhedron:
-    """The region of checked, nonempty halfspaces with integer normals and
-    c > 0: in k = 1 the largest c / a, in k = 2 and 3 the vertices and
-    facets of ``vertices_from_halfspaces``, one integer line envelope or
-    one hull of the blocker; no facet is rebuilt from the vertices."""
-    if k == 1:
-        return from_vertices([(max(Fraction(c) / a[0] for a, c in facets),)])
-    return NewtonPolyhedron(k, *vertices_from_halfspaces(k, facets))
+        den = lcm(*(Fraction(x).denominator for x in a))
+        scaled.append((tuple(int(x * den) for x in a), Fraction(c) * den))
+    return NewtonPolyhedron(k, *vertices_from_halfspaces(k, scaled))
 
 
 def epigraph_region(fn: PiecewiseLinearFn) -> NewtonPolyhedron:
@@ -185,14 +173,11 @@ def thm2_regions(n_kinks: int) -> tuple[NewtonPolyhedron, NewtonPolyhedron]:
 
 def region_intersect(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:
     """P intersect Q from the concatenated facets of both (see
-    ``_from_halfspaces``): repeated facets cost nothing, as the envelope
-    keeps one line per slope and the hull one point per position."""
+    ``vertices_from_halfspaces``): repeated facets cost nothing, as the
+    envelope keeps one line per slope and the hull one point per position."""
     if p.dim != q.dim:
         raise DimensionMismatch("regions in different dimensions")
-    merged = p.facets + q.facets
-    if not merged:
-        return full_orthant(p.dim)
-    return _from_halfspaces(p.dim, merged)
+    return NewtonPolyhedron(p.dim, *vertices_from_halfspaces(p.dim, p.facets + q.facets))
 
 
 def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedron:

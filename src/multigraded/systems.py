@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product as iterprod
 from math import lcm
 from operator import add, mul
@@ -23,11 +24,10 @@ from .errors import (
     ZeroIdealInDirection,
 )
 from .monomial import MonomialIdeal, _check_pairs
-from .newton import NewtonPolyhedron
+from .newton import NewtonPolyhedron, vertices_from_halfspaces
 from .regions import (
     full_orthant,
     lattice_generators,
-    region_from_halfspaces,
     region_intersect,
     region_minkowski,
     thm2_regions,
@@ -122,10 +122,9 @@ class IdealPowers(SystemExpr):
         super().__init__(len(self.ideals), dims.pop())
 
     def _eval(self, v):
-        result = MonomialIdeal.unit(self.ambient_dim)
-        for ideal, n in zip(self.ideals, v):
-            result = result.product(ideal.power(n))
-        return result
+        factors = [ideal.power(n) for ideal, n in zip(self.ideals, v) if n > 0]
+        return (reduce(MonomialIdeal.product, factors) if factors
+                else MonomialIdeal.unit(self.ambient_dim))
 
     def limit_body(self, v):
         if any(Fraction(x).denominator != 1 for x in v):
@@ -318,9 +317,9 @@ class ColonSystem(SystemExpr):
         body = self.inner.limit_body(head)
         if t == 0:
             return body
-        verts = self.ideal.newton().vertices
-        return region_from_halfspaces(self.ambient_dim, [
-            (a, c - t * min(sum(map(mul, a, q)) for q in verts)) for a, c in body.facets])
+        k, verts = self.ambient_dim, self.ideal.newton().vertices
+        lowered = [(a, c - t * min(sum(map(mul, a, q)) for q in verts)) for a, c in body.facets]
+        return NewtonPolyhedron(k, *vertices_from_halfspaces(k, lowered))
 
 
 # -- gradedness verification ----------------------------------------------------

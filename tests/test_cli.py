@@ -45,13 +45,17 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def module_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(multigraded.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_module(argv, cwd):
     """The CLI in a fresh interpreter, as a user runs it: exit code and stderr."""
-    src = str(Path(multigraded.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "multigraded", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "multigraded", *argv], cwd=cwd,
+                          env=module_env(), capture_output=True, text=True, timeout=120)
 
 
 IDEAL_A = "# example\nk=2\n2 0\n0 3\n"
@@ -411,6 +415,14 @@ class TestSystemCommands:
         assert "ord0 geometric = 4/3" in out
         assert "certified = yes" in out
 
+    @pytest.mark.parametrize("region", ["k=0\n", "k=4\nhalfspace 1 0 0 0 >= 0\n"])
+    def test_region_dimension_outside_1_to_3_refused(self, region, tmp_path):
+        # refused even when no facet with c > 0 is left to build from
+        (tmp_path / "r.region").write_text(region)
+        (tmp_path / "r.system").write_text("region r.region\n")
+        code, out = run_cli(["system", "eval", str(tmp_path / "r.system"), "--at", "1"])
+        assert (code, out) == (2, "")
+
     def test_invariants_csv(self, wedge_file, tmp_path):
         out_csv = tmp_path / "inv.csv"
         code, _ = run_cli(
@@ -563,6 +575,14 @@ class TestRepro:
                             "--truncate", eps])
         assert got == code
         assert ("[FAIL] truncation leaves the kink table unchanged" in out) == (code == 1)
+
+    def test_thm2_truncation_radius_is_fixed(self):
+        code, out = run_cli(["repro", "thm2", "--kinks", "1", "--radius", "2",
+                             "--truncate", "1/2"])
+        assert code == 0
+        assert "truncated system: eff points within radius 8 lie in s >= 1/2 r" in out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["repro", "thm2", "--trunc-radius", "4"])
 
     def test_appendix(self):
         code, out = run_cli(["repro", "appendix", "--kinks", "1"])
@@ -828,6 +848,24 @@ class TestParser:
         assert (second.radius, second.out) == (2, None)
         third = parser.parse_args(["repro", "thm2"])
         assert (third.radius, third.out) == (6, None) and not hasattr(third, "path")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        # about 140 kB of output, more than a pipe holds: the writer is still
+        # printing when the reader closes its end after one line
+        (tmp_path / "c.cone").write_text("rank 2\nray 2 1\nray 1 2\n")
+        (tmp_path / "c.system").write_text("ceiling c.cone\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "multigraded", "system", "cones", "c.system",
+             "--radius", "60"],
+            cwd=tmp_path, env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestAtomicWrite:

@@ -16,7 +16,7 @@ from multigraded.errors import (
     UnsupportedDimension,
     ZeroIdeal,
 )
-from multigraded.monomial import MonomialIdeal, minimalize
+from multigraded.monomial import MonomialIdeal, _antichain, minimalize
 from multigraded.newton import (
     NewtonPolyhedron,
     _covolume_3d,
@@ -29,6 +29,7 @@ from multigraded.newton import (
     newton_polyhedron,
     orthant_hull_3d,
     primitive,
+    staircase_vertices,
     vertices_from_halfspaces,
 )
 from multigraded.regions import (
@@ -851,3 +852,123 @@ class TestBlockerHull3d:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimension):
             vertices_from_halfspaces(4, [((1, 1, 1, 1), 1)])
+
+
+# -- the one halfspace builder: any list, any k <= 3 ---------------------------
+
+
+def max_ratio_region_1d(facets):
+    """Reference: in k = 1 the region of the facets with c > 0 is x >= max c/a."""
+    kept = [Fraction(c) / a[0] for a, c in facets if c > 0]
+    if not kept:
+        return NewtonPolyhedron(1, ((0,),), ())
+    b = max(kept)
+    return NewtonPolyhedron(1, ((b,),), (((1,), b),))
+
+
+def brute_region_2d(facets):
+    """Reference: the brute 2D enumeration of the facets with c > 0."""
+    verts = brute_vertices_2d([(a, c) for a, c in facets if c > 0])
+    return NewtonPolyhedron(2, verts, chain_facets_2d(verts))
+
+
+BUILDER_REFERENCES = {1: max_ratio_region_1d, 2: brute_region_2d, 3: triple_region_3d}
+
+
+def builder_input(k):
+    """Integer normals >= 0, != 0; c of either sign, 0 included, int or
+    Fraction; the empty list; the appended draws repeat facets verbatim."""
+    normal = st.tuples(*[st.integers(0, 4)] * k).filter(any)
+    c = st.one_of(st.integers(-2, 8), st.fractions(-2, 8, max_denominator=4))
+    return st.lists(st.tuples(normal, c), max_size=6).flatmap(
+        lambda fs: st.lists(st.sampled_from(fs), max_size=2).map(lambda dup: fs + dup)
+        if fs else st.just(fs))
+
+
+class TestHalfspaceBuilderContract:
+    """``vertices_from_halfspaces`` takes every list of nonnegative, nonzero
+    integer normals in k <= 3 (empty, all vacuous or mixed) and returns the
+    region of the facets with c > 0, equal by ``repr`` to an independent
+    reference."""
+
+    def _agree(self, k, facets):
+        got = NewtonPolyhedron(k, *vertices_from_halfspaces(k, facets))
+        assert repr(got) == repr(BUILDER_REFERENCES[k](facets))
+
+    @pytest.mark.parametrize("k, facets", [
+        (1, []),
+        (1, [((2,), 0), ((1,), -3)]),
+        (1, [((2,), 5), ((2,), 5), ((1,), 0), ((3,), F(-1, 2)), ((1,), F(3, 2))]),
+        (2, []),
+        (2, [((1, 3), -1), ((2, 0), 0)]),
+        (2, [((1, 2), 3), ((1, 2), 3), ((3, 1), 0), ((0, 1), -2), ((3, 1), 4)]),
+        (3, []),
+        (3, [((1, 1, 1), 0), ((1, 0, 0), -1)]),
+        (3, [((1, 1, 1), 0), ((1, 2, 3), 6), ((1, 2, 3), 6), ((0, 0, 1), -2)]),
+        (3, [((1, 1, 1), F(-1, 3)), ((3, 2, 1), F(9, 2)), ((0, 1, 0), 1)]),
+    ])
+    def test_examples(self, k, facets):
+        self._agree(k, facets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder_input(1))
+    def test_k1(self, facets):
+        self._agree(1, facets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(builder_input(2))
+    def test_k2(self, facets):
+        self._agree(2, facets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder_input(3))
+    def test_k3(self, facets):
+        self._agree(3, facets)
+
+    def test_empty_list_is_the_orthant(self):
+        for k in (1, 3):
+            assert vertices_from_halfspaces(k, []) == (((0,) * k,), ())
+        assert vertices_from_halfspaces(2, []) == (((F(0), F(0)),), ())
+
+
+# -- the staircase pass against the antichain-then-hull route ----------------
+
+
+def antichain_staircase(points):
+    """Reference: minimal points by ``monomial._antichain``, then the
+    convex-chain pops over them."""
+    hull = []
+    for p in _antichain(map(tuple, points), 2):
+        x, y = p
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+COORD = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=3))
+
+
+class TestStaircaseVertices:
+    """The one lex-sorted pass equals the antichain-then-hull route by
+    ``repr``, so the kept point of equal ones and every type match."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=12), st.randoms())
+    def test_matches_antichain_route(self, points, rnd):
+        # duplicates, including an int copy of a Fraction point, then shuffled
+        points = points + points[:3] + [tuple(int(x) for x in p) for p in points[:2]]
+        rnd.shuffle(points)
+        assert repr(staircase_vertices(points)) == repr(antichain_staircase(points))
+
+    @pytest.mark.parametrize("points", [
+        [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)],  # collinear: two ends kept
+        [(2, 2), (0, 4), (4, 0), (2, 2), (3, 3), (4, 1)],  # duplicate and dominated
+        [(F(1, 2), 3), (0, 4), (F(1, 2), 3), (1, F(5, 2)), (3, 0), (3, 0)],
+    ])
+    def test_examples(self, points):
+        for order in (points, points[::-1]):
+            assert repr(staircase_vertices(order)) == repr(antichain_staircase(order))

@@ -115,6 +115,51 @@ class TestEval:
         assert Intersect(a, b).eval((-1,)).is_unit
 
 
+# small k = 2 and k = 3 ideals other than (1), the zero ideal included, and
+# exponents of every sign
+SMALL_IDEALS = st.integers(2, 3).flatmap(lambda k: st.lists(
+    st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any), max_size=3)
+    .map(lambda gens, k=k: minimalize(gens, k)),
+    min_size=1, max_size=3))
+
+
+class TestNoUnitFactor:
+    """``power`` and ``IdealPowers`` start from their first factor: no
+    product they form has the unit ideal as a factor, and the results are
+    those of repeated products starting from (1)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_IDEALS, st.lists(st.integers(-1, 5), min_size=3, max_size=3))
+    def test_counting_wrapper(self, ideals, exps):
+        product = MonomialIdeal.product
+        factors = []
+
+        def counting(a, b):
+            factors.extend((a, b))
+            return product(a, b)
+
+        k = ideals[0].dim
+        unit = MonomialIdeal.unit(k)
+
+        def repeated(ideal, n):
+            out = unit
+            for _ in range(n):
+                out = product(out, ideal)
+            return out
+
+        v = tuple(exps[:len(ideals)])
+        want = unit
+        for i, n in zip(ideals, v):
+            want = product(want, repeated(i, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MonomialIdeal, "product", counting)
+            powers = [i.power(n) for i, n in zip(ideals, exps)]
+            got = IdealPowers(ideals).eval(v)
+        assert not any(f.is_unit for f in factors)
+        assert powers == [repeated(i, n) for i, n in zip(ideals, exps)]
+        assert got == want
+
+
 def _rationals(lo, hi):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 7))
 
