@@ -31,7 +31,7 @@ from .errors import MonotonicityError, MultigradedError, NotCofinite
 from .invariants import (
     appendix_kink_table,
     ceiling_closed_forms,
-    geometric_invariants,
+    geometric_invariant,
     sequence_invariant,
     thm2_crossing,
     thm2_kink_table,
@@ -135,7 +135,7 @@ def cmd_system_invariants(args) -> int:
                 failed |= not bracket.certified
         else:
             body = system.restrict(v).limit_body()
-            geo = getattr(geometric_invariants(body), q)
+            geo = geometric_invariant(body, q)
             if geo is None:
                 lines.append(f"{q} geometric = unavailable (unbounded complement)")
             else:

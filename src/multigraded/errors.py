@@ -61,3 +61,8 @@ class TooManyGeneratorPairs(MultigradedError):
     """A product, a squaring or a k >= 3 intersection would combine more
     generator pairs than ``monomial.MAX_GENERATOR_PAIRS`` allows.  A k=2
     intersection is a staircase merge and is never refused."""
+
+
+class TooManyScanColumns(MultigradedError):
+    """A lattice scan box would hold more columns than
+    ``regions.MAX_SCAN_COLUMNS`` allows."""

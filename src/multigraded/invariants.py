@@ -101,7 +101,7 @@ def sequence_invariant(system: SystemExpr, v, quantity: str,
             )
     geometric, certified = None, False
     if with_geometry:
-        geometric = getattr(geometric_invariants(view.limit_body()), quantity)
+        geometric = geometric_invariant(view.limit_body(), quantity)
         certified = all(val >= geometric for _, val in samples)
     return InvariantBracket(quantity, view.direction, tuple(samples), geometric, certified)
 
@@ -113,15 +113,23 @@ class GeometricInvariants:
     mult: Fraction | None  # None when the complement is unbounded
 
 
+def geometric_invariant(body: NewtonPolyhedron, quantity: str) -> Fraction | None:
+    """One quantity of ``geometric_invariants``, computing only that one."""
+    if quantity == "ord0":
+        return body.ord0()
+    if quantity == "arn":
+        return body.diagonal_lambda()
+    if quantity == "mult":
+        try:
+            return factorial(body.dim) * body.covolume()
+        except UnboundedComplement:
+            return None
+    raise ValueError(f"unknown quantity {quantity!r}")
+
+
 def geometric_invariants(body: NewtonPolyhedron) -> GeometricInvariants:
     """(inf |v|, diagonal lambda, k! Vol of the complement) of a limit body."""
-    ord0 = body.ord0()
-    arn = body.diagonal_lambda()
-    try:
-        mult = factorial(body.dim) * body.covolume()
-    except UnboundedComplement:
-        mult = None
-    return GeometricInvariants(ord0, arn, mult)
+    return GeometricInvariants(*(geometric_invariant(body, q) for q in ("ord0", "arn", "mult")))
 
 
 def ceiling_closed_forms(system: CeilingSystem, v) -> GeometricInvariants:

@@ -13,19 +13,21 @@ nonnegativity separately.
 
 One exact routine per dimension builds the polyhedron from points: a
 sorted staircase chain in k = 2 and, in k = 3, ``orthant_hull_3d``, an
-incremental beneath-beyond hull with integer orientation tests that
-treats the axis directions as points at infinity.  For integer points,
-such as the generators of an ideal, the whole build, the facet
-normalization and the covolume stay in ints; ``Fraction`` appears only
-where a value is not an integer.  The 3D covolume is a sum of cones from
-the origin over the facets.  One routine, ``vertices_from_halfspaces``,
-builds every region given by any list of halfspaces in k <= 3: it drops
-the vacuous ones (c <= 0), reads k = 1 and 3 off one ``from_vertices`` of
-the blocker, whose facets are the region's vertices and whose vertices
-are its facets, and keeps the faster integer line envelope for k = 2.
+incremental beneath-beyond hull (``_hull_3d``) on homogeneous integer
+points that treats the axis directions as points at infinity.  The 3D
+covolume is a sum of cones from the origin over the facets.  One routine,
+``vertices_from_halfspaces``, builds every region given by any list of
+halfspaces in k <= 3: it drops the vacuous ones (c <= 0), takes the
+largest c / a in k = 1, the integer line envelope in k = 2, and in k = 3
+one ``_hull_3d`` of the blocker, whose facets are the region's vertices
+and whose vertices are its facets.
 
-Everything is exact: ints where the data are integral, ``Fraction``
-otherwise, and no floats anywhere.
+Everything is exact and in integers: integer data stay ints throughout,
+and rational data are carried over one integer denominator (a point as
+(L p, L), a facet with c = p/q as the blocker point (q a, p), the
+vertices of a covolume scaled by the lcm of their denominators), so a
+``Fraction`` is made only for a value that leaves the layer: a vertex, a
+facet's c, a volume.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -231,45 +233,62 @@ def from_vertices(points) -> NewtonPolyhedron:
 
 
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_AXES_AT_INFINITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def orthant_hull_3d(points):
     """Vertices and facets of conv(points) + orthant in R^3, for points >= 0.
 
-    Beneath-beyond incremental hull (the deterministic form of the
-    Clarkson-Shor randomized incremental construction) in homogeneous
-    integer coordinates: an integer point p becomes (p, 1), a rational one
-    (L p, L) with L the lcm of its denominators, and the axis directions
-    e_i become points at infinity (e_i, 0).  Starting from the tetrahedron
-    e_1, e_2, e_3 and the first point, the points are inserted by
-    decreasing largest coordinate: those far out on the axes carry the
-    facets that meet the axes, so most later points lie beneath the hull
-    and see no triangle.  A point that sees triangles strictly (the sign of
-    an integer 4x4 determinant, a dot product with each triangle's plane)
-    removes them and joins their horizon to itself; O(n F) tests for n
-    points and F triangles.  Triangles are index triples into the sorted
-    input, so the result does not depend on the input's order.  At the end
-    the face at infinity (w = 0) is dropped and coplanar triangles merge by
-    primitive normal.
+    The points become homogeneous integer points for ``_hull_3d``: an
+    integer point p is (p, 1), a rational one (L p, L) with L the lcm of
+    its denominators.  They are sorted first, so the result does not
+    depend on the input's order, and inserted by decreasing largest
+    coordinate.
 
     Vertices are input tuples.  A facet's c is <a, p> for the lex-first
-    input point p on it (a vertex of the facet, so on some triangle), so c
-    is an int for integer input and has that point's type otherwise;
-    facets with c <= 0 are not stored.  A point is a vertex when it lies on
-    three distinct facets, counting the coordinate plane x_i = 0 wherever
-    its i-th coordinate is 0: in a 3-dimensional polyhedron a point in the
-    relative interior of an edge lies on two facets, one inside a facet on
-    one.
+    input point p on it, so c is an int for integer input and has that
+    point's type otherwise; facets with c <= 0 are not stored.
     """
     pts = sorted(set(map(tuple, points)))
-    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    gens = list(_AXES_AT_INFINITY)
     for p in pts:
         if type(p[0]) is int and type(p[1]) is int and type(p[2]) is int:
             gens.append((*p, 1))
         else:
             den = lcm(*(x.denominator for x in p))
             gens.append(tuple(x.numerator * (den // x.denominator) for x in p) + (den,))
-    order = sorted(range(3, len(gens)), key=lambda i: -max(pts[i - 3]))
+    first, verts = _hull_3d(gens, sorted(range(3, len(gens)), key=lambda i: -max(pts[i - 3])))
+    facets = []
+    for a, i in first.items():
+        c = _dot(a, pts[i - 3])
+        if c > 0:
+            facets.append((a, c))
+    return tuple(pts[i - 3] for i in verts), tuple(sorted(facets))
+
+
+def _hull_3d(gens, order):
+    """Facets and vertices of conv + orthant of homogeneous integer points.
+
+    Beneath-beyond incremental hull (the deterministic form of the
+    Clarkson-Shor randomized incremental construction): gens[:3] are the
+    axis directions as points at infinity (e_i, 0), every later gen is a
+    point (L p, L) with L > 0, and ``order`` lists the indices >= 3 in
+    insertion order.  Points far out on the axes, inserted first, carry the
+    facets that meet the axes, so most later points lie beneath the hull
+    and see no triangle.  Starting from the tetrahedron e_1, e_2, e_3 and
+    the first point, a point that sees triangles strictly (the sign of an
+    integer 4x4 determinant, a dot product with each triangle's plane)
+    removes them and joins their horizon to itself; O(n F) tests for n
+    points and F triangles.  At the end the face at infinity (w = 0) is
+    dropped and coplanar triangles merge by primitive normal.
+
+    Returns a dict from each primitive normal to the least index of a point
+    on it, and the sorted indices of the vertices.  A point is a vertex
+    when it lies on three distinct facets, counting the coordinate plane
+    x_i = 0 wherever its i-th coordinate is 0: in a 3-dimensional
+    polyhedron a point in the relative interior of an edge lies on two
+    facets, one inside a facet on one.  Neither depends on ``order``.
+    """
     # strictly inside the first tetrahedron, hence inside every later hull
     w0, w1, w2, w3 = map(sum, zip(*gens[:3], gens[order[0]]))
 
@@ -298,7 +317,7 @@ def orthant_hull_3d(points):
                 tris.append(triangle(i, j, q) if q > j else
                             triangle(i, q, j) if q > i else triangle(q, i, j))
 
-    first: dict[tuple, int] = {}  # primitive normal -> lex-first point on it
+    first: dict[tuple, int] = {}  # primitive normal -> least point index on it
     incident: dict[int, set] = {}
     for i, j, k, n0, n1, n2, _ in tris:
         if k < 3:
@@ -309,17 +328,12 @@ def orthant_hull_3d(points):
         first[a] = min(first.get(a, ends[0]), ends[0])
         for e in ends:
             incident.setdefault(e, set()).add(a)
-    facets = []
-    for a, i in first.items():
-        c = _dot(a, pts[i - 3])
-        if c > 0:
-            facets.append((a, c))
     verts = []
     for i in sorted(incident):
-        p, normals = pts[i - 3], incident[i]
+        p, normals = gens[i], incident[i]
         if len(normals | {_AXES[j] for j in range(3) if p[j] == 0}) >= 3:
-            verts.append(p)
-    return tuple(verts), tuple(sorted(facets))
+            verts.append(i)
+    return first, verts
 
 
 def _plane(a, b, c):
@@ -336,18 +350,22 @@ def _plane(a, b, c):
 
 def vertices_from_halfspaces(k: int, facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
     """Vertices (sorted) and facets of {x >= 0 : <a, x> >= c} for k <= 3 and
-    any list of integer normals a >= 0, a != 0: facets with c <= 0 are
-    dropped, and with none left the region is the orthant.
+    any list of integer normals a >= 0, a != 0 and int or ``Fraction`` c:
+    facets with c <= 0 are dropped, and with none left the region is the
+    orthant.  Vertices and c are ``Fraction``s in k = 1 and 3.
 
-    k = 1 and 3 are one ``from_vertices`` of the blocker B = conv(a / c) +
-    orthant, the y >= 0 with <y, x> >= 1 on the region (Fulkerson,
-    "Blocking and anti-blocking pairs of polyhedra", 1971): the region's
-    vertices are n / d for the stored facets (n, d) of B, and its facets
-    <b, x> >= 1, made primitive, for the vertices b of B; so c is a
-    ``Fraction``.  k = 2 is ``envelope_2d``: on Theorem 2 intersections of
-    130 to 2,050 facets the blocker took 13-14 times as long, and one
-    homogeneous-integer 2D hull for points and halfspaces 7-11 times
-    (Python 3.11.7, 2 shared vCPUs).
+    k = 1 is x >= max c / a.  k = 3 is one ``_hull_3d`` of the blocker
+    B = conv(a / c) + orthant, the y >= 0 with <y, x> >= 1 on the region
+    (Fulkerson, "Blocking and anti-blocking pairs of polyhedra", 1971),
+    whose facets are the region's vertices and whose vertices are its
+    facets.  With c = p / q the point a / c is the homogeneous integer
+    point (q a, p), in lowest terms so that equal points coincide; a facet
+    <n, y> >= <n, X> / w of B, through the point (X, w), is the vertex
+    n w / <n, X> of the region, and a vertex (X, w) of B is the facet
+    <X / g, x> >= w / g, with g = gcd(X).  Only those values become
+    ``Fraction``s.  k = 2 is ``envelope_2d``: on Theorem 2 intersections of
+    130 to 2,050 facets a blocker on ``Fraction`` points took 13-14 times
+    as long (Python 3.11.7, 2 shared vCPUs).
     """
     facets = [(a, c) for a, c in facets if c > 0]
     if k == 2:
@@ -356,15 +374,32 @@ def vertices_from_halfspaces(k: int, facets) -> tuple[tuple[Point, ...], tuple[F
         raise UnsupportedDimension("halfspace regions are limited to k <= 3")
     if not facets:
         return ((0,) * k,), ()
-    blocker = from_vertices([tuple(Fraction(x) / c for x in a) for a, c in facets])
-    verts = sorted(tuple(Fraction(x * d.denominator, d.numerator) for x in n)
-                   for n, d in blocker.facets)
+    if k == 1:
+        b = max(Fraction(c) / a for (a,), c in facets)
+        return ((b,),), (((1,), b),)
+    points = set()
+    for (a0, a1, a2), c in facets:
+        # gcd(q a, p) = gcd(a, p), as p and q are coprime
+        p, q = c.numerator, c.denominator
+        g = gcd(a0, a1, a2, p)
+        points.add((q * (a0 // g), q * (a1 // g), q * (a2 // g), p // g))
+    gens = [*_AXES_AT_INFINITY, *sorted(points)]
+    # insertion by decreasing largest coordinate max(X) / w, over the lcm of the w
+    den = lcm(*(g[3] for g in gens[3:]))
+    first, corners = _hull_3d(gens, sorted(range(3, len(gens)),
+                                           key=lambda i: -max(gens[i][:3]) * (den // gens[i][3])))
+    verts = []
+    for a, i in first.items():
+        x0, x1, x2, w = gens[i]
+        s = a[0] * x0 + a[1] * x1 + a[2] * x2
+        if s > 0:
+            verts.append(tuple(Fraction(n * w, s) for n in a))
     out = []
-    for b in blocker.vertices:
-        a = primitive(b)
-        i = next(j for j, x in enumerate(a) if x)
-        out.append((a, Fraction(a[i] * b[i].denominator, b[i].numerator)))
-    return tuple(verts), tuple(sorted(out))
+    for i in corners:
+        x0, x1, x2, w = gens[i]
+        g = gcd(x0, x1, x2)
+        out.append(((x0 // g, x1 // g, x2 // g), Fraction(w, g)))
+    return tuple(sorted(verts)), tuple(sorted(out))
 
 
 def envelope_2d(facets) -> tuple[tuple[Point, ...], tuple[Facet, ...]]:
@@ -437,20 +472,26 @@ def _covolume_3d(vertices, facets) -> Fraction:
     """Volume of orthant minus P as a sum of cones from the origin.
 
     Each stored facet <a, x> >= c (c > 0) contributes the cone over its
-    vertex ring, fanned as |det(r_0, r_i, r_{i+1})| / 6; the determinants
-    are summed in the vertices' type (ints for an ideal) and divided once.
-    When every axis meets P, such facets have strictly positive normals, so
-    they are compact and their cones tile the complement.
+    vertex ring, fanned as |det(r_0, r_i, r_{i+1})| / 6.  Rational vertices
+    are scaled by the lcm D of their denominators first, so the
+    determinants are integers, summed and divided once, by 6 D^3.  When
+    every axis meets P, such facets have strictly positive normals, so they
+    are compact and their cones tile the complement.
     """
     for i in range(3):
         if not any(all(v[j] == 0 for j in range(3) if j != i) for v in vertices):
             raise UnboundedComplement(f"axis {i} never enters the polyhedron")
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    if den > 1:
+        vertices = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices]
     total = 0
     for (a0, a1, a2), c in facets:
+        # c D is an integer: c = <a, v> for a vertex v on the facet
+        c = c.numerator * (den // c.denominator)
         r0, *ring = _ring([v for v in vertices if a0 * v[0] + a1 * v[1] + a2 * v[2] == c])
         for u, w in zip(ring, ring[1:]):
             total += abs(_dot(r0, _cross(u, w)))
-    return Fraction(total, 6)
+    return Fraction(total, 6 * den**3)
 
 
 def _ring(points):

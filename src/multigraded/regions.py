@@ -23,12 +23,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import lcm
 from operator import itemgetter, mul
 
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
+    TooManyScanColumns,
     UnsupportedDimension,
 )
 # minimalize is unused here; perfbench's install test asserts that this
@@ -136,6 +137,13 @@ def build_g() -> PiecewiseLinearFn:
 
 # -- regions -------------------------------------------------------------------
 
+# Largest number of columns (x, y) a lattice scan may visit (one to two
+# seconds of work for a region of one to three facets; every further facet
+# adds to each column).  Past it lie dilations whose scan box grows as
+# (m c)^2 for k = 3, such as a facet with c = 1e400; they are refused up
+# front.
+MAX_SCAN_COLUMNS = 1_000_000
+
 
 def full_orthant(k: int) -> NewtonPolyhedron:
     return NewtonPolyhedron(k, ((0,) * k,), ())
@@ -143,14 +151,17 @@ def full_orthant(k: int) -> NewtonPolyhedron:
 
 def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
     """Region {x >= 0 : <a, x> >= c} from outside input: every normal must be
-    nonnegative and nonzero, and rational normals are scaled to integer
-    ones, c along; ``vertices_from_halfspaces`` does the rest."""
+    nonnegative and nonzero.  Integer normals pass through untouched, with
+    c; rational ones are scaled to integer ones, c along.
+    ``vertices_from_halfspaces`` does the rest."""
     scaled = []
     for a, c in facets:
         if any(x < 0 for x in a) or all(x == 0 for x in a):
             raise ValueError(f"facet normal {a!r} must be nonzero and nonnegative")
-        den = lcm(*(Fraction(x).denominator for x in a))
-        scaled.append((tuple(int(x * den) for x in a), Fraction(c) * den))
+        if any(type(x) is not int for x in a):
+            den = lcm(*(Fraction(x).denominator for x in a))
+            a, c = tuple(int(x * den) for x in a), Fraction(c) * den
+        scaled.append((a, c))
     return NewtonPolyhedron(k, *vertices_from_halfspaces(k, scaled))
 
 
@@ -190,35 +201,42 @@ def region_minkowski(p: NewtonPolyhedron, q: NewtonPolyhedron) -> NewtonPolyhedr
 def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
     """Minimal generators of the ideal of all lattice points of m * region.
 
-    One integer column scan for every k <= 3.  A region with k < 3 gets
-    3 - k leading zero coordinates on its facets, and each generator drops
-    them again.  Column (x, y) holds the points z >= h(x, y), where h is
-    the least z >= 0 meeting every facet with a_z > 0; a column breaking a
-    facet with a_z = 0 holds none.  h is nonincreasing in x and y, so
+    One integer column scan for every k <= 3, read straight off the
+    region's stored data: a facet <a, x> >= p/q of the region is the
+    integer inequality q <a, x> >= m p of m * region.  A region with k < 3
+    gets 3 - k leading zero coordinates on its facets, and each generator
+    drops them again.  Column (x, y) holds the points z >= h(x, y), where h
+    is the least z >= 0 meeting every facet with a_z > 0; a column breaking
+    a facet with a_z = 0 holds none.  h is nonincreasing in x and y, so
     (x, y, h) is a minimal generator exactly when h lies strictly below
     both h(x - 1, y) and h(x, y - 1); the scan emits the lex-sorted
     antichain directly, with no domination filter.
 
-    Each axis stops at the ceiling b_i of the largest vertex coordinate: a
-    point u = p + r of the region (p in the vertices' hull, r >= 0) with
-    u_i > b_i has r_i >= 1, so u - e_i is in the region too and u is not
-    minimal.  The same bound caps every nonempty column's h at b_z.
+    Each axis stops at b_i = ceil(m v_i) for the largest vertex coordinate
+    v_i: a point u = p + r of m * region (p in the vertices' hull, r >= 0)
+    with u_i > b_i has r_i >= 1, so u - e_i is in it too and u is not
+    minimal.  The same bound caps every nonempty column's h at b_z.  A box
+    of more than ``MAX_SCAN_COLUMNS`` columns (x, y) is refused before the
+    scan starts.
     """
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
     k = region.dim
     if k > 3:
         raise UnsupportedDimension("lattice scans are limited to k <= 3")
-    scaled = region.scale(m) if m != 1 else region
     pad = (0,) * (3 - k)
-    bx, by, bz = pad + tuple(ceil(max(v[i] for v in scaled.vertices)) for i in range(k))
+    tops = [max(v[i] for v in region.vertices) for i in range(k)]
+    bx, by, bz = pad + tuple(-(-m * t.numerator // t.denominator) for t in tops)
+    if (bx + 1) * (by + 1) > MAX_SCAN_COLUMNS:
+        raise TooManyScanColumns(
+            f"lattice scan of {m} * region needs more columns than the limit of "
+            f"{MAX_SCAN_COLUMNS}"
+        )
     flat, sloped = [], []
-    for a, c in scaled.facets:
-        # scaled to integers: a_x x + a_y y + a_z z >= c
-        q = (*pad, *a, c)
-        scale = lcm(*(t.denominator for t in q))
-        ax, ay, az, cc = (t.numerator * (scale // t.denominator) for t in q)
-        (sloped if az > 0 else flat).append((ax, ay, az, cc))
+    for a, c in region.facets:
+        q, mp = c.denominator, m * c.numerator
+        ax, ay, az = (*pad, *a) if q == 1 else (q * t for t in (*pad, *a))
+        (sloped if az > 0 else flat).append((ax, ay, az, mp))
     empty = bz + 1  # the height of a column holding no point
     gens = []
     below = [empty] * (by + 1)  # h(x - 1, y) for every y

@@ -8,6 +8,7 @@ significant digits, round-half-even, and is never authoritative.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -59,6 +60,18 @@ def parse_q(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}") from exc
+
+
+def parse_number(token: str) -> int | Fraction:
+    """An int for a token of decimal digits with an optional sign, else
+    ``parse_q``'s Fraction.  ``str.isdecimal`` admits exactly the digits
+    that ``int`` and ``Fraction`` both read (not '²', whose ``isdigit`` is
+    True, nor the '_' that only some ``Fraction`` versions accept); a token
+    past ``int``'s digit limit is refused by ``parse_q`` as well."""
+    if (token[1:] if token[:1] in "+-" else token).isdecimal():
+        with suppress(ValueError):
+            return int(token)
+    return parse_q(token)
 
 
 def _token(tokens, i: int, usage: str) -> str:
@@ -164,10 +177,10 @@ def parse_region(text: str) -> NewtonPolyhedron:
         if tokens[0] != "halfspace" or ">=" not in tokens:
             raise ParseError(f"expected 'halfspace a1 ... >= c', got {' '.join(tokens)!r}")
         split = tokens.index(">=")
-        normal = tuple(parse_q(t) for t in tokens[1:split])
+        normal = tuple(parse_number(t) for t in tokens[1:split])
         if len(normal) != k or len(tokens) != split + 2:
             raise ParseError(f"halfspace line of wrong arity: {' '.join(tokens)!r}")
-        facets.append((normal, parse_q(tokens[split + 1])))
+        facets.append((normal, parse_number(tokens[split + 1])))
     return region_from_halfspaces(k, facets)
 
 

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multigraded
-from multigraded import cli, newton
+from multigraded import cli, newton, textio
 from multigraded.cli import _ceiling_sample, _thm1_directions, build_parser, main
 from multigraded.cones import lattice_window
 from multigraded.invariants import ceiling_closed_forms, sequence_invariant
 from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
-from multigraded.regions import PiecewiseLinearFn, appendix_boundary
+from multigraded.regions import MAX_SCAN_COLUMNS, PiecewiseLinearFn, appendix_boundary
 from multigraded.systems import CeilingSystem
 from multigraded.textio import (
     ParseError,
@@ -32,6 +32,7 @@ from multigraded.textio import (
     format_ideal,
     parse_cone,
     parse_ideal,
+    parse_number,
     parse_region,
     parse_system,
     write_text_atomic,
@@ -124,6 +125,37 @@ class TestFormats:
     def test_region_halfspace(self):
         r = parse_region("k=2\nhalfspace 1 2 >= 2\nhalfspace 2 1 >= 2\n")
         assert r.vertices[1] == (r.vertices[1][0], r.vertices[1][0])
+
+    @pytest.mark.parametrize("token, kind", [
+        ("3", int), ("-2", int), ("+4", int), ("007", int), ("1_000", Fraction),
+        ("3/2", Fraction), ("1.5", Fraction), ("1e3", Fraction), (" 3", Fraction),
+        ("\u0663", int), ("\u00b2", None), ("+-3", None), ("1/0", None), ("", None),
+        # past the default digit limit of int, and so of Fraction, where there is one
+        pytest.param("9" * 5000, int, id="5000-digits"),
+    ])
+    def test_number_tokens_read_as_fraction_does(self, token, kind):
+        # the int path accepts, refuses and values each token as Fraction does,
+        # and kind is the type of an accepted token; '1_000' is read by some
+        # Python versions' Fraction and not by others
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError, match=f"^bad rational {re.escape(repr(token))}$"):
+                parse_number(token)
+            return
+        got = parse_number(token)
+        assert got == want and type(got) is kind
+
+    def test_region_integer_tokens_stay_int(self, monkeypatch):
+        seen = []
+        build = textio.region_from_halfspaces
+        monkeypatch.setattr(textio, "region_from_halfspaces",
+                            lambda k, facets: seen.append(facets) or build(k, facets))
+        r = parse_region("k=2\nhalfspace 1 2 >= 3\nhalfspace 3/2 1 >= 4\n")
+        assert repr(seen) == repr([[((1, 2), 3), ((Fraction(3, 2), 1), 4)]])
+        assert r == parse_region("k=2\nhalfspace 1 2 >= 3/1\nhalfspace 3 2 >= 8\n")
+        with pytest.raises(ParseError, match="^bad rational '\u00b2'$"):
+            parse_region("k=2\nhalfspace 1 \u00b2 >= 3\n")
 
     def test_region_epigraph(self):
         r = parse_region("k=2\nepigraph\nbreakpoint 0 1 -1/2\n")
@@ -422,6 +454,32 @@ class TestSystemCommands:
         (tmp_path / "r.system").write_text("region r.region\n")
         code, out = run_cli(["system", "eval", str(tmp_path / "r.system"), "--at", "1"])
         assert (code, out) == (2, "")
+
+    MIXED = "k=3\nhalfspace 1 2 3 >= 3\nhalfspace 2 1 1 >= 3/2\n"
+
+    def test_mixed_integer_and_rational_region(self, tmp_path):
+        (tmp_path / "m.region").write_text(self.MIXED)
+        (tmp_path / "m.system").write_text("region m.region\n")
+        code, out = run_cli(["system", "eval", str(tmp_path / "m.system"), "--at", "2"])
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "k=3" and len(lines) == 11 and "6 0 0" in lines
+        code, out = run_cli(["system", "invariants", str(tmp_path / "m.system"),
+                             "--direction", "1", "--schedule", "doubling", "--max", "2"])
+        assert code == 0
+        assert "ord0 geometric = 6/5 (1.2)" in out.splitlines()
+        assert "mult geometric = 189/40 (4.725)" in out.splitlines()
+        assert out.count("certified = yes") == 3
+
+    @pytest.mark.parametrize("argv", [["eval", "--at", "1"], ["invariants", "--direction", "1"]])
+    def test_runaway_lattice_scan_exits_2_with_the_limit(self, tmp_path, argv, capsys):
+        # the scan box of this region has about 1e800 columns
+        (tmp_path / "h.region").write_text("k=3\nhalfspace 1 1 1 >= 1e400\n")
+        (tmp_path / "h.system").write_text("region h.region\n")
+        code, out = run_cli(["system", argv[0], str(tmp_path / "h.system"), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and "geometric" not in out
+        assert err == ("error: lattice scan of 1 * region needs more columns than the "
+                       f"limit of {MAX_SCAN_COLUMNS}\n")
 
     def test_invariants_csv(self, wedge_file, tmp_path):
         out_csv = tmp_path / "inv.csv"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigraded.cones import abs_sum_cone
+from multigraded.cones import ConeRep, abs_sum_cone
 from multigraded.errors import EvaluationOutOfDomain, ZeroIdealInDirection
 from multigraded.invariants import (
     ChainTable,
@@ -26,7 +26,7 @@ from multigraded.invariants import (
     thm2_ord0,
 )
 from multigraded.monomial import MonomialIdeal, minimalize
-from multigraded.newton import from_vertices, newton_polyhedron
+from multigraded.newton import NewtonPolyhedron, from_vertices, newton_polyhedron
 from multigraded.regions import (
     appendix_boundary,
     build_g,
@@ -37,7 +37,14 @@ from multigraded.regions import (
     region_intersect,
     thm2_regions,
 )
-from multigraded.systems import CeilingSystem, IdealPowers, RegionSystem
+from multigraded.systems import (
+    CeilingSystem,
+    IdealPowers,
+    Intersect,
+    Product,
+    Pullback,
+    RegionSystem,
+)
 
 F = Fraction
 
@@ -112,6 +119,54 @@ class TestSequenceInvariant:
         m1 = sequence_invariant(wedge_system, (1,), "mult", steps=4)
         m3 = sequence_invariant(wedge_system, (3,), "mult", steps=4)
         assert m3.geometric == 9 * m1.geometric
+
+
+# k = 2 regions whose complement is bounded (every normal entry positive)
+BOUNDED_FACETS2 = st.lists(
+    st.tuples(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+              st.one_of(st.integers(1, 6), st.fractions(F(1, 2), 6, max_denominator=4))),
+    min_size=1, max_size=3)
+DIRECTION2 = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+def region_trees():
+    """(system, direction) for region, ceiling, intersect and product trees."""
+    def pair(op, fp, fq, v):
+        p, q = (RegionSystem(region_from_halfspaces(2, f)) for f in (fp, fq))
+        return op(Pullback([(1, 0)], p), Pullback([(0, 1)], q)), v
+
+    forms = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3)
+    return st.one_of(
+        BOUNDED_FACETS2.map(lambda f: (RegionSystem(region_from_halfspaces(2, f)), (1,))),
+        st.tuples(forms, st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2))
+                  .filter(any)).map(lambda fv: (
+                      CeilingSystem(ConeRep.epigraph(fv[0]), MonomialIdeal.maximal(2)), fv[1])),
+        st.builds(pair, st.just(Intersect), BOUNDED_FACETS2, BOUNDED_FACETS2, DIRECTION2),
+        st.builds(pair, st.just(Product), BOUNDED_FACETS2, BOUNDED_FACETS2, DIRECTION2),
+    )
+
+
+class TestOneQuantityGeometry:
+    """``sequence_invariant`` reads only the requested quantity off the limit
+    body, and it equals that field of ``geometric_invariants`` by ``repr``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(region_trees())
+    def test_matches_geometric_invariants(self, tree):
+        system, v = tree
+        want = geometric_invariants(system.restrict(v).limit_body())
+        for q in ("ord0", "arn", "mult"):
+            got = sequence_invariant(system, v, q, schedule="doubling", steps=1).geometric
+            assert repr(got) == repr(getattr(want, q))
+
+    def test_ord0_computes_no_covolume(self, wedge_system, monkeypatch):
+        def refuse(self):
+            raise AssertionError("covolume computed for ord0")
+
+        monkeypatch.setattr(NewtonPolyhedron, "covolume", refuse)
+        monkeypatch.setattr(NewtonPolyhedron, "diagonal_lambda", refuse)
+        bracket = sequence_invariant(wedge_system, (1,), "ord0", steps=3)
+        assert bracket.geometric == F(4, 3) and bracket.certified
 
 
 class TestColengthOracle:

@@ -725,6 +725,15 @@ K2_GENS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, 
 SCALE = st.one_of(st.just(Fraction(1)), st.fractions(Fraction(1, 5), 3, max_denominator=5))
 
 
+# rational halfspace regions of k = 3 whose complement is bounded: every
+# normal entry positive, c with denominators up to 6, duplicates common
+POSITIVE_FACETS3 = st.lists(
+    st.tuples(st.tuples(*[st.integers(1, 4)] * 3),
+              st.one_of(st.integers(1, 9), st.fractions(F(1, 2), 9, max_denominator=6))),
+    min_size=1, max_size=6,
+).flatmap(lambda fs: st.lists(st.sampled_from(fs), max_size=2).map(lambda dup: fs + dup))
+
+
 class TestIntegerKernels:
     """The integer paths of newton equal the Fraction routes they replaced,
     by ``repr`` where the type of a result counts."""
@@ -741,6 +750,16 @@ class TestIntegerKernels:
         p = newton_polyhedron(minimalize(gens, 3)).scale(t)
         got = _covolume_3d(p.vertices, p.facets)
         assert got == fraction_covolume_3d(p.vertices, p.facets) and type(got) is Fraction
+
+    @settings(max_examples=60, deadline=None)
+    @given(POSITIVE_FACETS3)
+    @example([((1, 2, 3), 3), ((2, 1, 1), F(3, 2))])
+    @example([((1, 1, 1), F(7, 5)), ((3, 1, 2), F(5, 6)), ((1, 4, 1), 2)])
+    def test_covolume_3d_of_halfspace_regions(self, facets):
+        # vertices of unlike denominators, cleared by one common one
+        p = region_from_halfspaces(3, facets)
+        got = _covolume_3d(p.vertices, p.facets)
+        assert repr(got) == repr(fraction_covolume_3d(p.vertices, p.facets))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(Q_COORD, min_size=2, max_size=3).filter(any), Q_RHS)
@@ -929,6 +948,44 @@ class TestHalfspaceBuilderContract:
         for k in (1, 3):
             assert vertices_from_halfspaces(k, []) == (((0,) * k,), ())
         assert vertices_from_halfspaces(2, []) == (((F(0), F(0)),), ())
+
+
+def fraction_blocker_3d(facets):
+    """Reference: the blocker hull on Fraction points a / c through
+    ``from_vertices``, with the region read back in Fractions (the route
+    the homogeneous integer blocker replaced)."""
+    facets = [(a, c) for a, c in facets if c > 0]
+    if not facets:
+        return ((0, 0, 0),), ()
+    blocker = from_vertices([tuple(Fraction(x) / c for x in a) for a, c in facets])
+    verts = sorted(tuple(Fraction(x * d.denominator, d.numerator) for x in n)
+                   for n, d in blocker.facets)
+    out = []
+    for b in blocker.vertices:
+        a = primitive(b)
+        i = next(j for j, x in enumerate(a) if x)
+        out.append((a, Fraction(a[i] * b[i].denominator, b[i].numerator)))
+    return tuple(verts), tuple(sorted(out))
+
+
+class TestIntegerBlocker3d:
+    """``vertices_from_halfspaces`` in k = 3, on homogeneous integer blocker
+    points, equals the Fraction blocker by ``repr``: int and Fraction c,
+    normals with a common factor, repeated and proportional facets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(builder_input(3))
+    @example([((2, 4, 6), 6), ((1, 2, 3), 3), ((1, 2, 3), F(3, 1))])  # one point thrice
+    @example([((4, 2, 2), 3), ((1, 1, 1), F(9, 4)), ((3, 0, 0), F(1, 2))])
+    @example([((1, 1, 1), 3), ((2, 1, 1), 4), ((1, 2, 1), 4), ((1, 1, 2), 4)])  # degenerate
+    def test_matches_fraction_blocker(self, facets):
+        assert repr(vertices_from_halfspaces(3, facets)) == repr(fraction_blocker_3d(facets))
+
+    def test_newton_polyhedron_facets(self):
+        # int c from an integer hull, intersected with rational halfspaces
+        p = newton_polyhedron(minimalize([(3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 1, 1)], 3))
+        facets = p.facets + (((1, 2, 1), F(7, 2)), ((2, 0, 1), 3))
+        assert repr(vertices_from_halfspaces(3, facets)) == repr(fraction_blocker_3d(facets))
 
 
 # -- the staircase pass against the antichain-then-hull route ----------------

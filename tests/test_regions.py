@@ -2,13 +2,19 @@
 
 from fractions import Fraction
 from itertools import product as iterprod
-from math import ceil, factorial
+from math import ceil, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigraded.errors import DimensionMismatch, EmptyRegion, NonpositiveScale
+from multigraded import regions
+from multigraded.errors import (
+    DimensionMismatch,
+    EmptyRegion,
+    NonpositiveScale,
+    TooManyScanColumns,
+)
 from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import NewtonPolyhedron
 from multigraded.regions import (
@@ -320,6 +326,90 @@ class TestLatticeGenerators:
         p = region_from_halfspaces(3, [((1, 2, 3), 6), ((3, 2, 1), 6), ((2, 3, 1), 6)])
         ideal = lattice_generators(p, 32)
         assert len(ideal.gens) == 5083 and ideal.colength() == 326976
+
+
+def scale_then_scan(region, m):
+    """Reference: the column scan on the Fraction polyhedron m * region
+    built by ``scale``, each facet cleared of denominators by its own lcm
+    (the route that reading the stored facets replaced)."""
+    k = region.dim
+    scaled = region.scale(m) if m != 1 else region
+    pad = (0,) * (3 - k)
+    bx, by, bz = pad + tuple(ceil(max(v[i] for v in scaled.vertices)) for i in range(k))
+    flat, sloped = [], []
+    for a, c in scaled.facets:
+        q = (*pad, *a, c)
+        den = lcm(*(t.denominator for t in q))
+        ax, ay, az, cc = (t.numerator * (den // t.denominator) for t in q)
+        (sloped if az > 0 else flat).append((ax, ay, az, cc))
+    empty = bz + 1
+    gens = []
+    below = [empty] * (by + 1)
+    for x in range(bx + 1):
+        left = empty
+        for y in range(by + 1):
+            if any(ax * x + ay * y < cc for ax, ay, _, cc in flat):
+                h = empty
+            else:
+                h = max([0] + [-((ax * x + ay * y - cc) // az) for ax, ay, az, cc in sloped])
+            if h < left and h < below[y]:
+                gens.append((x, y, h)[3 - k:])
+            below[y] = left = h
+    return minimalize(gens, k)
+
+
+def rational_facets(k):
+    """Nonnegative, nonzero normals with int or Fraction entries, int or
+    Fraction c > 0, repeated facets; axis intercepts at most 8."""
+    entry = st.one_of(st.integers(0, 3), st.fractions(F(1, 2), 3, max_denominator=3))
+    c = st.one_of(st.integers(1, 4), st.fractions(F(1, 3), 4, max_denominator=5))
+    return st.lists(st.tuples(st.tuples(*[entry] * k).filter(any), c),
+                    min_size=1, max_size=4).flatmap(
+        lambda fs: st.lists(st.sampled_from(fs), max_size=1).map(lambda dup: fs + dup))
+
+
+class TestScanOfStoredFacets:
+    """The scan read off the region's stored facets and vertices equals the
+    scan of the scaled polyhedron by ``repr``, for k = 1, 2, 3 and m = 1..6."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_scale_then_scan(self, k, data):
+        p = region_from_halfspaces(k, data.draw(rational_facets(k)))
+        for m in range(1, 7):
+            assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_kinked_epigraphs(self, n):
+        p = epigraph_region(build_kinked_f(n))
+        for m in range(1, 7):
+            assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
+
+
+class TestScanColumnCap:
+    """A scan box of more than ``MAX_SCAN_COLUMNS`` columns (x, y) is refused
+    before the scan; one at the cap is scanned."""
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        p = region_from_halfspaces(3, [((1, 1, 1), 5)])  # a 6 x 6 box of columns
+        monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 36)
+        assert len(lattice_generators(p, 1).gens) == 21
+        monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 35)
+        with pytest.raises(TooManyScanColumns, match="limit of 35$"):
+            lattice_generators(p, 1)
+
+    def test_k2_counts_one_row_of_columns(self, monkeypatch):
+        p = region_from_halfspaces(2, [((1, 1), 5)])  # columns (0, y), y <= 10 at m = 2
+        monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 11)
+        assert len(lattice_generators(p, 2).gens) == 11
+        with pytest.raises(TooManyScanColumns):
+            lattice_generators(p, 3)
+
+    def test_huge_region_refused_at_once(self):
+        p = region_from_halfspaces(3, [((1, 1, 1), F(10) ** 400)])
+        with pytest.raises(TooManyScanColumns, match=f"limit of {regions.MAX_SCAN_COLUMNS}$"):
+            lattice_generators(p, 1)
 
 
 class TestEhrhartOracle:
