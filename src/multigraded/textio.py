@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,12 +47,14 @@ def fmt_q(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+# the decimal echo's arithmetic: one shared context, not one opened per
+# value; the flags it raises (Inexact, Rounded) are never read
+_DEC = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
 def fmt_dec(x) -> str:
     f = Fraction(x)
-    with localcontext() as ctx:
-        ctx.prec = 12
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(f.numerator) / Decimal(f.denominator))
+    return str(_DEC.divide(f.numerator, f.denominator))
 
 
 def parse_q(token: str) -> Fraction:
@@ -79,6 +81,15 @@ def _token(tokens, i: int, usage: str) -> str:
     if i >= len(tokens):
         raise ParseError(f"truncated line {' '.join(tokens)!r}; expected {usage!r}")
     return tokens[i]
+
+
+def _exact(tokens, n: int, usage: str) -> list[str]:
+    """tokens, which must number exactly n: else a ParseError naming the
+    expected form of a truncated line or of one with trailing tokens."""
+    if len(tokens) != n:
+        what = "truncated line" if len(tokens) < n else "trailing tokens in line"
+        raise ParseError(f"{what} {' '.join(tokens)!r}; expected {usage!r}")
+    return tokens
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -150,7 +161,7 @@ def parse_region(text: str) -> NewtonPolyhedron:
         raise ParseError("empty region file")
     first = lines[0][1]
     if first[0] == "kinked":
-        n_kinks = _parse_int(_token(first, 1, "kinked <N>"), "kink count")
+        n_kinks = _parse_int(_exact(first, 2, "kinked <N>")[1], "kink count")
         return epigraph_region(build_kinked_f(n_kinks))
     if first[0] == "appendix":
         raise ParseError(
@@ -206,7 +217,7 @@ def parse_cone(text: str) -> ConeRep:
     lines = _clean(text)
     if not lines or lines[0][1][0] != "rank":
         raise ParseError("cone file must start with 'rank <int>'")
-    rank = _parse_int(_token(lines[0][1], 1, "rank <int>"), "rank")
+    rank = _parse_int(_exact(lines[0][1], 2, "rank <int>")[1], "rank")
     if rank < 1:
         raise ParseError(f"cone rank must be >= 1, got {rank}")
     kinds = {tokens[0] for _, tokens in lines[1:]}
@@ -301,7 +312,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         return IdealPowers([load_ideal(base_dir / t) for t in tokens[1:]]), end
     if head == "region":
         need_children(0)
-        return RegionSystem(load_region(base_dir / _token(tokens, 1, "region <file>"))), end
+        return RegionSystem(load_region(base_dir / _exact(tokens, 2, "region <file>")[1])), end
     if head == "ceiling":
         need_children(0)
         cone = load_cone(base_dir / _token(tokens, 1, "ceiling <conefile>"))
@@ -318,6 +329,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         return Pullback(rows, child), end
     if head in ("product", "intersect"):
         need_children(2)
+        _exact(tokens, 1, head)
         left, _ = _parse_node(lines, kids[0], base_dir)
         right, _ = _parse_node(lines, kids[1], base_dir)
         return (Product if head == "product" else Intersect)(left, right), end
@@ -326,7 +338,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
         child, _ = _parse_node(lines, kids[0], base_dir)
         kind = _token(tokens, 1, "truncate cone <file> | truncate halfspace a1 ...")
         if kind == "cone":
-            cone = load_cone(base_dir / _token(tokens, 2, "truncate cone <file>"))
+            cone = load_cone(base_dir / _exact(tokens, 3, "truncate cone <file>")[2])
         elif kind == "halfspace":
             cone = ConeRep.from_halfspaces(child.rank, _groups(tokens[2:], parse_q, "halfspace"))
         else:
@@ -335,7 +347,7 @@ def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
     if head == "colon":
         need_children(1)
         child, _ = _parse_node(lines, kids[0], base_dir)
-        ideal = load_ideal(base_dir / _token(tokens, 1, "colon <idealfile>"))
+        ideal = load_ideal(base_dir / _exact(tokens, 2, "colon <idealfile>")[1])
         return ColonSystem(child, ideal), end
     raise ParseError(f"unknown system node {head!r}")
 

@@ -104,6 +104,24 @@ class TestFormats:
         assert fmt_dec(Fraction(4, 3)) == "1.33333333333"
         assert fmt_dec(Fraction(51, 8)) == "6.375"
 
+    @given(st.one_of(
+        st.fractions(max_denominator=10**6),
+        st.integers(-10**40, 10**40),
+        st.sampled_from([Fraction(0), Fraction(10**30, 7), Fraction(1, 10**20),
+                         Fraction(2**100, 3), Fraction(-1, 3), Fraction(5, 2)]),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_echo_matches_a_local_context(self, x):
+        # reference: a decimal.localcontext opened for each value
+        from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+
+        f = Fraction(x)
+        with localcontext() as ctx:
+            ctx.prec = 12
+            ctx.rounding = ROUND_HALF_EVEN
+            expected = str(Decimal(f.numerator) / Decimal(f.denominator))
+        assert fmt_dec(x) == expected
+
     def test_ideal_round_trip(self):
         a = parse_ideal(IDEAL_A)
         assert a == minimalize([(2, 0), (0, 3)], 2)
@@ -273,6 +291,38 @@ class TestTruncatedInput:
     def test_bad_integer_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_region(text)
+
+
+PAIR = "  pullback 1 0\n    region p2.region\n  pullback 0 1\n    region p2.region\n"
+
+
+class TestTrailingTokens:
+    """A line with more tokens than its form takes is refused with exit 2
+    and a one-line message; the same file without the extra token runs."""
+
+    @pytest.mark.parametrize(
+        "name, text, at",
+        [
+            ("t.system", "region p2.region{}\n", "2"),
+            ("t.system", "product{}\n" + PAIR, "1,1"),
+            ("t.system", "intersect{}\n" + PAIR, "1,1"),
+            ("t.system", "colon i.ideal{}\n  region p2.region\n", "2,1"),
+            ("c.cone", "rank 2{}\nray 1 0\nray 1 1\n", "2,1"),
+        ],
+        ids=["region-second-file", "product", "intersect", "colon", "cone-rank"],
+    )
+    def test_exit_2_with_one_line_message(self, tmp_path, name, text, at):
+        (tmp_path / "p2.region").write_text("k=2\nhalfspace 1 2 >= 3\nhalfspace 3 1 >= 4\n")
+        (tmp_path / "i.ideal").write_text("k=2\n2 0\n1 1\n0 3\n")
+        (tmp_path / "t.system").write_text("ceiling c.cone\n")
+        argv = ["system", "eval", str(tmp_path / "t.system"), "--at", at]
+        for extra, code in (("", 0), (" 3", 2)):
+            (tmp_path / name).write_text(text.format(extra))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                assert run_cli(argv)[0] == code
+        assert err.getvalue().startswith("error: trailing tokens in line")
+        assert err.getvalue().count("\n") == 1
 
 
 # One file of each kind, all read by the two systems below.

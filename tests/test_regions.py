@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product as iterprod
-from math import ceil, factorial, lcm
+from math import ceil, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -380,11 +380,68 @@ class TestScanOfStoredFacets:
         for m in range(1, 7):
             assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
 
-    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("n", [0, 3, 64])
     def test_kinked_epigraphs(self, n):
         p = epigraph_region(build_kinked_f(n))
-        for m in range(1, 7):
+        for m in range(1, 9):
             assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
+
+
+def tangent_facet(point):
+    """The facet of {prod x_i >= prod point_i} through point: the gradient
+    prod(point) / point_i is its normal, and c = k prod(point)."""
+    p = prod(point)
+    return tuple(p / t for t in point), len(point) * p
+
+
+def many_facets(k):
+    """5 to 12 facets: 3 to 10 tangent to x y = 1 or x y z = 1 at distinct
+    points with coordinates in [1/2, 2], so that they stay irredundant, and
+    2 with small entries, zeros (flat facets) among them."""
+    coord = st.fractions(F(1, 2), 2, max_denominator=4)
+    points = st.lists(st.tuples(*[coord] * (k - 1)), min_size=3, max_size=10, unique=True)
+    tangent = points.map(lambda pts: [tangent_facet((*ts, 1 / prod(ts))) for ts in pts])
+    other = st.tuples(st.tuples(*[st.integers(0, 2)] * k).filter(any), st.integers(1, 3))
+    return st.tuples(tangent, st.lists(other, min_size=2, max_size=2)).map(lambda p: p[0] + p[1])
+
+
+# 80 tangent planes of x y z >= 1, at (p, q, 1/(p q))
+TANGENT_TS = [F(n, d) for n, d in ((1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1),
+                                   (3, 1), (4, 1))]
+TANGENT_FACETS = [((1 / p, 1 / q, p * q), 3) for p in TANGENT_TS for q in TANGENT_TS][:80]
+
+
+class TestManyFacetScans:
+    """Scans of regions with many facets, whose long rows go through the
+    line envelope and whose short rows take the max column by column, equal
+    the per-column scan of the scaled polyhedron by ``repr`` (the kinked
+    epigraph at N = 64 is in ``TestScanOfStoredFacets``)."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_scale_then_scan(self, k, data):
+        p = region_from_halfspaces(k, data.draw(many_facets(k)))
+        for m in range(1, 4):
+            assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
+
+    def test_tangent_region(self):
+        p = region_from_halfspaces(3, TANGENT_FACETS)
+        assert len(p.facets) == 80
+        for m in range(1, 4):
+            assert repr(lattice_generators(p, m)) == repr(scale_then_scan(p, m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(-60, 60)),
+                    max_size=8),
+           st.integers(-5, 5), st.integers(0, 30))
+    def test_envelope_heights_are_the_max_of_the_lines(self, lines, lo, width):
+        # lines by slope -a_y / a_z increasing, parallel ones among them,
+        # then the floor z = 0, as the scan passes them
+        lines = sorted(lines, key=lambda t: F(-t[0], t[1])) + [(0, 1, 0)]
+        expected = [max(-((ay * y + p) // az) for ay, az, p in lines)
+                    for y in range(lo, lo + width)]
+        assert regions._envelope_heights(lines, lo, lo + width) == expected
 
 
 class TestScanColumnCap:
