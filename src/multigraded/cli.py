@@ -302,6 +302,10 @@ def cmd_repro_thm1(args) -> int:
 
 
 TRUNC_RADIUS = 8  # of the eff-point sweep that checks the truncated system
+# Largest --kinks with --truncate, whose check builds a limit body of N + 1
+# facets at each of N + 2 points: 5.7, 50 and 575 s at N = 512, 1024 and
+# 2048 (Python 3.11.7, 2 shared vCPUs), so over an hour at 4096.
+MAX_TRUNCATED_KINKS = 2048
 
 
 def cmd_repro_thm2(args) -> int:
@@ -312,6 +316,9 @@ def cmd_repro_thm2(args) -> int:
     steps = int(args.grid[4])
     if n_kinks < 1:
         raise ParseError(f"--kinks needs N >= 1, got {n_kinks}")
+    if args.truncate is not None and n_kinks > MAX_TRUNCATED_KINKS:
+        raise ParseError(f"{n_kinks} kinks are over the limit of {MAX_TRUNCATED_KINKS} "
+                         "with --truncate")
     if r_fixed <= 0:
         raise ParseError(f"--r needs r > 0, got {fmt_q(r_fixed)}")
     if s_lo > s_hi:

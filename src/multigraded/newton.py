@@ -193,6 +193,8 @@ class NewtonPolyhedron:
         t = Fraction(t)
         if t <= 0:
             raise NonpositiveScale(f"scale factor {t} must be positive")
+        if t.denominator == 1:
+            t = t.numerator  # integer data stay ints
         verts = tuple(tuple(x * t for x in v) for v in self.vertices)
         facets = tuple((a, c * t) for a, c in self.facets)
         return NewtonPolyhedron(self.dim, verts, facets)

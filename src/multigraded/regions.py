@@ -114,6 +114,17 @@ def _hinge_sum(value0, slope0, jumps) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(tuple(bps), tuple(slopes))
 
 
+# Largest kink counts of the two constructions, refused before anything is
+# built.  Their cost grows about as N^3, as the i-th term has about i bits:
+# `repro thm2` took 9.3, 55 and 478 s at N = 4096, 8192 and 16384, and
+# `repro appendix`, whose certificate takes N + 4 gauges of 4N + 4
+# functionals each, 6.4, 42 and 362 s at N = 256, 512 and 1024 (Python
+# 3.11.7, 2 shared vCPUs), so one more doubling of either would run for
+# about an hour.
+MAX_KINKS = 16384
+MAX_APPENDIX_KINKS = 1024
+
+
 @lru_cache(maxsize=64)
 def build_kinked_f(n_kinks: int) -> PiecewiseLinearFn:
     """The steep line -2x + 2 plus n_kinks hinge terms w_i max(0, e_i - x),
@@ -126,6 +137,8 @@ def build_kinked_f(n_kinks: int) -> PiecewiseLinearFn:
     """
     if n_kinks < 0:
         raise ValueError(f"n_kinks must be >= 0, got {n_kinks}")
+    if n_kinks > MAX_KINKS:
+        raise ValueError(f"{n_kinks} kinks are over the limit of {MAX_KINKS}")
     eps = dyadic_sequence(n_kinks)
     weights = [Fraction(1, 2 ** (i + 2)) for i in range(1, n_kinks + 1)]
     return _hinge_sum(2 + sum(map(mul, weights, eps)), -2 - sum(weights), zip(eps, weights))
@@ -333,6 +346,8 @@ def appendix_boundary(n_terms: int) -> tuple[PiecewiseLinearFn, SymmetricBody]:
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
+    if n_terms > MAX_APPENDIX_KINKS:
+        raise ValueError(f"{n_terms} kinks are over the limit of {MAX_APPENDIX_KINKS}")
     xs = dyadic_sequence(n_terms)
     eps = [Fraction(1, 2**i) for i in range(1, n_terms + 1)]
     boundary = _hinge_sum(sum(eps), 0, ((xi, -e / (1 - xi)) for e, xi in zip(eps, xs)))

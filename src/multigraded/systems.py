@@ -74,10 +74,11 @@ class SystemExpr:
     def limit_body(self, v) -> NewtonPolyhedron:
         """Closure of the limit body of the restriction to direction v.
 
-        Every node apart from ``IdealPowers`` also accepts a rational
-        direction, where the body is fixed by homogeneity: the body at t v
-        is t times the body at v.  ``IdealPowers`` reads its body off one
-        evaluated ideal, so it needs an integral direction.
+        Every node builds its body from its children's bodies, and a leaf
+        from its region, its cone or its ideals' Newton polyhedra; no node
+        forms an ideal, so every node accepts a rational direction, where
+        the body is fixed by homogeneity: the body at t v is t times the
+        body at v.
         """
         raise NotImplementedError
 
@@ -110,7 +111,12 @@ class DirectionView:
 
 
 class IdealPowers(SystemExpr):
-    """a_(n_1,...,n_rho) = I_1^{n_1} ... I_rho^{n_rho}, with I^n = (1) for n <= 0."""
+    """a_(n_1,...,n_rho) = I_1^{n_1} ... I_rho^{n_rho}, with I^n = (1) for n <= 0.
+
+    The limit body at v is the Minkowski sum of v_i N(I_i) over v_i > 0,
+    as N(I J) = N(I) + N(J) and N(I^n) = n N(I): no power or product of
+    the ideals is formed, and v may be rational.
+    """
 
     def __init__(self, ideals):
         self.ideals = tuple(ideals)
@@ -127,12 +133,14 @@ class IdealPowers(SystemExpr):
                 else MonomialIdeal.unit(self.ambient_dim))
 
     def limit_body(self, v):
-        if any(Fraction(x).denominator != 1 for x in v):
-            raise ValueError(f"ideal powers need an integral direction, got {tuple(v)}")
-        ideal = self.eval(tuple(v))
-        if ideal.is_zero:
-            raise ZeroIdealInDirection(f"zero ideal at {v}")
-        return ideal.newton()
+        if len(v) != self.rank:
+            raise RankMismatch(f"direction of length {len(v)} in rank {self.rank}")
+        terms = [(ideal, t) for ideal, t in zip(self.ideals, v) if t > 0]
+        if any(ideal.is_zero for ideal, _ in terms):
+            raise ZeroIdealInDirection(f"zero ideal at {tuple(v)}")
+        if not terms:
+            return full_orthant(self.ambient_dim)
+        return reduce(region_minkowski, (ideal.newton().scale(t) for ideal, t in terms))
 
 
 class RegionSystem(SystemExpr):

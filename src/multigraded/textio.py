@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from decimal import ROUND_HALF_EVEN, Context
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,11 +40,21 @@ class ParseError(MultigradedError):
     pass
 
 
+def _digits(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-str digits
+    (``sys.get_int_max_str_digits``), which ``Decimal`` does not have."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def fmt_q(x) -> str:
     if type(x) is int:
-        return str(x)
+        return _digits(x)
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = _digits(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_digits(f.denominator)}"
 
 
 # the decimal echo's arithmetic: one shared context, not one opened per
@@ -144,7 +154,10 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     if ideal.is_zero:
         lines.append("zero")
     else:
-        lines.extend(" ".join(str(e) for e in g) for g in ideal.gens)
+        try:
+            lines.extend(" ".join(map(str, g)) for g in ideal.gens)
+        except ValueError:  # an exponent past the int-to-str digit limit
+            lines[1:] = [" ".join(map(fmt_q, g)) for g in ideal.gens]
     return "\n".join(lines) + "\n"
 
 

@@ -18,12 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multigraded
-from multigraded import cli, newton, textio
+from multigraded import cli, newton, regions, textio
 from multigraded.cli import _ceiling_sample, _thm1_directions, build_parser, main
 from multigraded.cones import lattice_window
 from multigraded.invariants import ceiling_closed_forms, sequence_invariant
 from multigraded.monomial import MAX_GENERATOR_PAIRS, minimalize
-from multigraded.regions import MAX_SCAN_COLUMNS, PiecewiseLinearFn, appendix_boundary
+from multigraded.regions import (
+    MAX_APPENDIX_KINKS,
+    MAX_KINKS,
+    MAX_SCAN_COLUMNS,
+    PiecewiseLinearFn,
+    appendix_boundary,
+)
 from multigraded.systems import CeilingSystem
 from multigraded.textio import (
     ParseError,
@@ -103,6 +109,20 @@ class TestFormats:
         assert fmt_q(Fraction(4, 2)) == "2"
         assert fmt_dec(Fraction(4, 3)) == "1.33333333333"
         assert fmt_dec(Fraction(51, 8)) == "6.375"
+
+    @pytest.mark.parametrize("x, text", [
+        (10**4400, "1" + "0" * 4400), (-(10**5000) - 7, "-1" + "0" * 4999 + "7"),
+        (Fraction(10**4400 + 1, 3), "1" + "0" * 4399 + "1/3"),
+        (Fraction(-2, 10**4400 + 1), "-2/1" + "0" * 4399 + "1"),
+    ], ids=["int", "negative int", "numerator", "denominator"])
+    def test_numbers_past_the_int_str_digit_limit(self, x, text):
+        # no global change of sys.set_int_max_str_digits: fmt_q prints
+        # every digit of what str(int) refuses
+        assert fmt_q(x) == text
+
+    def test_ideal_exponents_past_the_int_str_digit_limit(self):
+        ideal = minimalize([(10**4400, 0), (0, 1)], 2)
+        assert format_ideal(ideal) == f"k=2\n0 1\n1{'0' * 4400} 0\n"
 
     @given(st.one_of(
         st.fractions(max_denominator=10**6),
@@ -531,6 +551,15 @@ class TestSystemCommands:
         assert err == ("error: lattice scan of 1 * region needs more columns than the "
                        f"limit of {MAX_SCAN_COLUMNS}\n")
 
+    def test_values_past_the_int_str_digit_limit_print(self, tmp_path, capsys):
+        # ord0 = 10^4400 has 4,401 digits, past str(int)'s default limit of 4,300
+        (tmp_path / "r.region").write_text("k=1\nhalfspace 1 >= 1e4400\n")
+        (tmp_path / "r.system").write_text("region r.region\n")
+        code, out = run_cli(["system", "invariants", str(tmp_path / "r.system"),
+                             "--direction", "1", "--method", "geometric", "--quantity", "ord0"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out == f"direction: (1)\nord0 geometric = 1{'0' * 4400} (1.00000000000E+4400)\n"
+
     def test_invariants_csv(self, wedge_file, tmp_path):
         out_csv = tmp_path / "inv.csv"
         code, _ = run_cli(
@@ -635,6 +664,10 @@ class TestSystemCommands:
         assert err == f"error: --window needs lo:hi (--window=-2:2), got {window!r}\n"
 
 
+def _never_built(n):
+    raise AssertionError(f"the {n} kink abscissae were built")
+
+
 class TestRepro:
     def test_thm1(self):
         code, out = run_cli(["repro", "thm1", "--radius", "3", "--max", "3"])
@@ -706,6 +739,39 @@ class TestRepro:
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
         assert err == f"error: --kinks needs N >= 1, got {kinks}\n"
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["repro", "thm2", "--kinks", str(MAX_KINKS + 1)], MAX_KINKS),
+        (["repro", "appendix", "--kinks", str(MAX_APPENDIX_KINKS + 1)], MAX_APPENDIX_KINKS),
+        (["system", "eval", "k.system", "--at", "1"], MAX_KINKS),
+        (["repro", "thm2", "--kinks", str(cli.MAX_TRUNCATED_KINKS + 1), "--truncate", "1/8"],
+         cli.MAX_TRUNCATED_KINKS),
+    ], ids=["thm2", "appendix", "kinked region", "thm2 truncated"])
+    def test_kink_counts_over_the_limit_refused_up_front(self, argv, limit, tmp_path,
+                                                         monkeypatch, capsys):
+        # refused before the first dyadic abscissa is built
+        (tmp_path / "k.region").write_text(f"kinked {MAX_KINKS + 1}\n")
+        (tmp_path / "k.system").write_text("region k.region\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(regions, "dyadic_sequence", _never_built)
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {limit + 1} kinks are over the limit of {limit}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("build, limit", [(regions.build_kinked_f, MAX_KINKS),
+                                              (regions.appendix_boundary, MAX_APPENDIX_KINKS)],
+                             ids=["thm2", "appendix"])
+    def test_kink_count_at_the_limit_accepted(self, build, limit, monkeypatch):
+        monkeypatch.setattr(regions, "dyadic_sequence", _never_built)
+        with pytest.raises(AssertionError, match="built"):
+            build(limit)
+
+    def test_truncated_kink_count_at_the_limit_accepted(self, monkeypatch):
+        monkeypatch.setattr(cli, "thm2_kink_table", lambda r, n, lo, hi: _never_built(n))
+        with pytest.raises(AssertionError, match="built"):
+            main(["repro", "thm2", "--kinks", str(cli.MAX_TRUNCATED_KINKS), "--truncate", "1/8"])
 
     @pytest.mark.parametrize("slopes", [(Fraction(-1), Fraction(-1, 2)),
                                         (Fraction(1, 2), Fraction(-1)),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigraded import systems
 from multigraded.cli import main
 from multigraded.cones import ConeRep, abs_sum_cone, eff_points, nef_points
 from multigraded.errors import (
@@ -344,11 +345,9 @@ class TestLimitBody:
         assert wedge_system.limit_body((1,)) == wedge_system.region
 
     def test_powers_body_is_the_newton_polyhedron(self):
-        # the eval cache hands back the same ideal, whose polyhedron is reused
         a = ideal((2, 0), (1, 1), (0, 3))
         system = IdealPowers([a])
         body = system.limit_body((2,))
-        assert body is system.eval((2,)).newton()
         assert body == a.power(2).newton()
 
     def test_region_system_scales(self, wedge_system):
@@ -437,11 +436,13 @@ class TestLimitBody:
         assert system.limit_body((2,)) == newton_polyhedron(a.power(2))
         assert system.limit_body((Fraction(2),)) == newton_polyhedron(a.power(2))
 
-    def test_ideal_powers_refuse_a_rational_direction(self):
-        # eval would truncate 3/2 to 1; the body is refused instead
-        system = IdealPowers([ideal((2, 0), (0, 3))])
-        with pytest.raises(ValueError, match="integral direction"):
-            system.limit_body((Fraction(3, 2),))
+    def test_ideal_powers_take_a_rational_direction(self):
+        # the body at 3/2 is half the body at 3, with no ideal at 3/2
+        a = ideal((2, 0), (1, 1), (0, 3))
+        system = IdealPowers([a])
+        body = system.limit_body((Fraction(3, 2),))
+        assert body == newton_polyhedron(a.power(3)).scale(Fraction(1, 2))
+        assert body.vertices == ((0, F(9, 2)), (F(3, 2), F(3, 2)), (3, 0))
 
     def test_rational_direction_by_homogeneity(self, wedge_system):
         cone = ConeRep.from_halfspaces(2, [(-1, 2)])
@@ -450,12 +451,106 @@ class TestLimitBody:
             (Truncate(kinked_intersection_system(3), cone), (Fraction(2, 3), Fraction(5, 4))),
             (CeilingSystem(abs_sum_cone()), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))),
             (wedge_system, (Fraction(5, 3),)),
+            (IdealPowers([ideal((2, 0), (1, 1), (0, 3)), ideal((3, 0), (0, 1))]),
+             (Fraction(5, 4), Fraction(-1, 2))),
         ]
         for system, v in cases:
             scale = 60
             whole = system.restrict(tuple(int(x * scale) for x in v)).limit_body()
             assert system.limit_body(v) == whole.scale(Fraction(1, scale))
             assert system.limit_body(v).ord0() == whole.ord0() / scale
+
+
+def _product_route(system, v):
+    """The body of an integral direction read off one evaluated ideal,
+    N(I_1^v_1 ... I_rho^v_rho): the reference for the Minkowski sum."""
+    evaluated = system.eval(v)
+    if evaluated.is_zero:
+        raise ZeroIdealInDirection(f"zero ideal at {v}")
+    return evaluated.newton()
+
+
+def _powers_case(k):
+    """1-3 ideals in k variables (the unit ideal among them) and an integral
+    direction with zero and negative entries."""
+    gen = st.tuples(*[st.integers(0, 3)] * k)
+    one = st.one_of(st.just([(0,) * k]), st.lists(gen, min_size=1, max_size=4))
+    return st.integers(1, 3).flatmap(lambda rho: st.tuples(
+        st.just(k), st.lists(one, min_size=rho, max_size=rho),
+        st.tuples(*[st.integers(-1, 3)] * rho)))
+
+
+class TestPowersBody:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(_powers_case))
+    def test_minkowski_sum_is_the_product_route(self, case):
+        k, gens, v = case
+        system = IdealPowers([minimalize(g, k) for g in gens])
+        assert system.limit_body(v) == _product_route(system, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(_powers_case),
+           st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7))
+    def test_homogeneous_in_the_direction(self, case, t):
+        k, gens, v = case
+        system = IdealPowers([minimalize(g, k) for g in gens])
+        assert system.limit_body(tuple(t * x for x in v)) == system.limit_body(v).scale(t)
+
+    def test_zero_ideal_in_a_positive_entry(self):
+        system = IdealPowers([ideal((1, 1)), MonomialIdeal.zero(2)])
+        for v in ((0, 1), (2, F(1, 3)), (-1, 1)):
+            with pytest.raises(ZeroIdealInDirection):
+                system.limit_body(v)
+        assert system.limit_body((2, 0)) == ideal((1, 1)).power(2).newton()
+        assert system.limit_body((F(1, 2), -3)).vertices == ((F(1, 2), F(1, 2)),)
+
+    @pytest.mark.parametrize("v", [(0, 0), (-1, 0), (F(-1, 2), -3)])
+    def test_nonpositive_direction_gives_the_orthant(self, v):
+        system = IdealPowers([ideal((2, 0), (0, 3), k=2), ideal((1, 1))])
+        assert system.limit_body(v) == full_orthant(2)
+
+    def test_short_or_long_direction(self):
+        system = IdealPowers([ideal((2, 0), (0, 3)), ideal((1, 1))])
+        for v in ((1,), (1, 1, 1)):
+            with pytest.raises(RankMismatch):
+                system.limit_body(v)
+
+    def test_integer_bodies_stay_integral(self):
+        a = ideal((2, 0), (1, 1), (0, 3))
+        body = IdealPowers([a, a]).limit_body((2, F(3)))
+        assert all(type(x) is int for p in body.vertices for x in p)
+        assert all(type(c) is int for _, c in body.facets)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a limit body formed an ideal")
+
+
+class TestNoIdealInALimitBody:
+    """Every node's body comes from its children's bodies: no evaluation,
+    product, power, intersection, colon or lattice scan."""
+
+    @pytest.mark.parametrize("make, v", [
+        (lambda: IdealPowers([ideal((2, 0), (1, 1), (0, 3)), ideal((3, 0), (0, 1))]), (3, 2)),
+        (lambda: RegionSystem(region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])), (2,)),
+        (lambda: CeilingSystem(abs_sum_cone(), ideal((2, 0), (0, 1))), (1, 3, 0)),
+        (lambda: Pullback([(2, -1)], IdealPowers([ideal((1, 2), (3, 0))])), (2, 1)),
+        (lambda: Product(_tree(Intersect), IdealPowers([ideal((1, 0), (0, 2))] * 2)), (2, 3)),
+        (lambda: _tree(Intersect), (2, 3)),
+        (lambda: Truncate(_tree(Product), ConeRep.from_halfspaces(2, [(-1, 2)])), (1, 3)),
+        (_probe_colon, (3, 1)),
+    ], ids=["powers", "region", "ceiling", "pullback", "product", "intersect", "truncate",
+            "colon"])
+    def test_no_ideal_is_formed(self, monkeypatch, make, v):
+        system = make()
+        expected = system.limit_body(v)
+        monkeypatch.setattr(SystemExpr, "eval", _raise)
+        for name in ("product", "power", "_square", "intersect", "colon"):
+            monkeypatch.setattr(MonomialIdeal, name, _raise)
+        monkeypatch.setattr(systems, "lattice_generators", _raise)
+        fresh = make()
+        assert fresh.limit_body(v) == expected
+        assert fresh.limit_body(tuple(F(x, 2) for x in v)) == expected.scale(F(1, 2))
 
 
 class TestContainmentProperties:
