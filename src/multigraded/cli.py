@@ -42,7 +42,6 @@ from .regions import appendix_boundary
 from .systems import (
     CeilingSystem,
     Truncate,
-    box_window,
     kinked_intersection_system,
     verify_gradedness,
 )
@@ -188,7 +187,7 @@ def cmd_system_verify(args) -> int:
         raise ParseError(f"--window {lo}:{hi} holds no v, w with v + w inside it: "
                          "it needs 2 lo <= hi and lo <= 2 hi")
     system = parse_system(args.path)
-    report = verify_gradedness(system, box_window([(lo, hi)] * system.rank))
+    report = verify_gradedness(system, lattice_window([(lo, hi)] * system.rank))
     print(f"pairs checked: {report.pairs_checked}")
     print(f"violations: {len(report.violations)}")
     for v, w in report.violations:
@@ -217,7 +216,7 @@ def _kink_lines(lines, rows, kinks) -> bool:
 
 
 def _thm1_directions(rank: int, radius: int, count: int):
-    window = [v for v in lattice_window(rank, radius) if any(x != 0 for x in v)]
+    window = [v for v in lattice_window([(-radius, radius)] * rank) if any(x != 0 for x in v)]
     step = max(1, len(window) // count)
     return window[::step][:count]
 
@@ -250,7 +249,8 @@ def cmd_repro_thm1(args) -> int:
     ok = True
 
     nef = nef_points(system, args.radius)
-    expected = [v for v in lattice_window(cone.rank, args.radius) if cone.contains(v)]
+    expected = [v for v in lattice_window([(-args.radius, args.radius)] * cone.rank)
+                if cone.contains(v)]
     ok &= _pass(
         lines,
         nef == expected,
@@ -368,9 +368,7 @@ def cmd_repro_thm2(args) -> int:
 
     system = kinked_intersection_system(n_kinks)
     nef = nef_points(system, args.radius)
-    expected = [
-        v for v in lattice_window(2, args.radius) if v[0] <= 0 and v[1] <= 0
-    ]
+    expected = list(lattice_window([(-args.radius, 0)] * 2))
     ok &= _pass(
         lines,
         nef == expected,
@@ -496,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = system_sub.add_parser("verify", help="gradedness over a window")
     p_verify.add_argument("path")
-    p_verify.add_argument("--window", default="-2:2",
-                          help="per-coordinate range lo:hi; a negative lo needs the = form, "
-                               "--window=-2:2")
+    p_verify.add_argument("--window", default="-2:2", help="per-coordinate range lo:hi")
     p_verify.set_defaults(func=cmd_system_verify)
 
     p_repro = sub.add_parser("repro", help="reproduce the pathological constructions")
@@ -523,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--scan", nargs=2, default=("3/4", "2"), metavar=("SMIN", "SMAX"))
     p_t2.add_argument("--radius", type=int, default=6)
     p_t2.add_argument("--truncate", default=None, metavar="EPS",
-                      help="also verify truncation by s >= EPS * r; a negative EPS needs "
-                           "the = form, --truncate=-1/2")
+                      help="also verify truncation by s >= EPS * r")
     p_t2.add_argument("--out", default=None)
     p_t2.add_argument("--kink-out", default=None)
     p_t2.set_defaults(func=cmd_repro_thm2)
@@ -536,8 +531,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SIGNED_VALUE_OPTIONS = frozenset({"--direction", "--at", "--window", "--truncate"})
+
+
+def _join_signed_values(argv) -> list[str]:
+    """Join each option of ``_SIGNED_VALUE_OPTIONS`` with a following token
+    that starts with '-' and a digit (``--at -1,3`` becomes ``--at=-1,3``),
+    which argparse would otherwise read as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except MonotonicityError as exc:

@@ -66,3 +66,9 @@ class TooManyGeneratorPairs(MultigradedError):
 class TooManyScanColumns(MultigradedError):
     """A lattice scan box would hold more columns than
     ``regions.MAX_SCAN_COLUMNS`` allows."""
+
+
+class WorkLimitExceeded(MultigradedError):
+    """A lattice window, a gradedness check or a double description would
+    do more work than ``cones.MAX_WINDOW_INDICES``,
+    ``systems.MAX_GRADEDNESS_PAIRS`` or ``cones.MAX_DUAL_RAYS`` allows."""

@@ -63,22 +63,6 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _rank(rows) -> int:
-    """Rank of exact rows of length <= 3, padded to 3, without division: 0
-    without a nonzero row u, 1 if every row has zero cross product with u,
-    2 if every row is orthogonal to the first nonzero u x v, else 3."""
-    rows = [tuple(r) + (0,) * (3 - len(r)) for r in rows]
-    if any(len(r) > 3 for r in rows):
-        raise UnsupportedDimension("rank of rows longer than 3")
-    u = next((r for r in rows if any(r)), None)
-    if u is None:
-        return 0
-    n = next((n for n in (_cross(u, r) for r in rows) if any(n)), None)
-    if n is None:
-        return 1
-    return 3 if any(_dot(n, r) for r in rows) else 2
-
-
 def primitive(nums) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same direction)."""
     ints = list(nums)

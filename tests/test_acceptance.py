@@ -37,7 +37,6 @@ from multigraded.systems import (
     CeilingSystem,
     RegionSystem,
     Truncate,
-    box_window,
     kinked_intersection_system,
     verify_gradedness,
 )
@@ -151,7 +150,7 @@ def test_criterion_4_lattice_system_round_trip():
         region = epigraph_region(f)
         system = RegionSystem(region)
 
-        report = verify_gradedness(system, box_window([(0, 10)]))
+        report = verify_gradedness(system, lattice_window([(0, 10)]))
         assert report.ok
 
         newtons = {}
@@ -184,11 +183,11 @@ def test_criterion_5_ceiling_nef_cone():
         cone = abs_sum_cone()
         system = CeilingSystem(cone)
         got = nef_points(system, 5)
-        want = [v for v in lattice_window(3, 5) if cone.contains(v)]
+        want = [v for v in lattice_window([(-5, 5)] * 3) if cone.contains(v)]
         assert got == want
-        assert len(list(lattice_window(3, 5))) == 11**3
+        assert len(list(lattice_window([(-5, 5)] * 3))) == 11**3
 
-        window = [v for v in lattice_window(3, 2) if any(x != 0 for x in v)]
+        window = [v for v in lattice_window([(-2, 2)] * 3) if any(x != 0 for x in v)]
         directions = window[:: max(1, len(window) // 20)][:20]
         assert len(directions) == 20
         assert any(cone.contains(v) for v in directions)
@@ -232,7 +231,7 @@ def test_criterion_6_kinked_intersection():
 
         system = kinked_intersection_system(1)
         nef = nef_points(system, 6)
-        assert nef == [v for v in lattice_window(2, 6) if v[0] <= 0 and v[1] <= 0]
+        assert nef == [v for v in lattice_window([(-6, 6)] * 2) if v[0] <= 0 and v[1] <= 0]
 
         four = thm2_kink_locations(1, 4, F(1, 2), F(5, 2))
         assert len({s0 for s0, _ in four}) >= 4
@@ -249,7 +248,7 @@ def test_criterion_7_truncation():
 
         eff = eff_points(truncated, 8)
         assert eff and all(cone.contains(v) for v in eff)
-        assert eff == [v for v in lattice_window(2, 8) if cone.contains(v)]
+        assert eff == [v for v in lattice_window([(-8, 8)] * 2) if cone.contains(v)]
 
         def truncated_ord0(s):
             scale = lcm(Fraction(s).denominator, 1)

@@ -629,12 +629,13 @@ class TestSystemCommands:
         assert "violations: 0" in out
 
     def test_verify_line_of_the_readme(self, wedge_file):
-        # a negative window needs the = form: argparse reads "-2:2" as an option
+        # main takes the README's space form "--window -2:2", which the
+        # parser alone reads as an option
         readme = Path(__file__).resolve().parents[1] / "README.md"
         line = next(t for t in readme.read_text().splitlines()
                     if t.startswith("multigraded system verify"))
         argv = [str(wedge_file) if a == "sys.system" else a for a in line.split()[1:]]
-        assert "--window=-2:2" in argv
+        assert argv[-2:] == ["--window", "-2:2"]
         code, out = run_cli(argv)
         assert code == 0 and "violations: 0" in out
         with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
@@ -952,7 +953,7 @@ class TestThm1Cones:
         assert _ceiling_sample(system, v, "ord0", 1) == 1
 
     def test_rank_three_directions_unchanged(self):
-        window = [v for v in lattice_window(3, 2) if any(v)]
+        window = [v for v in lattice_window([(-2, 2)] * 3) if any(v)]
         assert _thm1_directions(3, 2, 20) == window[::len(window) // 20][:20]
 
 
@@ -1022,6 +1023,47 @@ class TestParser:
         assert (second.radius, second.out) == (2, None)
         third = parser.parse_args(["repro", "thm2"])
         assert (third.radius, third.out) == (6, None) and not hasattr(third, "path")
+
+
+@pytest.fixture
+def colon_file(tmp_path):
+    (tmp_path / "p2.region").write_text("k=2\nhalfspace 1 2 >= 3\nhalfspace 3 1 >= 4\n")
+    (tmp_path / "i3.ideal").write_text("k=2\n2 0\n1 1\n0 3\n")
+    system = tmp_path / "colon2.system"
+    system.write_text("colon i3.ideal\n  region p2.region\n")
+    return system
+
+
+class TestSignedValues:
+    """The four options whose values may start with '-' and a digit take
+    them in the space form as in the = form."""
+
+    @pytest.mark.parametrize("option, value, argv, expected", [
+        ("--direction", "-1,3", ["system", "invariants", "S", "--method", "geometric"],
+         "\nord0 geometric = 0 (0)\n"),
+        ("--at", "-1,3", ["system", "eval", "S"], "k=2\n0 0\n"),
+        ("--window", "-2:2", ["system", "verify", "S"], "\nviolations: 0\n"),
+        ("--truncate", "-1/2", ["repro", "thm2", "--radius", "2"],
+         "\n[PASS] truncated system: eff points within radius 8 lie in s >= -1/2 r\n"),
+    ], ids=["direction", "at", "window", "truncate"])
+    def test_space_form_equals_the_equals_form(self, colon_file, option, value, argv,
+                                               expected):
+        argv = [str(colon_file) if a == "S" else a for a in argv]
+        spaced = run_cli([*argv[:2], option, value, *argv[2:]])
+        joined = run_cli([*argv, f"{option}={value}"])
+        assert spaced == joined
+        assert spaced[0] == 0 and expected in spaced[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["system", "eval", "s.system", "--at"],
+        ["system", "invariants", "s.system", "--direction", "--method", "geometric"],
+        ["system", "verify", "s.system", "--window"],
+    ], ids=["at-last", "direction-before-option", "window-last"])
+    def test_missing_value_exits_2(self, argv):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+            main(argv)
+        assert exc.value.code == 2 and "expected one argument" in err.getvalue()
 
 
 class TestBrokenPipe:

@@ -20,13 +20,13 @@ from multigraded.cones import (
     nef_points,
     ray_hull,
 )
-from multigraded.errors import RankMismatch, UnsupportedDimension
+from multigraded import cones, systems
+from multigraded.errors import RankMismatch, WorkLimitExceeded
 from multigraded.monomial import MonomialIdeal
 from multigraded.systems import (
     CeilingSystem,
     IdealPowers,
     Truncate,
-    box_window,
     verify_gradedness,
 )
 from multigraded.textio import parse_cone
@@ -96,17 +96,17 @@ class TestRayHull2:
 
 class TestRayHull3:
     def test_square_cone(self):
-        pts = [v for v in lattice_window(3, 2) if abs_sum_cone().contains(v)]
+        pts = [v for v in lattice_window([(-2, 2)] * 3) if abs_sum_cone().contains(v)]
         h = ray_hull(pts, 3)
         assert h.pointed
         assert h.rays == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
 
     def test_full_space(self):
-        h = ray_hull(list(lattice_window(3, 1)), 3)
+        h = ray_hull(list(lattice_window([(-1, 1)] * 3)), 3)
         assert h.fullspace
 
     def test_membership_matches_expected_cone(self):
-        pts = [v for v in lattice_window(3, 3) if abs_sum_cone().contains(v)]
+        pts = [v for v in lattice_window([(-3, 3)] * 3) if abs_sum_cone().contains(v)]
         h = ray_hull(pts, 3)
         cone = abs_sum_cone()
         # exact both ways: each cone holds the other's generators
@@ -149,9 +149,94 @@ class TestRayHull3:
         assert code == 0
         assert buf.getvalue().endswith("nef hull: not pointed; facet normals:\n  1 0 0\n  -1 0 0\n")
 
-    def test_rank_cap(self):
-        with pytest.raises(UnsupportedDimension):
-            ray_hull([(1, 0, 0, 0)], 4)
+
+
+R4_CONE = ("rank 4\nray 1 0 0 1\nray 0 1 0 1\nray 0 0 1 1\nray 1 1 0 2\nray -1 1 1 2\n"
+           "ray 1 -1 1 3\n")
+
+
+def run_main(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+class TestHigherRank:
+    """Ray hulls, and so `repro thm1` and `system cones`, in any rank."""
+
+    def test_repro_thm1_rank_4_cone(self, tmp_path, monkeypatch):
+        # (1, 1, 0, 2) is the sum of the first two rays, so not extreme
+        (tmp_path / "r4.cone").write_text(R4_CONE)
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(["repro", "thm1", "--cone", "r4.cone", "--radius", "3"])
+        assert code == 0 and out.count("[PASS]") == 3
+        assert "\nnef hull rays: -1 1 1 2; 0 0 1 1; 0 1 0 1; 1 -1 1 3; 1 0 0 1\n" in out
+
+    def test_system_cones_of_four_powers(self, tmp_path, monkeypatch):
+        # a_v = (x)^(v1 + v2 + v3 + v4) over the positive entries: the unit
+        # ideal exactly on the negative orthant
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        (tmp_path / "x4.system").write_text("powers x.ideal x.ideal x.ideal x.ideal\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(["system", "cones", "x4.system", "--radius", "1"])
+        assert code == 0 and out.startswith("nef points (16):\n")
+        assert out.endswith("nef hull rays:\n  -1 0 0 0\n  0 -1 0 0\n  0 0 -1 0\n  0 0 0 -1\n")
+
+
+def _never_evaluated(self, v):
+    raise AssertionError(f"index {v} was evaluated")
+
+
+class TestWorkLimits:
+    """A window, a gradedness check and a double description over their
+    stated limits are refused with exit 2 and one line naming the limit."""
+
+    @pytest.fixture
+    def ceiling(self, tmp_path, monkeypatch):
+        (tmp_path / "c.cone").write_text("rank 3\nray 1 0 1\nray 0 1 1\nray -1 0 1\nray 0 -1 1\n")
+        (tmp_path / "c.system").write_text("ceiling c.cone\n")
+        monkeypatch.chdir(tmp_path)
+        return "c.system"
+
+    def test_window_over_the_limit_is_refused_before_any_eval(self, ceiling, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(cones, "MAX_WINDOW_INDICES", 7 ** 3)
+        code, out = run_main(["system", "cones", ceiling, "--radius", "3"])
+        assert code == 0 and "nef hull rays:" in out
+        monkeypatch.setattr(cones, "MAX_WINDOW_INDICES", 7 ** 3 - 1)
+        monkeypatch.setattr(CeilingSystem, "_eval", _never_evaluated)
+        code, out = run_main(["system", "cones", ceiling, "--radius", "3"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: a window of 343 indices is over the limit of 342\n")
+
+    def test_dual_over_the_limit_is_refused(self, ceiling, monkeypatch, capsys):
+        # the four rays of a square cone: the dual holds 3 rays after the
+        # first three and 4 after the last
+        square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        monkeypatch.setattr(cones, "MAX_DUAL_RAYS", 4)
+        assert len(ray_hull(square, 3).halfspaces) == 4
+        monkeypatch.setattr(cones, "MAX_DUAL_RAYS", 3)
+        with pytest.raises(WorkLimitExceeded, match="of 4 dual rays is over the limit of 3$"):
+            ray_hull(square, 3)
+        code, out = run_main(["system", "cones", ceiling, "--radius", "1"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("over the limit of 3\n")
+
+    def test_verify_over_the_pair_limit_is_refused_before_any_eval(self, ceiling, monkeypatch,
+                                                                   capsys):
+        # --window=-1:1 in rank 3: 27 indices, 27 * 28 / 2 = 378 pairs
+        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 378)
+        code, out = run_main(["system", "verify", ceiling, "--window=-1:1"])
+        assert code == 0 and "violations: 0" in out
+        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 377)
+        monkeypatch.setattr(CeilingSystem, "_eval", _never_evaluated)
+        code, out = run_main(["system", "verify", ceiling, "--window=-1:1"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: a gradedness check of 378 pairs is over the limit of 377\n")
 
 
 class TestDerivedProperties:
@@ -171,7 +256,7 @@ class TestDerivedProperties:
     def test_halfspace_file_matches_its_ray_hull(self, text):
         cone = parse_cone(text)
         hull = ray_hull(cone.generators, cone.rank)
-        window = list(lattice_window(cone.rank, 3))
+        window = list(lattice_window([(-3, 3)] * cone.rank))
         assert [hull.contains(v) for v in window] == [cone.contains(v) for v in window]
         assert (cone.pointed, cone.rays, cone.generators) == (
             hull.pointed, hull.rays, hull.generators)
@@ -209,11 +294,15 @@ def _neg(v):
 
 def cone_oracle(rays, rank):
     """Membership in cone(rays) by Caratheodory's theorem: x is inside iff it
-    is a nonnegative combination of a linearly independent subset of at most
-    `rank` rays.  Each independent subset is solved on one nonzero minor by
-    Cramer's rule, and the solution is checked on every coordinate."""
+    is a nonnegative combination of a linearly independent subset of the
+    rays, and so of a basis of their span drawn from them (zero coefficients
+    pad the subset).  Each such basis, found as the largest independent
+    subsets, is solved on one nonzero minor by Cramer's rule, and the
+    solution is checked on every coordinate."""
     systems = []
-    for m in range(1, rank + 1):
+    for m in range(rank, 0, -1):
+        if systems:
+            break
         for subset in combinations(rays, m):
             for rows in combinations(range(rank), m):
                 a = [[r[i] for r in subset] for i in rows]
@@ -282,10 +371,11 @@ def _random_points(rng, rank, span):
     return pts
 
 
-@pytest.mark.parametrize("rank,span", [(r, s) for r in (1, 2, 3) for s in range(r + 1)])
+@pytest.mark.parametrize("rank,span", [(r, s) for r in (1, 2, 3, 4, 5) for s in range(r + 1)])
 def test_ray_hull_matches_caratheodory_oracle(rank, span):
     rng = random.Random(97 * rank + span)
-    window = list(lattice_window(rank, 3))
+    radius = 2 if rank == 5 else 3
+    window = list(lattice_window([(-radius, radius)] * rank))
     for _ in range(6):
         pts = _random_points(rng, rank, span)
         rays = sorted({_prim(p) for p in pts if any(p)})
@@ -309,7 +399,7 @@ def test_ray_hull_matches_caratheodory_oracle(rank, span):
 def test_pair_facets_reference_on_nef_points():
     for forms in ([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(1, -1)], [(2, 0), (0, 1)]):
         cone = ConeRep.epigraph(forms)
-        pts = [v for v in lattice_window(3, 2) if cone.contains(v)]
+        pts = [v for v in lattice_window([(-2, 2)] * 3) if cone.contains(v)]
         assert ray_hull(pts, 3).halfspaces == pair_facets(sorted({_prim(p) for p in pts if any(p)}))
 
 
@@ -317,7 +407,7 @@ class TestNefEff:
     def test_ceiling_nef_is_the_cone(self):
         system = CeilingSystem(abs_sum_cone())
         got = nef_points(system, 3)
-        want = [v for v in lattice_window(3, 3) if abs_sum_cone().contains(v)]
+        want = [v for v in lattice_window([(-3, 3)] * 3) if abs_sum_cone().contains(v)]
         assert got == want
 
     def test_ideal_powers_nef(self):
@@ -353,8 +443,8 @@ class TestNefEff:
         out = buf.getvalue()
         assert code == 0
         c = ray_hull([(2, 1), (1, 2)], 2)
-        nef = [v for v in lattice_window(2, 3) if c.contains(v)]
-        eff = [v for v in lattice_window(2, 3) if min(v) >= 0]
+        nef = [v for v in lattice_window([(-3, 3)] * 2) if c.contains(v)]
+        eff = [v for v in lattice_window([(-3, 3)] * 2) if min(v) >= 0]
         assert (len(nef), len(eff)) == (8, 16)
         assert out.startswith("nef points (8):\n" + "".join(f"  {x} {y}\n" for x, y in nef)
                               + "eff points (16):\n"
@@ -389,9 +479,9 @@ def test_ceiling_over_any_cone(case, den):
     positive, else 1, over the primitive normals a_i."""
     cone, normals, inside = case
     system = CeilingSystem(cone, MonomialIdeal.maximal(2))
-    window = list(lattice_window(cone.rank, 3))
+    window = list(lattice_window([(-3, 3)] * cone.rank))
     assert nef_points(system, 3) == [v for v in window if inside(v)]
-    report = verify_gradedness(system, box_window([(-2, 2)] * cone.rank))
+    report = verify_gradedness(system, lattice_window([(-2, 2)] * cone.rank))
     assert report.pairs_checked > 0 and report.ok
 
     def h(v):

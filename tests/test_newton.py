@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multigraded.cones import ConeRep
 from multigraded.errors import (
     UnboundedComplement,
     UnsupportedDimension,
@@ -21,7 +22,6 @@ from multigraded.newton import (
     NewtonPolyhedron,
     _covolume_3d,
     _normalize_facet,
-    _rank,
     _ring,
     _shoelace,
     envelope_2d,
@@ -463,9 +463,9 @@ _entries = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3,
 
 @st.composite
 def rank_rows(draw):
-    """0-6 rows of one length 1-3: ints and Fractions, zero rows, and rows
-    that are rational combinations of earlier ones."""
-    width = draw(st.integers(1, 3))
+    """The width 1-5, and 0-6 rows of that width: ints and Fractions, zero
+    rows, and rows that are rational combinations of earlier ones."""
+    width = draw(st.integers(1, 5))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["free", "zero", "combination"]))
@@ -476,14 +476,26 @@ def rank_rows(draw):
             rows.append(tuple(sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(width)))
         else:
             rows.append(tuple(draw(_entries) for _ in range(width)))
-    return rows
+    return width, rows
+
+
+def dd_rank(width, rows) -> int:
+    """Rank of the rows read off their double description: the cone
+    {x : <row, x> >= 0} has the rows' null space as its lineality."""
+    return width - len(ConeRep.from_halfspaces(width, rows)._description[1])
 
 
 class TestIntegerRank:
+    """The exact rank of rows, and so pointedness, comes from the lineality
+    of one integer double description, in any width."""
+
     @settings(max_examples=400, deadline=None)
     @given(rank_rows())
-    def test_matches_gaussian_elimination(self, rows):
-        assert _rank(rows) == gauss_rank(rows)
+    def test_matches_gaussian_elimination(self, case):
+        width, rows = case
+        rank = gauss_rank(rows)
+        assert dd_rank(width, rows) == rank
+        assert ConeRep.from_halfspaces(width, rows).pointed == (rank == width)
 
     @pytest.mark.parametrize("rows, expected", [
         ([], 0),
@@ -495,11 +507,8 @@ class TestIntegerRank:
         ([(F(1, 3),), (5,)], 1),
     ])
     def test_examples(self, rows, expected):
-        assert _rank(rows) == gauss_rank(rows) == expected
-
-    def test_rows_longer_than_three_raise(self):
-        with pytest.raises(UnsupportedDimension):
-            _rank([(1, 0, 0), (0, 1, 0, 0)])
+        width = len(rows[0]) if rows else 3
+        assert dd_rank(width, rows) == gauss_rank(rows) == expected
 
 
 def brute_orthant_hull_3d(points):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from multigraded import systems
 from multigraded.cli import main
-from multigraded.cones import ConeRep, abs_sum_cone, eff_points, nef_points
+from multigraded.cones import ConeRep, abs_sum_cone, eff_points, lattice_window, nef_points
 from multigraded.errors import (
     RankMismatch,
     ZeroDirection,
@@ -43,7 +43,6 @@ from multigraded.systems import (
     RegionSystem,
     SystemExpr,
     Truncate,
-    box_window,
     kinked_intersection_system,
     verify_gradedness,
 )
@@ -405,7 +404,7 @@ class TestLimitBody:
         p = region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])
         inner = Product(RegionSystem(p), IdealPowers([ideal((1, 1), (3, 0), (0, 2))]))
         system = ColonSystem(inner, ideal((2, 0), (1, 1), (0, 3)))
-        assert_body_shape(system, box_window([(-2, 3), (0, 3)]))
+        assert_body_shape(system, list(lattice_window([(-2, 3), (0, 3)])))
 
     @pytest.mark.parametrize("make, bounds", [
         (lambda: _tree(Intersect), [(-2, 4)] * 2),
@@ -417,7 +416,7 @@ class TestLimitBody:
     ], ids=["intersect", "pullback", "truncate", "ceiling"])
     def test_body_shape_on_a_window(self, make, bounds):
         system = make()
-        window = [v for v in box_window(bounds)
+        window = [v for v in lattice_window(bounds)
                   if not isinstance(system, Truncate) or system.cone.contains(v)]
         assert_body_shape(system, window)
 
@@ -574,23 +573,23 @@ class TestContainmentProperties:
 class TestGradedness:
     def test_ideal_powers_window(self):
         system = IdealPowers([MonomialIdeal.maximal(2), ideal((2, 0), (0, 3))])
-        report = verify_gradedness(system, box_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
         assert report.ok and report.pairs_checked > 0
 
     def test_wedge_window(self, wedge_system):
-        report = verify_gradedness(wedge_system, box_window([(0, 8)]))
+        report = verify_gradedness(wedge_system, lattice_window([(0, 8)]))
         assert report.ok
 
     def test_ceiling_window(self):
         system = CeilingSystem(abs_sum_cone())
-        report = verify_gradedness(system, box_window([(-3, 3)] * 3))
+        report = verify_gradedness(system, lattice_window([(-3, 3)] * 3))
         assert report.ok and report.pairs_checked > 20000
 
     def test_truncation_preserves_gradedness(self):
         system = Truncate(
             kinked_intersection_system(0), ConeRep.from_halfspaces(2, [(-1, 8)])
         )
-        report = verify_gradedness(system, box_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
         assert report.ok
 
     def test_colon_system_gradedness_on_its_semigroup(self):
@@ -598,13 +597,13 @@ class TestGradedness:
         system = ColonSystem(
             IdealPowers([ideal((2, 0), (0, 3))]), MonomialIdeal.maximal(2)
         )
-        report = verify_gradedness(system, box_window([(-2, 2), (-2, 3)]))
+        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 3)]))
         assert report.ok
 
     def test_colon_probe_window(self):
         # the colon over a region and (x^2, xy, y^3) on [-3, 3]^2: at n < 0
         # a unit colon used to break 60 pairs, the first (-2, -3) + (3, 3)
-        report = verify_gradedness(_probe_colon(), box_window([(-3, 3)] * 2))
+        report = verify_gradedness(_probe_colon(), lattice_window([(-3, 3)] * 2))
         assert report.ok and report.pairs_checked == 689
 
     @settings(max_examples=40, deadline=None)
@@ -627,7 +626,7 @@ class TestGradedness:
         if op is not None:
             inner = op(inner, leaf())
         system = ColonSystem(inner, data.draw(gens))
-        report = verify_gradedness(system, box_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
         assert report.ok, report.violations[:3]
 
 
@@ -697,7 +696,7 @@ class TestGradednessReference:
              "non-graded", "non-graded-k3", "non-graded-k1"],
     )
     def test_matches_pairwise_products(self, make, bounds):
-        window = box_window(bounds)
+        window = list(lattice_window(bounds))
         report = verify_gradedness(make(), window)
         checked, violations = pairwise_gradedness(make(), window)
         assert report.pairs_checked == checked
@@ -706,7 +705,7 @@ class TestGradednessReference:
     @pytest.mark.parametrize("k, bounds", [(1, [(-4, 4)]), (2, [(-2, 2)] * 2),
                                            (3, [(-2, 2)] * 2)])
     def test_non_graded_pools_pass_and_fail(self, k, bounds):
-        report = verify_gradedness(Pooled(len(bounds), POOLS[k]), box_window(bounds))
+        report = verify_gradedness(Pooled(len(bounds), POOLS[k]), lattice_window(bounds))
         assert 0 < len(report.violations) < report.pairs_checked
 
 
