@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from contextlib import suppress
 from dataclasses import replace
@@ -27,7 +28,7 @@ from .cones import (
     nef_points,
     ray_hull,
 )
-from .errors import MonotonicityError, MultigradedError, NotCofinite
+from .errors import MonotonicityError, MultigradedError, NotCofinite, WorkLimitExceeded
 from .invariants import (
     appendix_kink_table,
     ceiling_closed_forms,
@@ -317,8 +318,8 @@ def cmd_repro_thm2(args) -> int:
     if n_kinks < 1:
         raise ParseError(f"--kinks needs N >= 1, got {n_kinks}")
     if args.truncate is not None and n_kinks > MAX_TRUNCATED_KINKS:
-        raise ParseError(f"{n_kinks} kinks are over the limit of {MAX_TRUNCATED_KINKS} "
-                         "with --truncate")
+        raise WorkLimitExceeded(f"{n_kinks} kinks are over the limit of "
+                                f"{MAX_TRUNCATED_KINKS} with --truncate")
     if r_fixed <= 0:
         raise ParseError(f"--r needs r > 0, got {fmt_q(r_fixed)}")
     if s_lo > s_hi:
@@ -451,11 +452,22 @@ def cmd_repro_appendix(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that starts with '-' and a digit as a value
+    (``--scan -1/2 2``, ``--window -2:2``), not only argparse's plain
+    numbers: no option here starts with '-' and a digit.  Subparsers are
+    of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; every ``parse_args``
     call still returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multigraded",
         description="Exact invariants and cones of multigraded systems of monomial ideals",
     )
@@ -531,25 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SIGNED_VALUE_OPTIONS = frozenset({"--direction", "--at", "--window", "--truncate"})
-
-
-def _join_signed_values(argv) -> list[str]:
-    """Join each option of ``_SIGNED_VALUE_OPTIONS`` with a following token
-    that starts with '-' and a digit (``--at -1,3`` becomes ``--at=-1,3``),
-    which argparse would otherwise read as an option."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_signed_values(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MonotonicityError as exc:

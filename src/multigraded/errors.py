@@ -57,18 +57,6 @@ class MonotonicityError(MultigradedError):
     """A schedule sample sequence failed to be monotone nonincreasing."""
 
 
-class TooManyGeneratorPairs(MultigradedError):
-    """A product, a squaring or a k >= 3 intersection would combine more
-    generator pairs than ``monomial.MAX_GENERATOR_PAIRS`` allows.  A k=2
-    intersection is a staircase merge and is never refused."""
-
-
-class TooManyScanColumns(MultigradedError):
-    """A lattice scan box would hold more columns than
-    ``regions.MAX_SCAN_COLUMNS`` allows."""
-
-
 class WorkLimitExceeded(MultigradedError):
-    """A lattice window, a gradedness check or a double description would
-    do more work than ``cones.MAX_WINDOW_INDICES``,
-    ``systems.MAX_GRADEDNESS_PAIRS`` or ``cones.MAX_DUAL_RAYS`` allows."""
+    """Work past a stated limit: each ``MAX_*`` constant of the package is
+    one, and its refusal names it."""

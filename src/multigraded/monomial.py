@@ -19,7 +19,7 @@ from itertools import pairwise, product as iterprod
 from .errors import (
     DimensionMismatch,
     NotCofinite,
-    TooManyGeneratorPairs,
+    WorkLimitExceeded,
     ZeroDivisorIdeal,
     ZeroIdeal,
 )
@@ -141,7 +141,7 @@ def _staircase_meet(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
 def _check_pairs(a: MonomialIdeal, b: MonomialIdeal, what: str) -> None:
     pairs = len(a.gens) * len(b.gens)
     if pairs > MAX_GENERATOR_PAIRS:
-        raise TooManyGeneratorPairs(
+        raise WorkLimitExceeded(
             f"{what} of ideals with {len(a.gens)} and {len(b.gens)} generators "
             f"needs {pairs} generator pairs, over the limit of {MAX_GENERATOR_PAIRS}"
         )

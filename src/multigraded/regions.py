@@ -30,8 +30,8 @@ from operator import itemgetter, mul
 from .errors import (
     DimensionMismatch,
     EmptyRegion,
-    TooManyScanColumns,
     UnsupportedDimension,
+    WorkLimitExceeded,
 )
 # minimalize is unused here; perfbench's install test asserts that this
 # module's alias of it is wrapped
@@ -138,7 +138,7 @@ def build_kinked_f(n_kinks: int) -> PiecewiseLinearFn:
     if n_kinks < 0:
         raise ValueError(f"n_kinks must be >= 0, got {n_kinks}")
     if n_kinks > MAX_KINKS:
-        raise ValueError(f"{n_kinks} kinks are over the limit of {MAX_KINKS}")
+        raise WorkLimitExceeded(f"{n_kinks} kinks are over the limit of {MAX_KINKS}")
     eps = dyadic_sequence(n_kinks)
     weights = [Fraction(1, 2 ** (i + 2)) for i in range(1, n_kinks + 1)]
     return _hinge_sum(2 + sum(map(mul, weights, eps)), -2 - sum(weights), zip(eps, weights))
@@ -254,7 +254,7 @@ def lattice_generators(region: NewtonPolyhedron, m: int) -> MonomialIdeal:
     bx, by, bz = pad + tuple(max(-(-m * t.numerator // t.denominator) for t in ts)
                              for ts in zip(*region.vertices))
     if (bx + 1) * (by + 1) > MAX_SCAN_COLUMNS:
-        raise TooManyScanColumns(
+        raise WorkLimitExceeded(
             f"lattice scan of {m} * region needs more columns than the limit of "
             f"{MAX_SCAN_COLUMNS}"
         )
@@ -347,7 +347,8 @@ def appendix_boundary(n_terms: int) -> tuple[PiecewiseLinearFn, SymmetricBody]:
     if n_terms < 1:
         raise ValueError("need at least one term")
     if n_terms > MAX_APPENDIX_KINKS:
-        raise ValueError(f"{n_terms} kinks are over the limit of {MAX_APPENDIX_KINKS}")
+        raise WorkLimitExceeded(f"{n_terms} kinks are over the limit of "
+                                f"{MAX_APPENDIX_KINKS}")
     xs = dyadic_sequence(n_terms)
     eps = [Fraction(1, 2**i) for i in range(1, n_terms + 1)]
     boundary = _hinge_sum(sum(eps), 0, ((xi, -e / (1 - xi)) for e, xi in zip(eps, xs)))

@@ -51,23 +51,37 @@ def _remember(cache: dict, key, value):
 
 class SystemExpr:
     """Base node of index rank ``rank`` over ``ambient_dim`` variables.
-    Subclasses implement _eval and limit_body."""
+
+    ``eval``, ``limit_body`` and ``restrict`` take vectors from outside the
+    tree and check them once, in ``_vector``; inside the tree every node
+    hands checked tuples to its children's ``_at`` and ``_body``.
+    Subclasses implement _eval and _body."""
 
     def __init__(self, rank: int, ambient_dim: int):
         self.rank = rank
         self.ambient_dim = ambient_dim
         self._cache: dict[tuple[int, ...], MonomialIdeal] = {}
 
-    def eval(self, v) -> MonomialIdeal:
-        vt = tuple(map(int, v))
-        if vt != v and vt != tuple(v):
-            raise ValueError(f"index must be integral, got {tuple(v)}")
+    def _vector(self, v, what: str, integral: bool = False) -> tuple:
+        """v as a tuple of this node's rank, of ints if integral."""
+        vt = tuple(v)
+        if integral:
+            ints = tuple(map(int, vt))
+            if ints != vt:
+                raise ValueError(f"{what} must be integral, got {vt}")
+            vt = ints
         if len(vt) != self.rank:
-            raise RankMismatch(f"index of length {len(vt)} in rank {self.rank}")
-        hit = self._cache.get(vt)
+            raise RankMismatch(f"{what} of length {len(vt)} in rank {self.rank}")
+        return vt
+
+    def eval(self, v) -> MonomialIdeal:
+        return self._at(self._vector(v, "index", integral=True))
+
+    def _at(self, v) -> MonomialIdeal:
+        hit = self._cache.get(v)
         if hit is not None:
             return hit
-        return _remember(self._cache, vt, self._eval(vt))
+        return _remember(self._cache, v, self._eval(v))
 
     def _eval(self, v) -> MonomialIdeal:
         raise NotImplementedError
@@ -81,6 +95,9 @@ class SystemExpr:
         the body is fixed by homogeneity: the body at t v is t times the
         body at v.
         """
+        return self._body(self._vector(v, "direction"))
+
+    def _body(self, v) -> NewtonPolyhedron:
         raise NotImplementedError
 
     def restrict(self, v) -> DirectionView:
@@ -95,11 +112,7 @@ class DirectionView:
     direction: tuple[int, ...]
 
     def __post_init__(self):
-        vt = tuple(map(int, self.direction))
-        if vt != tuple(self.direction):
-            raise ValueError(f"direction must be integral, got {tuple(self.direction)}")
-        if len(vt) != self.system.rank:
-            raise RankMismatch(f"direction of length {len(vt)} in rank {self.system.rank}")
+        vt = self.system._vector(self.direction, "direction", integral=True)
         if all(x == 0 for x in vt):
             raise ZeroDirection("direction must be nonzero")
         object.__setattr__(self, "direction", vt)
@@ -108,7 +121,7 @@ class DirectionView:
         return self.system.eval(tuple(n * x for x in self.direction))
 
     def limit_body(self) -> NewtonPolyhedron:
-        return self.system.limit_body(self.direction)
+        return self.system._body(self.direction)
 
 
 class IdealPowers(SystemExpr):
@@ -133,12 +146,10 @@ class IdealPowers(SystemExpr):
         return (reduce(MonomialIdeal.product, factors) if factors
                 else MonomialIdeal.unit(self.ambient_dim))
 
-    def limit_body(self, v):
-        if len(v) != self.rank:
-            raise RankMismatch(f"direction of length {len(v)} in rank {self.rank}")
+    def _body(self, v):
         terms = [(ideal, t) for ideal, t in zip(self.ideals, v) if t > 0]
         if any(ideal.is_zero for ideal, _ in terms):
-            raise ZeroIdealInDirection(f"zero ideal at {tuple(v)}")
+            raise ZeroIdealInDirection(f"zero ideal at {v}")
         if not terms:
             return full_orthant(self.ambient_dim)
         return reduce(region_minkowski, (ideal.newton().scale(t) for ideal, t in terms))
@@ -157,7 +168,7 @@ class RegionSystem(SystemExpr):
             return MonomialIdeal.unit(self.ambient_dim)
         return lattice_generators(self.region, n)
 
-    def limit_body(self, v):
+    def _body(self, v):
         n = v[0]
         if n <= 0:
             return full_orthant(self.ambient_dim)
@@ -192,30 +203,28 @@ class CeilingSystem(SystemExpr):
 
     def _excess(self, v):
         """D max_i -<a_i, v> / w_i (0 with no normals), v integer or rational."""
-        if len(v) != self.rank:
-            raise RankMismatch(f"index of length {len(v)} in rank {self.rank}")
         return max([sum(map(mul, form, v)) for form in self._forms], default=0)
 
     def exponent(self, v) -> int:
         """ceil(max_i -<a_i, v> / w_i): at most 0 exactly on C."""
-        return -(-self._excess(v) // self._denom)
+        return -(-self._excess(self._vector(v, "index")) // self._denom)
 
     def deficiency(self, v) -> Fraction:
         """h(v) at a rational index vector."""
-        return Fraction(max(self._excess(v), 0), self._denom)
+        return Fraction(max(self._excess(self._vector(v, "index")), 0), self._denom)
 
     def _eval(self, v):
-        m = max(self.exponent(v), 0)
+        m = -(-max(self._excess(v), 0) // self._denom)
         hit = self._powers.get(m)
         if hit is not None:
             return hit
         return _remember(self._powers, m, self.base.power(m))
 
-    def limit_body(self, v):
-        t = self.deficiency(tuple(v))
-        if t == 0:
+    def _body(self, v):
+        excess = self._excess(v)
+        if excess <= 0:
             return full_orthant(self.ambient_dim)
-        return self.base.newton().scale(t)
+        return self.base.newton().scale(Fraction(excess, self._denom))
 
 
 class Pullback(SystemExpr):
@@ -235,10 +244,10 @@ class Pullback(SystemExpr):
         return tuple(sum(a * b for a, b in zip(row, w)) for row in self.matrix)
 
     def _eval(self, w):
-        return self.inner.eval(self.apply(w))
+        return self.inner._at(self.apply(w))
 
-    def limit_body(self, w):
-        return self.inner.limit_body(self.apply(w))
+    def _body(self, w):
+        return self.inner._body(self.apply(w))
 
 
 class _Pair(SystemExpr):
@@ -255,18 +264,18 @@ class _Pair(SystemExpr):
 
 class Product(_Pair):
     def _eval(self, v):
-        return self.left.eval(v).product(self.right.eval(v))
+        return self.left._at(v).product(self.right._at(v))
 
-    def limit_body(self, v):
-        return region_minkowski(self.left.limit_body(v), self.right.limit_body(v))
+    def _body(self, v):
+        return region_minkowski(self.left._body(v), self.right._body(v))
 
 
 class Intersect(_Pair):
     def _eval(self, v):
-        return self.left.eval(v).intersect(self.right.eval(v))
+        return self.left._at(v).intersect(self.right._at(v))
 
-    def limit_body(self, v):
-        return region_intersect(self.left.limit_body(v), self.right.limit_body(v))
+    def _body(self, v):
+        return region_intersect(self.left._body(v), self.right._body(v))
 
 
 class Truncate(SystemExpr):
@@ -281,13 +290,13 @@ class Truncate(SystemExpr):
 
     def _eval(self, v):
         if self.cone.contains(v):
-            return self.inner.eval(v)
+            return self.inner._at(v)
         return MonomialIdeal.zero(self.ambient_dim)
 
-    def limit_body(self, v):
-        if not self.cone.contains(tuple(v)):
+    def _body(self, v):
+        if not self.cone.contains(v):
             raise ZeroIdealInDirection(f"direction {v} outside the truncation semigroup")
-        return self.inner.limit_body(v)
+        return self.inner._body(v)
 
 
 class ColonSystem(SystemExpr):
@@ -317,13 +326,13 @@ class ColonSystem(SystemExpr):
         head, n = v[:-1], v[-1]
         if n < 0:
             return MonomialIdeal.zero(self.ambient_dim)
-        return self.inner.eval(head).colon(self.ideal.power(n))
+        return self.inner._at(head).colon(self.ideal.power(n))
 
-    def limit_body(self, v):
+    def _body(self, v):
         head, t = v[:-1], v[-1]
         if t < 0:
             raise ZeroIdealInDirection(f"direction {v} has a negative colon index")
-        body = self.inner.limit_body(head)
+        body = self.inner._body(head)
         if t == 0:
             return body
         k, verts = self.ambient_dim, self.ideal.newton().vertices

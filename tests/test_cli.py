@@ -629,8 +629,8 @@ class TestSystemCommands:
         assert "violations: 0" in out
 
     def test_verify_line_of_the_readme(self, wedge_file):
-        # main takes the README's space form "--window -2:2", which the
-        # parser alone reads as an option
+        # the README's space form "--window -2:2", through main and through
+        # the parser alone
         readme = Path(__file__).resolve().parents[1] / "README.md"
         line = next(t for t in readme.read_text().splitlines()
                     if t.startswith("multigraded system verify"))
@@ -638,9 +638,8 @@ class TestSystemCommands:
         assert argv[-2:] == ["--window", "-2:2"]
         code, out = run_cli(argv)
         assert code == 0 and "violations: 0" in out
-        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
-            build_parser().parse_args(["system", "verify", "s.system", "--window", "-2:2"])
-        assert exc.value.code == 2
+        args = build_parser().parse_args(["system", "verify", "s.system", "--window", "-2:2"])
+        assert args.window == "-2:2"
 
 
     @pytest.mark.parametrize("window", ["3:1", "1:1", "-1:-1", "2:3", "-3:-2"])
@@ -1035,8 +1034,8 @@ def colon_file(tmp_path):
 
 
 class TestSignedValues:
-    """The four options whose values may start with '-' and a digit take
-    them in the space form as in the = form."""
+    """Option values that start with '-' and a digit follow their option
+    after a space as after '=', and fill multi-value options too."""
 
     @pytest.mark.parametrize("option, value, argv, expected", [
         ("--direction", "-1,3", ["system", "invariants", "S", "--method", "geometric"],
@@ -1064,6 +1063,17 @@ class TestSignedValues:
         with pytest.raises(SystemExit) as exc, redirect_stderr(err):
             main(argv)
         assert exc.value.code == 2 and "expected one argument" in err.getvalue()
+
+    def test_negative_scan_end(self):
+        code, out = run_cli(["repro", "thm2", "--scan", "-1/2", "2", "--radius", "2"])
+        assert code == 0 and "kink table at r = 1 over s in [-1/2, 2]: " in out
+
+    def test_negative_grid_value_reaches_the_command(self, capsys):
+        # refused by the command's own check, not by argparse's usage line
+        code, out = run_cli(["repro", "thm2", "--grid", "-3/4", "3/2", "3/4", "3/2", "3"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --grid needs 0 < rmin < rmax, 0 < smin < smax and steps >= 2\n")
 
 
 class TestBrokenPipe:

@@ -8,10 +8,10 @@ from itertools import combinations
 from math import ceil, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multigraded.cli import main
+from multigraded.cli import build_parser, main
 from multigraded.cones import (
     ConeRep,
     abs_sum_cone,
@@ -20,7 +20,7 @@ from multigraded.cones import (
     nef_points,
     ray_hull,
 )
-from multigraded import cones, systems
+from multigraded import cli, cones, monomial, regions, systems
 from multigraded.errors import RankMismatch, WorkLimitExceeded
 from multigraded.monomial import MonomialIdeal
 from multigraded.systems import (
@@ -188,9 +188,46 @@ def _never_evaluated(self, v):
     raise AssertionError(f"index {v} was evaluated")
 
 
+def _thm2_truncated(n_kinks):
+    args = build_parser().parse_args(["repro", "thm2", "--kinks", str(n_kinks),
+                                      "--truncate", "1/8"])
+    return args.func(args)
+
+
+SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+# each stated limit, the value a test sets it to (None keeps it), and work
+# of one more than that value
+LIMITS = [
+    (monomial, "MAX_GENERATOR_PAIRS", 3,  # 2 x 2 generator pairs
+     lambda: MonomialIdeal.maximal(2).product(MonomialIdeal.maximal(2))),
+    (regions, "MAX_SCAN_COLUMNS", 35,  # a 6 x 6 box of columns
+     lambda: regions.lattice_generators(
+         regions.region_from_halfspaces(3, [((1, 1, 1), 5)]), 1)),
+    (regions, "MAX_KINKS", None, lambda: regions.build_kinked_f(regions.MAX_KINKS + 1)),
+    (regions, "MAX_APPENDIX_KINKS", None,
+     lambda: regions.appendix_boundary(regions.MAX_APPENDIX_KINKS + 1)),
+    (cli, "MAX_TRUNCATED_KINKS", None, lambda: _thm2_truncated(cli.MAX_TRUNCATED_KINKS + 1)),
+    (cones, "MAX_WINDOW_INDICES", 8, lambda: lattice_window([(-1, 1)] * 2)),
+    (cones, "MAX_DUAL_RAYS", 3, lambda: ray_hull(SQUARE, 3)),  # 4 dual rays at the end
+    (systems, "MAX_GRADEDNESS_PAIRS", 5,  # 3 indices, 6 pairs
+     lambda: verify_gradedness(IdealPowers([MonomialIdeal.maximal(2)]), [(0,), (1,), (2,)])),
+]
+
+
 class TestWorkLimits:
-    """A window, a gradedness check and a double description over their
-    stated limits are refused with exit 2 and one line naming the limit."""
+    """Each stated limit refuses work one past it with ``WorkLimitExceeded``;
+    a window, a gradedness check and a double description over their limits
+    exit 2 with one line naming the limit."""
+
+    @pytest.mark.parametrize("module, name, value, work", LIMITS,
+                             ids=[name for _, name, _, _ in LIMITS])
+    def test_each_limit_refused_one_past_it(self, monkeypatch, module, name, value, work):
+        if value is not None:
+            monkeypatch.setattr(module, name, value)
+        limit = getattr(module, name)
+        with pytest.raises(WorkLimitExceeded, match=rf"the limit of {limit}\b"):
+            work()
 
     @pytest.fixture
     def ceiling(self, tmp_path, monkeypatch):
@@ -214,12 +251,11 @@ class TestWorkLimits:
     def test_dual_over_the_limit_is_refused(self, ceiling, monkeypatch, capsys):
         # the four rays of a square cone: the dual holds 3 rays after the
         # first three and 4 after the last
-        square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
         monkeypatch.setattr(cones, "MAX_DUAL_RAYS", 4)
-        assert len(ray_hull(square, 3).halfspaces) == 4
+        assert len(ray_hull(SQUARE, 3).halfspaces) == 4
         monkeypatch.setattr(cones, "MAX_DUAL_RAYS", 3)
         with pytest.raises(WorkLimitExceeded, match="of 4 dual rays is over the limit of 3$"):
-            ray_hull(square, 3)
+            ray_hull(SQUARE, 3)
         code, out = run_main(["system", "cones", ceiling, "--radius", "1"])
         assert (code, out) == (2, "")
         err = capsys.readouterr().err
@@ -401,6 +437,52 @@ def test_pair_facets_reference_on_nef_points():
         cone = ConeRep.epigraph(forms)
         pts = [v for v in lattice_window([(-2, 2)] * 3) if cone.contains(v)]
         assert ray_hull(pts, 3).halfspaces == pair_facets(sorted({_prim(p) for p in pts if any(p)}))
+
+
+def subset_facets(rays, rank):
+    """Facet normals of a cone whose rays span the space: the primitive
+    cofactor normal of every rank - 1 rays that span a hyperplane, signed
+    to hold every ray on its nonnegative side, and none for a hyperplane
+    with rays on both sides."""
+    facets = set()
+    for subset in combinations(rays, rank - 1):
+        n = tuple((-1) ** j * _det([list(r[:j] + r[j + 1:]) for r in subset])
+                  for j in range(rank))
+        if any(n):
+            dots = [sum(a * b for a, b in zip(n, r)) for r in rays]
+            if min(dots) >= 0:
+                facets.add(_prim(n))
+            elif max(dots) <= 0:
+                facets.add(_prim(_neg(n)))
+    return facets
+
+
+@st.composite
+def _spanning_rays(draw):
+    """A rank of 2-5 and rank to rank + 2 rays that span the space; half of
+    the time the negative of one of them joins them, so that the cone holds
+    a line, where counting shared tight rays alone finds false adjacencies."""
+    rank = draw(st.integers(2, 5))
+    vector = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    rays = draw(st.lists(vector, min_size=rank, max_size=rank + 2))
+    if draw(st.booleans()):
+        rays.append(_neg(draw(st.sampled_from(rays))))
+    assume(any(_det(list(map(list, t))) for t in combinations(rays, rank)))
+    return rays, rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spanning_rays())
+# a cone with a line, where counting shared tight rays alone adds a
+# redundant normal
+@example(([(1, 0, 1, -1), (0, -1, 1, 0), (0, 1, -1, 0), (1, 1, 1, 1), (0, -1, 0, 1),
+           (1, -1, -1, 1), (0, 0, 0, 1)], 4))
+def test_double_description_finds_every_facet(case):
+    """In ranks 2-5 the double description's halfspaces are exactly the
+    facets found by trying every rank - 1 of the rays: empty when the rays
+    positively span the space."""
+    rays, rank = case
+    assert ray_hull(rays, rank).halfspaces == tuple(sorted(subset_facets(rays, rank)))
 
 
 class TestNefEff:

@@ -13,7 +13,7 @@ from multigraded.errors import (
     DimensionMismatch,
     EmptyRegion,
     NonpositiveScale,
-    TooManyScanColumns,
+    WorkLimitExceeded,
 )
 from multigraded.monomial import MonomialIdeal, minimalize
 from multigraded.newton import NewtonPolyhedron
@@ -453,19 +453,19 @@ class TestScanColumnCap:
         monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 36)
         assert len(lattice_generators(p, 1).gens) == 21
         monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 35)
-        with pytest.raises(TooManyScanColumns, match="limit of 35$"):
+        with pytest.raises(WorkLimitExceeded, match="limit of 35$"):
             lattice_generators(p, 1)
 
     def test_k2_counts_one_row_of_columns(self, monkeypatch):
         p = region_from_halfspaces(2, [((1, 1), 5)])  # columns (0, y), y <= 10 at m = 2
         monkeypatch.setattr(regions, "MAX_SCAN_COLUMNS", 11)
         assert len(lattice_generators(p, 2).gens) == 11
-        with pytest.raises(TooManyScanColumns):
+        with pytest.raises(WorkLimitExceeded):
             lattice_generators(p, 3)
 
     def test_huge_region_refused_at_once(self):
         p = region_from_halfspaces(3, [((1, 1, 1), F(10) ** 400)])
-        with pytest.raises(TooManyScanColumns, match=f"limit of {regions.MAX_SCAN_COLUMNS}$"):
+        with pytest.raises(WorkLimitExceeded, match=f"limit of {regions.MAX_SCAN_COLUMNS}$"):
             lattice_generators(p, 1)
 
 

@@ -525,31 +525,67 @@ def _raise(*args, **kwargs):
     raise AssertionError("a limit body formed an ideal")
 
 
+# one small instance of each node type, with an index of its rank
+NODES = [
+    (lambda: IdealPowers([ideal((2, 0), (1, 1), (0, 3)), ideal((3, 0), (0, 1))]), (3, 2)),
+    (lambda: RegionSystem(region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])), (2,)),
+    (lambda: CeilingSystem(abs_sum_cone(), ideal((2, 0), (0, 1))), (1, 3, 0)),
+    (lambda: Pullback([(2, -1)], IdealPowers([ideal((1, 2), (3, 0))])), (2, 1)),
+    (lambda: Product(_tree(Intersect), IdealPowers([ideal((1, 0), (0, 2))] * 2)), (2, 3)),
+    (lambda: _tree(Intersect), (2, 3)),
+    (lambda: Truncate(_tree(Product), ConeRep.from_halfspaces(2, [(-1, 2)])), (1, 3)),
+    (_probe_colon, (3, 1)),
+]
+NODE_IDS = ["powers", "region", "ceiling", "pullback", "product", "intersect", "truncate",
+            "colon"]
+
+
 class TestNoIdealInALimitBody:
     """Every node's body comes from its children's bodies: no evaluation,
     product, power, intersection, colon or lattice scan."""
 
-    @pytest.mark.parametrize("make, v", [
-        (lambda: IdealPowers([ideal((2, 0), (1, 1), (0, 3)), ideal((3, 0), (0, 1))]), (3, 2)),
-        (lambda: RegionSystem(region_from_halfspaces(2, [((1, 2), 3), ((3, 1), 4)])), (2,)),
-        (lambda: CeilingSystem(abs_sum_cone(), ideal((2, 0), (0, 1))), (1, 3, 0)),
-        (lambda: Pullback([(2, -1)], IdealPowers([ideal((1, 2), (3, 0))])), (2, 1)),
-        (lambda: Product(_tree(Intersect), IdealPowers([ideal((1, 0), (0, 2))] * 2)), (2, 3)),
-        (lambda: _tree(Intersect), (2, 3)),
-        (lambda: Truncate(_tree(Product), ConeRep.from_halfspaces(2, [(-1, 2)])), (1, 3)),
-        (_probe_colon, (3, 1)),
-    ], ids=["powers", "region", "ceiling", "pullback", "product", "intersect", "truncate",
-            "colon"])
+    @pytest.mark.parametrize("make, v", NODES, ids=NODE_IDS)
     def test_no_ideal_is_formed(self, monkeypatch, make, v):
         system = make()
         expected = system.limit_body(v)
-        monkeypatch.setattr(SystemExpr, "eval", _raise)
+        monkeypatch.setattr(SystemExpr, "_at", _raise)
         for name in ("product", "power", "_square", "intersect", "colon"):
             monkeypatch.setattr(MonomialIdeal, name, _raise)
         monkeypatch.setattr(systems, "lattice_generators", _raise)
         fresh = make()
         assert fresh.limit_body(v) == expected
         assert fresh.limit_body(tuple(F(x, 2) for x in v)) == expected.scale(F(1, 2))
+
+
+class TestOutsideVectors:
+    """``eval``, ``limit_body`` and ``restrict`` check a vector from outside
+    the tree at the root, once; the nodes below take it unchecked."""
+
+    @pytest.mark.parametrize("make, v", NODES, ids=NODE_IDS)
+    @pytest.mark.parametrize("resize", [lambda v: (), lambda v: v[:-1], lambda v: (*v, 1)],
+                             ids=["empty", "short", "long"])
+    def test_wrong_length_refused(self, make, v, resize):
+        system, w = make(), resize(v)
+        with pytest.raises(RankMismatch, match=f"^index of length {len(w)} in rank {len(v)}$"):
+            system.eval(w)
+        with pytest.raises(RankMismatch,
+                           match=f"^direction of length {len(w)} in rank {len(v)}$"):
+            system.limit_body(w)
+
+    def test_one_check_per_root_call(self, monkeypatch):
+        checked = []
+        check = SystemExpr._vector
+        monkeypatch.setattr(SystemExpr, "_vector",
+                            lambda node, *a, **kw: checked.append(node) or check(node, *a, **kw))
+        system = _tree(Intersect)  # intersect, pullbacks, regions: three levels
+        system.eval((2, 3))
+        assert checked == [system] and (2,) in system.left.inner._cache
+        checked.clear()
+        system.limit_body((2, 3))
+        assert checked == [system]
+        checked.clear()
+        system.restrict((2, 3)).limit_body()
+        assert checked == [system]
 
 
 class TestContainmentProperties:
