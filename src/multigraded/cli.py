@@ -97,20 +97,24 @@ def cmd_ideal_info(args) -> int:
 # -- system -----------------------------------------------------------------
 
 
-def _parse_index(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _parse_index(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise ParseError(f"{option} needs an index, a comma-separated list of integers, "
+                         f"got {text!r}") from None
 
 
 def cmd_system_eval(args) -> int:
     system = parse_system(args.path)
-    ideal = system.eval(_parse_index(args.at))
+    ideal = system.eval(_parse_index(args.at, "--at"))
     sys.stdout.write(format_ideal(ideal))
     return 0
 
 
 def cmd_system_invariants(args) -> int:
     system = parse_system(args.path)
-    v = _parse_index(args.direction)
+    v = _parse_index(args.direction, "--direction")
     quantities = ("ord0", "arn", "mult") if args.quantity == "all" else (args.quantity,)
     rows = []
     lines = [f"direction: ({', '.join(str(x) for x in v)})"]

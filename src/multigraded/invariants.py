@@ -9,7 +9,9 @@ routes to ord0 that share only ``build_kinked_f``: ``thm2_crossing``
 bisects the cached levels of h = f(x) + x/2 at f's breakpoints for the
 cell that Q's line crosses, and ``thm2_ord0`` solves the 2D linear
 program on the kinked region's integer vertex chain, tabled once per N
-(``ChainTable``), with two integer bisections; both take O(log N) steps.
+(``ChainTable``: the integer constants of every edge's crossing with Q's
+line, the two end rays as edges too), with one integer bisection per
+side of the chain's lowest dot; both take O(log N) steps.
 Its ord0 kink table, read off the crossing's levels, and the appendix
 gauge's come in closed form as ``KinkTable``s, and ``KinkTable.matches``
 certifies a table against an evaluation route at its cell midpoints.  The
@@ -24,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from math import factorial, lcm
 
 from .errors import (
@@ -156,7 +158,11 @@ def thm2_ord0(r, s, n_kinks: int) -> Fraction:
     rP intersect sQ = r(P intersect (s/r)Q).  Q's one facet a.X >= c,
     scaled by s/r and by the D of P's cached ``ChainTable``, is the line
     a.X >= p/q: O(log N) integer steps and one ``Fraction`` on return."""
-    rn, rd, sn, sd = r.numerator, r.denominator, s.numerator, s.denominator
+    if not (isinstance(r, (int, Fraction)) and isinstance(s, (int, Fraction))):
+        raise TypeError(f"thm2_ord0 takes ints or Fractions, got {type(r).__name__} "
+                        f"and {type(s).__name__}")
+    rn, rd = r.as_integer_ratio()
+    sn, sd = s.as_integer_ratio()
     if rn <= 0 or sn <= 0:
         raise EvaluationOutOfDomain("defined on the open first quadrant")
     den, cn, cd, table = _thm2_chain_table(n_kinks)
@@ -176,45 +182,58 @@ def _thm2_chain_table(n_kinks: int) -> tuple[int, int, int, ChainTable]:
     return den, c.numerator * den, c.denominator, ChainTable(chain, a1, a2)
 
 
+def _edge(hu: int, du: int, hw: int, dw: int) -> tuple[int, int, int]:
+    """(K, A, D) of the edge from u to w, for heights h and dots d with
+    du > dw: the edge meets a.X = p/q where x + y = (q K - A p) / (q D)."""
+    a, d = hw - hu, du - dw
+    return hu * d + a * du, a, d
+
+
 class ChainTable:
     """min of x + y over (conv(chain) + orthant) cut by a1 x + a2 y >= p/q,
     for an integer staircase chain (x ascending, y descending, convex),
-    integers a1, a2 > 0 and any level p/q.  a.X is unimodal along the chain
-    with argmin j, so the cut keeps a prefix left of j and a suffix right
-    of it, found by bisecting the dot products against ceil(p/q), and the
-    line crosses the boundary on the edge beside a kept part or on an end
-    ray: the min is one of these at most four candidates."""
+    integers a1, a2 > 0 and any level p/q.
+
+    a.X is unimodal along the chain with argmin j, so the cut removes the
+    vertices left..j + right whose dots lie below t = ceil(p/q): one
+    bisection per side of j.  x + y is convex along the chain, so the min
+    is the height of its lowest vertex while that is kept, and otherwise
+    lies on the line, at one of the two points where the line crosses the
+    boundary.  Each crossing is on the edge from a kept vertex u to the
+    cut vertex w beside it, tabled per cut index as the integer constants
+    (K, A, D) of ``_edge``.  The end rays enter as edges too, to the end
+    vertex from one unit up its vertical ray (A = -1, D = a2) or one unit
+    right along its horizontal ray (A = -1, D = a1).  A call does one
+    bisection per side, two lookups and one cross-multiplied compare."""
 
     def __init__(self, chain, a1: int, a2: int):
-        self.a1, self.a2 = a1, a2
-        self.dots = [a1 * x + a2 * y for x, y in chain]
-        self.heights = [x + y for x, y in chain]
-        self.j = self.dots.index(min(self.dots))
-        self.falling = [-d for d in self.dots[:self.j]]  # ascending; dots[j:] nondecreasing
-        self.prefix_min = list(accumulate(self.heights, min))
-        self.suffix_min = list(accumulate(reversed(self.heights), min))[::-1]
+        dots = [a1 * x + a2 * y for x, y in chain]
+        heights = [x + y for x, y in chain]
+        self.j = j = dots.index(min(dots))
+        self.bottom = heights.index(min(heights))
+        self.low, self.least = dots[j], heights[self.bottom]
+        self.falling = [-d for d in dots[:j]]  # ascending
+        self.rising = dots[j + 1:]  # nondecreasing
+        self.left = [_edge(heights[0] + 1, dots[0] + a2, heights[0], dots[0])]
+        self.left += [_edge(heights[i - 1], dots[i - 1], heights[i], dots[i])
+                      for i in range(1, j + 1)]
+        self.right = [_edge(heights[i], dots[i], heights[i - 1], dots[i - 1])
+                      for i in range(j + 1, len(dots))]
+        self.right.append(_edge(heights[-1] + 1, dots[-1] + a1, heights[-1], dots[-1]))
 
     def min_above(self, p: int, q: int) -> tuple[int, int]:
         """The min at level p/q, q > 0, as (num, den) with den > 0."""
-        dots, heights, m = self.dots, self.heights, len(self.dots)
         t = -(-p // q)  # an integer dot is below p/q exactly when below t
+        if t <= self.low:
+            return self.least, 1
         left = bisect_right(self.falling, -t)  # first i < j with dots[i] < t, else j
-        right = bisect_left(dots, t, self.j)  # first i >= j with dots[i] >= t, else m
-        best = [(self.prefix_min[left - 1], 1)] if left else []
-        best += [(self.suffix_min[right], 1)] if right < m else []
-        if dots[self.j] < t:
-            for u, w, end, a in ((left - 1, left, 0, self.a2), (right, right - 1, m - 1, self.a1)):
-                if 0 <= u < m:  # the point of the edge from vertex u to vertex w on the line
-                    gap = q * (dots[u] - dots[w])
-                    best.append((heights[u] * gap + (heights[w] - heights[u]) * (q * dots[u] - p),
-                                 gap))
-                else:  # the end ray leaving the chain's end vertex along an axis
-                    best.append((heights[end] * a * q + p - q * dots[end], a * q))
-        num, den = best[0]
-        for n, d in best[1:]:
-            if n * den < num * d:
-                num, den = n, d
-        return num, den
+        right = bisect_left(self.rising, t)  # vertex j + right is the last one cut
+        if not left <= self.bottom <= self.j + right:
+            return self.least, 1
+        kl, al, dl = self.left[left]
+        kr, ar, dr = self.right[right]
+        nl, nr = q * kl - al * p, q * kr - ar * p
+        return (nl, q * dl) if nl * dr <= nr * dl else (nr, q * dr)
 
 
 def thm2_crossing(r, s, n_kinks: int) -> tuple[Fraction, Fraction] | None:

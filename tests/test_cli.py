@@ -508,6 +508,16 @@ class TestSystemCommands:
         code, out = run_cli(["system", "eval", str(thm2_file), "--at", "2,2"])
         assert code == 0 and out.startswith("k=2")
 
+    @pytest.mark.parametrize("option", ["--at", "--direction"])
+    @pytest.mark.parametrize("index", ["1/2", "1/2,1", "2,x"])
+    def test_non_integer_index_names_its_option(self, thm2_file, option, index, capsys):
+        command = "eval" if option == "--at" else "invariants"
+        code, out = run_cli(["system", command, str(thm2_file), option, index])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {option} needs an index, a comma-separated list of integers, "
+            f"got {index!r}\n")
+
     def test_invariants_both(self, wedge_file):
         code, out = run_cli(
             ["system", "invariants", str(wedge_file), "--direction", "1",

@@ -304,14 +304,51 @@ class TestThm2Ord0:
             line = region_from_halfspaces(2, [((a1, a2), F(c, q))])
             num, den = ChainTable(chain, a1, a2).min_above(c, q)
             assert den > 0 and F(num, den) == region_intersect(poly, line).ord0()
+        # fixed chains, each table answering every level c/q from below its
+        # lowest dot to past its highest, the vertex dots among them: an edge
+        # parallel to the line at the argmin j of a.X (D = 0, never the
+        # crossing edge), j at the first and at the last vertex (each end
+        # ray crossed), x + y lowest on either side of j, one vertex alone
+        for chain, (a1, a2) in [
+            (((0, 6), (2, 3), (4, 2), (8, 1)), (1, 2)),
+            (((0, 8), (1, 4), (3, 3), (7, 2)), (1, 2)),
+            (((0, 9), (1, 5), (3, 2), (6, 1), (10, 0)), (3, 1)),
+            (((0, 9), (1, 5), (3, 2), (6, 1), (10, 0)), (1, 3)),
+            (((0, 3), (2, 1), (5, 0)), (5, 1)),
+            (((0, 3), (2, 1), (5, 0)), (1, 5)),
+            (((0, 5), (1, 2), (4, 0)), (1, 1)),
+            (((3, 2),), (2, 5)),
+        ]:
+            poly = from_vertices(chain)
+            assert poly.vertices == tuple((F(x), F(y)) for x, y in chain)
+            table = ChainTable(chain, a1, a2)
+            dots = [a1 * x + a2 * y for x, y in chain]
+            for q in (1, 2, 3):
+                for c in range(q * (min(dots) - 2), q * (max(dots) + 3)):
+                    line = region_from_halfspaces(2, [((a1, a2), F(c, q))])
+                    num, den = table.min_above(c, q)
+                    assert den > 0 and F(num, den) == region_intersect(poly, line).ord0()
 
     def test_domain(self):
-        with pytest.raises(EvaluationOutOfDomain):
-            thm2_ord0(0, 1, 1)
-        with pytest.raises(EvaluationOutOfDomain):
-            thm2_ord0(1, F(-1, 2), 1)
+        for r, s in [(0, 1), (1, F(-1, 2)), (1, 0), (-2, 1), (1, -3), (F(0), F(1, 2)),
+                     (F(-1, 3), 1), (F(5, 4), F(-5, 4)), (-1, -1)]:
+            with pytest.raises(EvaluationOutOfDomain):
+                thm2_ord0(r, s, 1)
         with pytest.raises(ValueError, match="n_kinks must be >= 0, got -1"):
             thm2_ord0(1, 1, -1)
+
+    @pytest.mark.parametrize("r, s", [(0.75, F(1)), (1, 1.25), (1.0, 1.0), (-1.0, 1)])
+    def test_floats_are_refused(self, r, s):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            thm2_ord0(r, s, 8)
+
+    @pytest.mark.parametrize("n_kinks", [0, 1, 8])
+    def test_ints_equal_their_fraction_forms(self, n_kinks):
+        for r in range(1, 5):
+            for s in range(1, 5):
+                want = thm2_ord0(F(r), F(s), n_kinks)
+                assert thm2_ord0(r, s, n_kinks) == thm2_ord0(r, F(s), n_kinks) == want
+                assert thm2_ord0(F(r), s, n_kinks) == want
 
     def test_subadditive_in_the_index(self):
         # the body at u + w contains the Minkowski sum of the bodies at u and
