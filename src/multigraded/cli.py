@@ -177,8 +177,7 @@ def cmd_system_cones(args) -> int:
     print("\n".join(lines))
     if args.out:
         rows = [("nef", *v) for v in nef] + [("eff", *v) for v in eff]
-        width = max(len(r) for r in rows) - 1 if rows else system.rank
-        header = ("cone", *(f"v{i + 1}" for i in range(width)))
+        header = ("cone", *(f"v{i + 1}" for i in range(system.rank)))
         write_text_atomic(args.out, csv_text(header, rows))
     return 0
 
@@ -192,7 +191,7 @@ def cmd_system_verify(args) -> int:
         raise ParseError(f"--window {lo}:{hi} holds no v, w with v + w inside it: "
                          "it needs 2 lo <= hi and lo <= 2 hi")
     system = parse_system(args.path)
-    report = verify_gradedness(system, lattice_window([(lo, hi)] * system.rank))
+    report = verify_gradedness(system, [(lo, hi)] * system.rank)
     print(f"pairs checked: {report.pairs_checked}")
     print(f"violations: {len(report.violations)}")
     for v, w in report.violations:
@@ -208,15 +207,17 @@ def _pass(lines, ok: bool, label: str) -> bool:
     return ok
 
 
-def _kink_lines(lines, rows, kinks) -> bool:
-    """Add a line and a CSV row for each ((point, left, right), name) of
-    kinks; True iff every slope gap is nonzero."""
+def _kink_lines(lines, rows, kinks, label) -> bool:
+    """Add a line and a CSV row for each ((point, left, right), extra) of
+    kinks, formatting each value once; a line starts with label(the point's
+    text, extra).  True iff every slope gap is nonzero."""
     ok = True
-    for (at, left, right), name in kinks:
+    for (at, left, right), extra in kinks:
         gap = right - left
         ok &= gap != 0
-        rows.append((fmt_q(at), fmt_q(left), fmt_q(right), fmt_q(gap), fmt_dec(gap)))
-        lines.append(f"{name}: left {fmt_q(left)}, right {fmt_q(right)}, gap {fmt_q(gap)}")
+        row = fmt_q(at), fmt_q(left), fmt_q(right), fmt_q(gap), fmt_dec(gap)
+        rows.append(row)
+        lines.append(f"{label(row[0], extra)}: left {row[1]}, right {row[2]}, gap {row[3]}")
     return ok
 
 
@@ -358,10 +359,8 @@ def cmd_repro_thm2(args) -> int:
         f"ord0 grid ({steps}x{steps}): vertex route equals s + x/2 formula at every cell",
     )
 
-    gaps_ok = _kink_lines(lines, kink_rows, (
-        (kink, f"kink at s0 = {fmt_q(kink[0])} (crossing x = {fmt_q(x0)})")
-        for kink, x0 in zip(table.kinks(), crossings)
-    ))
+    gaps_ok = _kink_lines(lines, kink_rows, zip(table.kinks(), crossings),
+                          lambda s0, x0: f"kink at s0 = {s0} (crossing x = {fmt_q(x0)})")
     cells = len(crossings) + 1
     ok &= _pass(
         lines,
@@ -436,9 +435,8 @@ def cmd_repro_appendix(args) -> int:
 
     table = appendix_kink_table(body)
     # listed by kink vertex, by increasing x: descending t
-    gaps_ok = _kink_lines(lines, rows, (
-        (kink, f"kink ray t = {fmt_q(kink[0])}") for kink in reversed(list(table.kinks()))
-    ))
+    gaps_ok = _kink_lines(lines, rows, ((kink, None) for kink in reversed(list(table.kinks()))),
+                          lambda t0, _: f"kink ray t = {t0}")
     ok &= _pass(
         lines,
         gaps_ok and table.matches(lambda t: body.gauge((1, t))),

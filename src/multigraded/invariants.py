@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
-from math import factorial, lcm
+from math import factorial
 
 from .errors import (
     EvaluationOutOfDomain,
@@ -35,7 +35,7 @@ from .errors import (
     UnboundedComplement,
     ZeroIdealInDirection,
 )
-from .newton import NewtonPolyhedron
+from .newton import NewtonPolyhedron, _clear_denominators
 from .regions import SymmetricBody, build_kinked_f, thm2_regions
 from .regions import region_intersect  # noqa: F401  (an alias that perfbench's self-test wraps)
 from .systems import CeilingSystem, SystemExpr
@@ -176,9 +176,8 @@ def _thm2_chain_table(n_kinks: int) -> tuple[int, int, int, ChainTable]:
     (P, Q = {a.X >= c}) of ``thm2_regions``, D the lcm of the vertices'
     denominators; keyed by n_kinks, as hashing the chain costs O(N)."""
     p, q = thm2_regions(n_kinks)
-    den = lcm(*(t.denominator for v in p.vertices for t in v))
+    den, chain = _clear_denominators(p.vertices)
     ((a1, a2), c), = q.facets
-    chain = [(int(x * den), int(y * den)) for x, y in p.vertices]
     return den, c.numerator * den, c.denominator, ChainTable(chain, a1, a2)
 
 

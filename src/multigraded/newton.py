@@ -23,11 +23,11 @@ one ``_hull_3d`` of the blocker, whose facets are the region's vertices
 and whose vertices are its facets.
 
 Everything is exact and in integers: integer data stay ints throughout,
-and rational data are carried over one integer denominator (a point as
-(L p, L), a facet with c = p/q as the blocker point (q a, p), the
-vertices of a covolume scaled by the lcm of their denominators), so a
-``Fraction`` is made only for a value that leaves the layer: a vertex, a
-facet's c, a volume.  No floats anywhere.
+and rational data are carried over one integer denominator, cleared once
+by ``_clear_denominators`` (a 2D chain, the points of a 3D hull, the
+vertices of either covolume) or by the blocker (a facet with c = p/q as
+the point (q a, p)), so a ``Fraction`` is made only for a value that
+leaves the layer: a vertex, a facet's c, a volume.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -63,34 +63,32 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
+def _clear_denominators(points):
+    """(D, the points times D as int tuples), D the lcm of the coordinates'
+    denominators; all-int points come back as they are, with D = 1."""
+    if all(type(x) is int for p in points for x in p):
+        return 1, points
+    ratios = [[x.as_integer_ratio() for x in p] for p in points]
+    den = lcm(*(d for r in ratios for _, d in r))
+    return den, [tuple(n * (den // d) for n, d in r) for r in ratios]
+
+
 def primitive(nums) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    ints = list(nums)
-    if not all(type(x) is int for x in ints):
-        fracs = [Fraction(x) for x in ints]
-        denom = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (denom // f.denominator) for f in fracs]
+    _, (ints,) = _clear_denominators([tuple(nums)])
     g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return tuple(x // g for x in ints) if g > 1 else ints
 
 
 def _normalize_facet(normal, c) -> Facet:
-    """Rescale so the normal is primitive integer; c scales along and is an
-    int when integral.  An integer normal is divided by its gcd."""
-    if all(type(x) is int for x in normal):
-        g = gcd(*normal)
-        if type(c) is int and c % g == 0:
-            return tuple(x // g for x in normal), c // g
-        if g > 1:
-            c = Fraction(c, g)
-        return tuple(x // g for x in normal), (c.numerator if c.denominator == 1 else c)
-    prim = primitive(normal)
-    i = next(j for j, x in enumerate(prim) if x != 0)
-    scale = Fraction(prim[i], 1) / Fraction(normal[i])
-    cc = Fraction(c) * scale
-    return prim, (int(cc) if cc.denominator == 1 else cc)
+    """Divide an integer normal by its gcd g, and c along; c stays an int
+    when g divides it and is an int whenever it is integral."""
+    g = gcd(*normal)
+    if type(c) is int and c % g == 0:
+        return tuple(x // g for x in normal), c // g
+    if g > 1:
+        c = Fraction(c, g)
+    return tuple(x // g for x in normal), (c.numerator if c.denominator == 1 else c)
 
 
 # -- 2d staircase machinery --------------------------------------------------
@@ -118,9 +116,15 @@ def staircase_vertices(points) -> list[Point]:
 
 
 def _chain_facets_2d(verts) -> list[Facet]:
+    """Edge facets of a staircase chain, then its axis facets.  On the chain
+    cleared as D X an edge's c is <n, X> / (g D), a Fraction if not integral."""
+    den, chain = _clear_denominators(verts)
     facets = []
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        facets.append(_normalize_facet((y1 - y2, x2 - x1), (y1 - y2) * x1 + (x2 - x1) * y1))
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        a, b = y1 - y2, x2 - x1
+        g, c = gcd(a, b), a * x1 + b * y1
+        q, r = divmod(c, g * den)
+        facets.append(((a // g, b // g), Fraction(c, g * den) if r else q))
     if verts[0][0] > 0:
         facets.append(((1, 0), verts[0][0]))
     if verts[-1][1] > 0:
@@ -177,6 +181,8 @@ class NewtonPolyhedron:
         t = Fraction(t)
         if t <= 0:
             raise NonpositiveScale(f"scale factor {t} must be positive")
+        if t == 1:
+            return self
         if t.denominator == 1:
             t = t.numerator  # integer data stay ints
         verts = tuple(tuple(x * t for x in v) for v in self.vertices)
@@ -185,9 +191,10 @@ class NewtonPolyhedron:
 
 
 def _shoelace(poly) -> Fraction:
-    """Area of a polygon; exact sums of its coordinates' type, one division."""
+    """Area of a polygon: the integer shoelace sum of D p, divided by 2 D^2."""
+    den, poly = _clear_denominators(poly)
     total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
-    return Fraction(abs(total), 2)
+    return Fraction(abs(total), 2 * den * den)
 
 
 # -- construction -------------------------------------------------------------
@@ -225,24 +232,18 @@ _AXES_AT_INFINITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 def orthant_hull_3d(points):
     """Vertices and facets of conv(points) + orthant in R^3, for points >= 0.
 
-    The points become homogeneous integer points for ``_hull_3d``: an
-    integer point p is (p, 1), a rational one (L p, L) with L the lcm of
-    its denominators.  They are sorted first, so the result does not
-    depend on the input's order, and inserted by decreasing largest
-    coordinate.
+    The points become homogeneous integer points (D p, D) for ``_hull_3d``,
+    with D the lcm of all their denominators (1 for integer points).  They
+    are sorted first, so the result does not depend on the input's order,
+    and inserted by decreasing largest coordinate.
 
     Vertices are input tuples.  A facet's c is <a, p> for the lex-first
     input point p on it, so c is an int for integer input and has that
     point's type otherwise; facets with c <= 0 are not stored.
     """
     pts = sorted(set(map(tuple, points)))
-    gens = list(_AXES_AT_INFINITY)
-    for p in pts:
-        if type(p[0]) is int and type(p[1]) is int and type(p[2]) is int:
-            gens.append((*p, 1))
-        else:
-            den = lcm(*(x.denominator for x in p))
-            gens.append(tuple(x.numerator * (den // x.denominator) for x in p) + (den,))
+    den, ints = _clear_denominators(pts)
+    gens = [*_AXES_AT_INFINITY, *((*q, den) for q in ints)]
     first, verts = _hull_3d(gens, sorted(range(3, len(gens)), key=lambda i: -max(pts[i - 3])))
     facets = []
     for a, i in first.items():
@@ -467,9 +468,7 @@ def _covolume_3d(vertices, facets) -> Fraction:
     for i in range(3):
         if not any(all(v[j] == 0 for j in range(3) if j != i) for v in vertices):
             raise UnboundedComplement(f"axis {i} never enters the polyhedron")
-    den = lcm(*(x.denominator for v in vertices for x in v))
-    if den > 1:
-        vertices = [tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices]
+    den, vertices = _clear_denominators(vertices)
     total = 0
     for (a0, a1, a2), c in facets:
         # c D is an integer: c = <a, v> for a vertex v on the facet

@@ -24,7 +24,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import lcm
 from operator import itemgetter, mul
 
 from .errors import (
@@ -39,6 +38,7 @@ from .monomial import MonomialIdeal, _trusted, minimalize  # noqa: F401
 from .newton import (
     NewtonPolyhedron,
     _chain_facets_2d,
+    _clear_denominators,
     from_vertices,
     vertices_from_halfspaces,
 )
@@ -174,10 +174,8 @@ def region_from_halfspaces(k: int, facets) -> NewtonPolyhedron:
     for a, c in facets:
         if any(x < 0 for x in a) or all(x == 0 for x in a):
             raise ValueError(f"facet normal {a!r} must be nonzero and nonnegative")
-        if any(type(x) is not int for x in a):
-            den = lcm(*(Fraction(x).denominator for x in a))
-            a, c = tuple(int(x * den) for x in a), Fraction(c) * den
-        scaled.append((a, c))
+        den, (a,) = _clear_denominators([a])
+        scaled.append((a, Fraction(c) * den if den > 1 else c))
     return NewtonPolyhedron(k, *vertices_from_halfspaces(k, scaled))
 
 
@@ -384,11 +382,7 @@ def _reflect_to_body(boundary: PiecewiseLinearFn) -> SymmetricBody:
     upper = quarter + [(-x, y) for x, y in reversed(quarter)][1:]
     polygon = upper + [(-x, -y) for x, y in upper[1:-1]]
     functionals = []
-    n = len(polygon)
-    for i in range(n):
-        (x1, y1), (x2, y2) = polygon[i], polygon[(i + 1) % n]
-        det = x1 * y2 - x2 * y1
-        if det == 0:
-            raise EmptyRegion("edge through the origin; body has empty interior")
-        functionals.append((Fraction(y2 - y1, 1) / det, Fraction(x1 - x2, 1) / det))
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        det = x1 * y2 - x2 * y1  # > 0: the boundary's values are positive
+        functionals.append(((y2 - y1) / det, (x1 - x2) / det))
     return SymmetricBody(tuple(polygon), tuple(functionals), kinks)

@@ -150,7 +150,7 @@ def test_criterion_4_lattice_system_round_trip():
         region = epigraph_region(f)
         system = RegionSystem(region)
 
-        report = verify_gradedness(system, lattice_window([(0, 10)]))
+        report = verify_gradedness(system, [(0, 10)])
         assert report.ok
 
         newtons = {}

@@ -210,8 +210,8 @@ LIMITS = [
     (cli, "MAX_TRUNCATED_KINKS", None, lambda: _thm2_truncated(cli.MAX_TRUNCATED_KINKS + 1)),
     (cones, "MAX_WINDOW_INDICES", 8, lambda: lattice_window([(-1, 1)] * 2)),
     (cones, "MAX_DUAL_RAYS", 3, lambda: ray_hull(SQUARE, 3)),  # 4 dual rays at the end
-    (systems, "MAX_GRADEDNESS_PAIRS", 5,  # 3 indices, 6 pairs
-     lambda: verify_gradedness(IdealPowers([MonomialIdeal.maximal(2)]), [(0,), (1,), (2,)])),
+    (systems, "MAX_GRADEDNESS_PAIRS", 3,  # 0 + 0, 0 + 1, 0 + 2, 1 + 1
+     lambda: verify_gradedness(IdealPowers([MonomialIdeal.maximal(2)]), [(0, 2)])),
 ]
 
 
@@ -263,16 +263,17 @@ class TestWorkLimits:
 
     def test_verify_over_the_pair_limit_is_refused_before_any_eval(self, ceiling, monkeypatch,
                                                                    capsys):
-        # --window=-1:1 in rank 3: 27 indices, 27 * 28 / 2 = 378 pairs
-        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 378)
+        # --window=-1:1 in rank 3: per coordinate 7 ordered pairs (x, y) with
+        # x + y in [-1, 1] and one x = y, so (7^3 + 1) / 2 = 172 pairs
+        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 172)
         code, out = run_main(["system", "verify", ceiling, "--window=-1:1"])
-        assert code == 0 and "violations: 0" in out
-        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 377)
+        assert code == 0 and "pairs checked: 172" in out and "violations: 0" in out
+        monkeypatch.setattr(systems, "MAX_GRADEDNESS_PAIRS", 171)
         monkeypatch.setattr(CeilingSystem, "_eval", _never_evaluated)
         code, out = run_main(["system", "verify", ceiling, "--window=-1:1"])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == (
-            "error: a gradedness check of 378 pairs is over the limit of 377\n")
+            "error: a gradedness check of 172 pairs is over the limit of 171\n")
 
 
 class TestDerivedProperties:
@@ -563,7 +564,7 @@ def test_ceiling_over_any_cone(case, den):
     system = CeilingSystem(cone, MonomialIdeal.maximal(2))
     window = list(lattice_window([(-3, 3)] * cone.rank))
     assert nef_points(system, 3) == [v for v in window if inside(v)]
-    report = verify_gradedness(system, lattice_window([(-2, 2)] * cone.rank))
+    report = verify_gradedness(system, [(-2, 2)] * cone.rank)
     assert report.pairs_checked > 0 and report.ok
 
     def h(v):

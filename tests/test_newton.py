@@ -20,6 +20,8 @@ from multigraded.errors import (
 from multigraded.monomial import MonomialIdeal, _antichain, minimalize
 from multigraded.newton import (
     NewtonPolyhedron,
+    _chain_facets_2d,
+    _clear_denominators,
     _covolume_3d,
     _normalize_facet,
     _ring,
@@ -36,6 +38,7 @@ from multigraded.regions import (
     full_orthant,
     region_from_halfspaces,
     region_intersect,
+    region_minkowski,
     thm2_regions,
 )
 
@@ -133,6 +136,7 @@ class TestPrimitive:
         assert primitive(()) == ()
         assert primitive((True, 3)) == (1, 3) and type(primitive((True,))[0]) is int
         assert primitive((Fraction(1, 2), 3)) == (1, 6)
+        assert primitive((0.5, 3)) == (1, 6)  # a float is read exactly
 
 
 class TestContainsPoint:
@@ -328,14 +332,10 @@ def fraction_envelope_vertices_2d(facets):
 
 def chain_facets_2d(verts):
     """Reference: every facet rebuilt from the difference of two consecutive
-    vertices and made primitive, then the axis facets."""
+    vertices and made primitive through Fractions, then the axis facets."""
     facets = []
     for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        normal = (y1 - y2, x2 - x1)
-        prim = fraction_primitive(normal)
-        i = next(j for j, x in enumerate(prim) if x != 0)
-        c = Fraction(normal[0] * x1 + normal[1] * y1) * Fraction(prim[i], 1) / Fraction(normal[i])
-        facets.append((prim, int(c) if c.denominator == 1 else c))
+        facets.append(fraction_normalize_facet((y1 - y2, x2 - x1), (y1 - y2) * x1 + (x2 - x1) * y1))
     if verts[0][0] > 0:
         facets.append(((1, 0), verts[0][0]))
     if verts[-1][1] > 0:
@@ -724,6 +724,14 @@ def fraction_normalize_facet(normal, c):
     return prim, (int(cc) if cc.denominator == 1 else cc)
 
 
+def assert_fraction_chain(p):
+    """A k = 2 polyhedron's facets and covolume equal the Fraction routes' by
+    ``repr``, the covolume where the complement is bounded."""
+    assert repr(p.facets) == repr(chain_facets_2d(p.vertices))
+    if p.vertices[0][0] == 0 and p.vertices[-1][1] == 0:
+        assert repr(p.covolume()) == repr(fraction_shoelace([(0, 0), *p.vertices]))
+
+
 def fraction_diagonal_lambda(p):
     return max(Fraction(c) / sum(a) for a, c in p.facets) if p.facets else Fraction(0)
 
@@ -732,6 +740,13 @@ Q_COORD = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=5))
 Q_RHS = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=6))
 K2_GENS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=8)
 SCALE = st.one_of(st.just(Fraction(1)), st.fractions(Fraction(1, 5), 3, max_denominator=5))
+# rational chains with bounded complements: points on both axes, more inside
+CHAIN_COORD = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=7))
+CHAIN_POINTS = st.tuples(
+    st.tuples(st.just(0), CHAIN_COORD.filter(bool)),
+    st.tuples(CHAIN_COORD.filter(bool), st.just(0)),
+    st.lists(st.tuples(CHAIN_COORD, CHAIN_COORD), max_size=7),
+).map(lambda t: [t[0], t[1], *t[2]])
 
 
 # rational halfspace regions of k = 3 whose complement is bounded: every
@@ -770,11 +785,43 @@ class TestIntegerKernels:
         got = _covolume_3d(p.vertices, p.facets)
         assert repr(got) == repr(fraction_covolume_3d(p.vertices, p.facets))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(Q_COORD, Q_COORD, Q_COORD), max_size=5))
+    def test_clear_denominators(self, points):
+        den, ints = _clear_denominators(points)
+        assert den == lcm(*(Fraction(x).denominator for p in points for x in p))
+        assert all(type(x) is int for p in ints for x in p)
+        assert [tuple(Fraction(x, den) for x in p) for p in ints] == points
+        if all(type(x) is int for p in points for x in p):
+            assert ints is points
+
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(Q_COORD, min_size=2, max_size=3).filter(any), Q_RHS)
+    @given(CHAIN_POINTS)
+    @example([(0, F(7, 2)), (F(1, 3), 2), (F(3, 2), F(1, 2)), (F(5, 2), 0)])
+    @example([(0, 3), (1, 1), (2, 0)])  # integer chains stay ints
+    @example([(F(1, 2), F(5, 3))])  # one vertex: two axis facets
+    def test_chain_facets_2d(self, points):
+        verts = staircase_vertices(points)
+        assert repr(_chain_facets_2d(verts)) == repr(list(chain_facets_2d(verts)))
+        assert_fraction_chain(from_vertices(points))
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_chain_facets_of_kinked_epigraphs(self, n):
+        assert_fraction_chain(thm2_regions(n)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(K2_GENS, K2_GENS, SCALE, SCALE)
+    def test_chain_facets_of_scaled_minkowski_sums(self, gens_p, gens_q, r, s):
+        p = newton_polyhedron(minimalize(gens_p, 2)).scale(r)
+        q = newton_polyhedron(minimalize(gens_q, 2)).scale(s)
+        assert_fraction_chain(region_minkowski(p, q))
+
+    # integer normals only: every caller clears denominators first
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=3).filter(any), Q_RHS)
     @example([6, 4, 0], 10)  # gcd 2 divides c
     @example([6, 4, 0], 9)  # it does not
-    @example([F(3, 2), 3], 6)
+    @example([6, 4], F(4))  # a Fraction c that g divides: an int
     def test_normalize_facet(self, normal, c):
         assert repr(_normalize_facet(normal, c)) == repr(fraction_normalize_facet(normal, c))
 

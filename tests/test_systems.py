@@ -609,23 +609,23 @@ class TestContainmentProperties:
 class TestGradedness:
     def test_ideal_powers_window(self):
         system = IdealPowers([MonomialIdeal.maximal(2), ideal((2, 0), (0, 3))])
-        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, [(-2, 2), (-2, 2)])
         assert report.ok and report.pairs_checked > 0
 
     def test_wedge_window(self, wedge_system):
-        report = verify_gradedness(wedge_system, lattice_window([(0, 8)]))
+        report = verify_gradedness(wedge_system, [(0, 8)])
         assert report.ok
 
     def test_ceiling_window(self):
         system = CeilingSystem(abs_sum_cone())
-        report = verify_gradedness(system, lattice_window([(-3, 3)] * 3))
+        report = verify_gradedness(system, [(-3, 3)] * 3)
         assert report.ok and report.pairs_checked > 20000
 
     def test_truncation_preserves_gradedness(self):
         system = Truncate(
             kinked_intersection_system(0), ConeRep.from_halfspaces(2, [(-1, 8)])
         )
-        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, [(-2, 2), (-2, 2)])
         assert report.ok
 
     def test_colon_system_gradedness_on_its_semigroup(self):
@@ -633,13 +633,13 @@ class TestGradedness:
         system = ColonSystem(
             IdealPowers([ideal((2, 0), (0, 3))]), MonomialIdeal.maximal(2)
         )
-        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 3)]))
+        report = verify_gradedness(system, [(-2, 2), (-2, 3)])
         assert report.ok
 
     def test_colon_probe_window(self):
         # the colon over a region and (x^2, xy, y^3) on [-3, 3]^2: at n < 0
         # a unit colon used to break 60 pairs, the first (-2, -3) + (3, 3)
-        report = verify_gradedness(_probe_colon(), lattice_window([(-3, 3)] * 2))
+        report = verify_gradedness(_probe_colon(), [(-3, 3)] * 2)
         assert report.ok and report.pairs_checked == 689
 
     @settings(max_examples=40, deadline=None)
@@ -662,7 +662,7 @@ class TestGradedness:
         if op is not None:
             inner = op(inner, leaf())
         system = ColonSystem(inner, data.draw(gens))
-        report = verify_gradedness(system, lattice_window([(-2, 2), (-2, 2)]))
+        report = verify_gradedness(system, [(-2, 2), (-2, 2)])
         assert report.ok, report.violations[:3]
 
 
@@ -733,15 +733,37 @@ class TestGradednessReference:
     )
     def test_matches_pairwise_products(self, make, bounds):
         window = list(lattice_window(bounds))
-        report = verify_gradedness(make(), window)
+        report = verify_gradedness(make(), bounds)
         checked, violations = pairwise_gradedness(make(), window)
         assert report.pairs_checked == checked
         assert report.violations == violations
 
+    # ranks 0 to 3; lo > hi is an empty box, and a box such as (2, 3)
+    # holds no pair, as 2 + 2 > 3
+    BOXES = st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.tuples(st.integers(-4, 3), st.integers(-4, 4)), min_size=k, max_size=k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(BOXES)
+    def test_pair_count_matches_brute_force(self, bounds):
+        window = list(lattice_window(bounds))
+        inside = set(window)
+        brute = sum(tuple(a + b for a, b in zip(v, w)) in inside
+                    for v, w in combinations_with_replacement(window, 2))
+        assert systems._gradedness_pairs(bounds) == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(BOXES.filter(lambda b: all(hi - lo <= 3 for lo, hi in b)))
+    def test_random_boxes_match_pairwise_products(self, bounds):
+        report = verify_gradedness(Pooled(len(bounds), POOLS[2]), bounds)
+        checked, violations = pairwise_gradedness(Pooled(len(bounds), POOLS[2]),
+                                                  lattice_window(bounds))
+        assert (report.pairs_checked, report.violations) == (checked, violations)
+
     @pytest.mark.parametrize("k, bounds", [(1, [(-4, 4)]), (2, [(-2, 2)] * 2),
                                            (3, [(-2, 2)] * 2)])
     def test_non_graded_pools_pass_and_fail(self, k, bounds):
-        report = verify_gradedness(Pooled(len(bounds), POOLS[k]), lattice_window(bounds))
+        report = verify_gradedness(Pooled(len(bounds), POOLS[k]), bounds)
         assert 0 < len(report.violations) < report.pairs_checked
 
 
