@@ -247,19 +247,15 @@ class MonomialIdeal:
         return result
 
     def power(self, n: int) -> MonomialIdeal:
-        """n-th power by binary exponentiation from a power of self, not (1); n <= 0 gives (1)."""
+        """n-th power, left to right: for each bit of n after the leading one, square
+        the power so far, times self where the bit is 1.  n <= 0 gives (1)."""
         if n <= 0:
             return MonomialIdeal.unit(self.dim)
         if self.is_zero:
             return MonomialIdeal.zero(self.dim)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result.product(base)
-            n >>= 1
-            if n:
-                base = base._square()
+        result = self
+        for bit in bin(n)[3:]:
+            result = result._square().product(self) if bit == "1" else result._square()
         return result
 
     def _square(self) -> MonomialIdeal:

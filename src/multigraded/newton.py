@@ -75,7 +75,9 @@ def _clear_denominators(points):
 
 def primitive(nums) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    _, (ints,) = _clear_denominators([tuple(nums)])
+    ints = tuple(nums)
+    if not all(type(x) is int for x in ints):
+        _, (ints,) = _clear_denominators([ints])
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else ints
 

@@ -381,7 +381,7 @@ def _gradedness_pairs(bounds) -> int:
 def verify_gradedness(system: SystemExpr, bounds) -> GradednessReport:
     """Check a_v * a_w subset-of a_{v+w} over the pairs v <= w (lex) with v, w,
     v+w in the box of per-coordinate (lo, hi) bounds, walking for each v
-    only the w with v + w in the box.
+    only the w with v + w in the box and w_1 >= v_1.
 
     Each index is evaluated at most once and each distinct triple of ideals
     (a_v, a_w, a_{v+w}) decided once.  For k = 2 no product is formed (see
@@ -407,6 +407,7 @@ def verify_gradedness(system: SystemExpr, bounds) -> GradednessReport:
     violations = []
     for v in window:
         sub = [range(max(lo, lo - x), min(hi, hi - x) + 1) for x, (lo, hi) in zip(v, bounds)]
+        sub[:1] = [range(max(v[0], r.start), r.stop) for r in sub[:1]]  # w >= v needs w_1 >= v_1
         for w in iterprod(*sub):
             if w < v:
                 continue

@@ -305,6 +305,50 @@ class TestPower:
         assert a.power(n) == want
         assert a._square() == a.product(a)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=5),
+           st.integers(1, 40))
+    def test_k2_matches_repeated_product(self, vecs, n):
+        a = minimalize(vecs, 2)
+        want = a
+        for _ in range(n - 1):
+            want = want.product(a)
+        assert repr(a.power(n)) == repr(want)
+
+    @staticmethod
+    def _record_chain(monkeypatch):
+        """Patch _square and product to log ("square", factor) and
+        ("product", right factor) in call order."""
+        calls = []
+        square, product = MonomialIdeal._square, MonomialIdeal.product
+
+        def logged_square(self):
+            calls.append(("square", self))
+            return square(self)
+
+        def logged_product(self, other):
+            calls.append(("product", other))
+            return product(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "_square", logged_square)
+        monkeypatch.setattr(MonomialIdeal, "product", logged_product)
+        return calls
+
+    def test_chain_at_48_squares_the_power_and_multiplies_by_the_base(self, monkeypatch):
+        # 48 = 0b110000: square, times the base, then four more squarings
+        a = ideal((4, 0), (1, 2), (0, 5))
+        calls = self._record_chain(monkeypatch)
+        a.power(48)
+        assert [kind for kind, _ in calls] == ["square", "product"] + ["square"] * 4
+        assert calls[0][1] is a and calls[1][1] is a
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_chain_at_a_power_of_two_only_squares(self, monkeypatch, j):
+        a = ideal((3, 0), (2, 1), (0, 4))
+        calls = self._record_chain(monkeypatch)
+        a.power(2 ** j)
+        assert [kind for kind, _ in calls] == ["square"] * j
+
 
 class TestMembership:
     def test_examples(self):
