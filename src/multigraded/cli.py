@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -231,7 +232,7 @@ def _ceiling_sample(system: CeilingSystem, v, quantity: str, n: int) -> Fraction
     """The schedule sample at n along v: a_(nv) = base^m with m =
     ceil(h(nv)) has m times the base's ord0 and arn and m^k times its mult,
     normalized by n and n^k."""
-    m = max(system.exponent(tuple(n * x for x in v)), 0)
+    m = math.ceil(system.deficiency(tuple(n * x for x in v)))
     base = system.base
     if quantity == "mult":
         return Fraction(m, n) ** base.dim * base.multiplicity()
@@ -243,6 +244,9 @@ def cmd_repro_thm1(args) -> int:
         raise ParseError(f"--directions needs N >= 1, got {args.directions}")
     cone = load_cone(args.cone) if args.cone else abs_sum_cone()
     base = load_ideal(args.base) if args.base else MonomialIdeal.maximal(2)
+    if base.is_zero or base.is_unit:
+        raise ParseError(f"--base needs a nonzero proper ideal, got the "
+                         f"{'zero' if base.is_zero else 'unit'} ideal")
     system = CeilingSystem(cone, base)
     cone_gens = cone.generators
     need = max((max(map(abs, g)) for g in cone_gens), default=1)
@@ -275,11 +279,14 @@ def cmd_repro_thm1(args) -> int:
         "ray hull of nef points equals the cone: each holds every generator of the other",
     )
 
+    # a base of infinite colength has no mult off the cone: it is skipped
+    cofinite = base.is_cofinite
+    quantities = ("ord0", "arn", "mult") if cofinite else ("ord0", "arn")
     grid_ok = True
     directions = _thm1_directions(cone.rank, 2, args.directions)
     for v in directions:
         closed = ceiling_closed_forms(system, v)
-        for q in ("ord0", "arn", "mult"):
+        for q in quantities:
             bracket = sequence_invariant(system, v, q, steps=args.max)
             exact = all(val == _ceiling_sample(system, v, q, n) for n, val in bracket.samples)
             exact &= bracket.geometric == getattr(closed, q)
@@ -289,7 +296,7 @@ def cmd_repro_thm1(args) -> int:
                 " ".join(map(str, v)),
                 fmt_q(closed.ord0),
                 fmt_q(closed.arn),
-                fmt_q(closed.mult),
+                fmt_q(closed.mult) if cofinite else "unavailable",
                 fmt_dec(closed.ord0),
             )
         )
@@ -297,7 +304,7 @@ def cmd_repro_thm1(args) -> int:
         lines,
         grid_ok,
         f"closed forms match every schedule sample exactly at {len(directions)} "
-        "integral directions",
+        "integral directions" + ("" if cofinite else "; mult = unavailable (not cofinite)"),
     )
     print("\n".join(lines))
     if args.out:
@@ -312,6 +319,11 @@ TRUNC_RADIUS = 8  # of the eff-point sweep that checks the truncated system
 # facets at each of N + 2 points: 5.7, 50 and 575 s at N = 512, 1024 and
 # 2048 (Python 3.11.7, 2 shared vCPUs), so over an hour at 4096.
 MAX_TRUNCATED_KINKS = 2048
+# Largest --grid STEPS^2, the cells of the ord0 grid: 250,000 cells (STEPS
+# 500) take 8.3 s and 100 MB at N = 1 and 40 s and 440 MB at N = 2048, and
+# about 4.2 ms and 10 kB a cell at N = 16384, so 18 minutes and 2.5 GB
+# (Python 3.11.7, 2 shared vCPUs).
+MAX_GRID_CELLS = 250_000
 
 
 def cmd_repro_thm2(args) -> int:
@@ -319,7 +331,10 @@ def cmd_repro_thm2(args) -> int:
     r_fixed = parse_q(args.r)
     s_lo, s_hi = (parse_q(t) for t in args.scan)
     rmin, rmax, smin, smax = (parse_q(t) for t in args.grid[:4])
-    steps = int(args.grid[4])
+    try:
+        steps = int(args.grid[4])
+    except ValueError:
+        raise ParseError(f"--grid needs an integer STEPS, got {args.grid[4]!r}") from None
     if n_kinks < 1:
         raise ParseError(f"--kinks needs N >= 1, got {n_kinks}")
     if args.truncate is not None and n_kinks > MAX_TRUNCATED_KINKS:
@@ -331,6 +346,9 @@ def cmd_repro_thm2(args) -> int:
         raise ParseError("--scan needs SMIN <= SMAX")
     if steps < 2 or not 0 < rmin < rmax or not 0 < smin < smax:
         raise ParseError("--grid needs 0 < rmin < rmax, 0 < smin < smax and steps >= 2")
+    if steps * steps > MAX_GRID_CELLS:
+        raise WorkLimitExceeded(f"a --grid of {steps}x{steps} = {steps * steps} cells is over "
+                                f"the limit of {MAX_GRID_CELLS}")
     table, crossings = thm2_kink_table(r_fixed, n_kinks, s_lo, s_hi)
     if not crossings:
         raise ParseError(

@@ -34,19 +34,12 @@ from .regions import (
     thm2_regions,
 )
 
-# Entries kept per node cache and per ceiling power table.  A full cache
-# admits nothing more and evicts nothing, so a second sweep over a window of
-# more indices than this still hits the first _CACHE_MAX of them; for a
-# ceiling node a miss costs an integer exponent and a table lookup, since a
-# window of radius r reaches only O(r) exponents.
+# Entries kept per node cache.  A full cache admits nothing more and evicts
+# nothing, so a second sweep over a window of more indices than this still
+# hits the first _CACHE_MAX of them; for a ceiling or colon node a miss costs
+# an integer exponent and a hit in its rank-1 powers node, since a window of
+# radius r reaches only O(r) exponents.
 _CACHE_MAX = 4096
-
-
-def _remember(cache: dict, key, value):
-    """Store value under key while the cache has room, and return it."""
-    if len(cache) < _CACHE_MAX:
-        cache[key] = value
-    return value
 
 
 class SystemExpr:
@@ -79,9 +72,11 @@ class SystemExpr:
 
     def _at(self, v) -> MonomialIdeal:
         hit = self._cache.get(v)
-        if hit is not None:
-            return hit
-        return _remember(self._cache, v, self._eval(v))
+        if hit is None:
+            hit = self._eval(v)
+            if len(self._cache) < _CACHE_MAX:
+                self._cache[v] = hit
+        return hit
 
     def _eval(self, v) -> MonomialIdeal:
         raise NotImplementedError
@@ -149,7 +144,7 @@ class IdealPowers(SystemExpr):
     def _body(self, v):
         terms = [(ideal, t) for ideal, t in zip(self.ideals, v) if t > 0]
         if any(ideal.is_zero for ideal, _ in terms):
-            raise ZeroIdealInDirection(f"zero ideal at {v}")
+            raise ZeroIdealInDirection(f"zero ideal at ({', '.join(map(str, v))})")
         if not terms:
             return full_orthant(self.ambient_dim)
         return reduce(region_minkowski, (ideal.newton().scale(t) for ideal, t in terms))
@@ -187,9 +182,10 @@ class CeilingSystem(SystemExpr):
 
     The forms -a_i / w_i are scaled once to integer forms F_i over
     D = lcm(w_i); exponents and deficiencies both come from the numerator
-    max <F_i, v>.  Behind the node cache, a power table keyed by
-    m = ceil(h(v)) holds base^m: a window sweep computes one power of the
-    base per distinct exponent, not one per index.
+    max <F_i, v>.  a_v and its body are read from a rank-1 powers node of
+    the base at m = ceil(h(v)) and at h(v): a window sweep computes one
+    power of the base per distinct exponent, not one per index, and every
+    index of C shares the one unit ideal at m = 0.
     """
 
     def __init__(self, cone: ConeRep, base: MonomialIdeal | None = None):
@@ -199,32 +195,21 @@ class CeilingSystem(SystemExpr):
         self._denom = lcm(*(max(a[-1], 1) for a in cone.halfspaces))
         self._forms = tuple(tuple(-x * (self._denom // max(a[-1], 1)) for x in a)
                             for a in cone.halfspaces)
-        self._powers: dict[int, MonomialIdeal] = {}
+        self._powers = IdealPowers([self.base])
 
     def _excess(self, v):
         """D max_i -<a_i, v> / w_i (0 with no normals), v integer or rational."""
         return max([sum(map(mul, form, v)) for form in self._forms], default=0)
-
-    def exponent(self, v) -> int:
-        """ceil(max_i -<a_i, v> / w_i): at most 0 exactly on C."""
-        return -(-self._excess(self._vector(v, "index")) // self._denom)
 
     def deficiency(self, v) -> Fraction:
         """h(v) at a rational index vector."""
         return Fraction(max(self._excess(self._vector(v, "index")), 0), self._denom)
 
     def _eval(self, v):
-        m = -(-max(self._excess(v), 0) // self._denom)
-        hit = self._powers.get(m)
-        if hit is not None:
-            return hit
-        return _remember(self._powers, m, self.base.power(m))
+        return self._powers._at((-(-max(self._excess(v), 0) // self._denom),))
 
     def _body(self, v):
-        excess = self._excess(v)
-        if excess <= 0:
-            return full_orthant(self.ambient_dim)
-        return self.base.newton().scale(Fraction(excess, self._denom))
+        return self._powers._body((Fraction(self._excess(v), self._denom),))
 
 
 class Pullback(SystemExpr):
@@ -311,6 +296,8 @@ class ColonSystem(SystemExpr):
     lowered by t min <a, q> over the vertices q of N(I).  It is exact for
     a region inner: u + I^n lies in the lattice ideal of m P exactly when
     u + n N(I) lies in m P, as m P is convex and absorbs the orthant.
+    I^n is read from a rank-1 powers node of I, so a window sweep forms
+    each power once, not once per index.
     """
 
     def __init__(self, inner: SystemExpr, ideal: MonomialIdeal):
@@ -321,12 +308,13 @@ class ColonSystem(SystemExpr):
         super().__init__(inner.rank + 1, inner.ambient_dim)
         self.inner = inner
         self.ideal = ideal
+        self._powers = IdealPowers([ideal])
 
     def _eval(self, v):
         head, n = v[:-1], v[-1]
         if n < 0:
             return MonomialIdeal.zero(self.ambient_dim)
-        return self.inner._at(head).colon(self.ideal.power(n))
+        return self.inner._at(head).colon(self._powers._at((n,)))
 
     def _body(self, v):
         head, t = v[:-1], v[-1]

@@ -11,6 +11,7 @@ import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -684,6 +685,28 @@ class TestRepro:
         assert code == 0
         assert out.count("[PASS]") == 3 and "[FAIL]" not in out
 
+    def test_thm1_base_of_infinite_colength(self, tmp_path):
+        # (x1 x2) has no mult off the cone: ord0 and arn are still checked
+        (tmp_path / "nc.ideal").write_text("k=2\n1 1\n")
+        out_csv = tmp_path / "t.csv"
+        code, out = run_cli(["repro", "thm1", "--base", str(tmp_path / "nc.ideal"),
+                             "--radius", "3", "--out", str(out_csv)])
+        assert code == 0
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        assert out.endswith("at 20 integral directions; mult = unavailable (not cofinite)\n")
+        rows = [row.split(",") for row in out_csv.read_text().splitlines()]
+        assert rows[0][3] == "mult" and len(rows) == 21
+        assert {row[3] for row in rows[1:]} == {"unavailable"}
+        assert rows[1] == ["-2 -2 -2", "12", "6", "unavailable", "12"]
+
+    @pytest.mark.parametrize("text, which", [("k=2\nzero\n", "zero"), ("k=2\n0 0\n", "unit")])
+    def test_thm1_zero_or_unit_base_refused_up_front(self, tmp_path, capsys, text, which):
+        (tmp_path / "b.ideal").write_text(text)
+        code, out = run_cli(["repro", "thm1", "--base", str(tmp_path / "b.ideal")])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (f"error: --base needs a nonzero proper ideal, "
+                                           f"got the {which} ideal\n")
+
     def test_thm2_defaults(self):
         code, out = run_cli(["repro", "thm2", "--kinks", "1", "--radius", "4"])
         assert code == 0
@@ -707,8 +730,11 @@ class TestRepro:
         (["--grid", "0", "1", "3/4", "3/2", "3"], "--grid needs 0 < rmin"),
         (["--grid", "3/4", "3/2", "0", "1", "3"], "--grid needs 0 < rmin"),
         (["--grid", "1", "1", "3/4", "3/2", "3"], "--grid needs 0 < rmin"),
+        (["--grid", "3/4", "3/2", "3/4", "3/2", "x"], "--grid needs an integer STEPS, got 'x'"),
+        (["--grid", "3/4", "3/2", "3/4", "3/2", str(isqrt(cli.MAX_GRID_CELLS) + 1)],
+         f"cells is over the limit of {cli.MAX_GRID_CELLS}"),
     ], ids=["kinks 0", "kinks -1", "r 0", "r -1", "scan 2 1", "scan 3 4", "grid rmin 0",
-            "grid smin 0", "grid empty"])
+            "grid smin 0", "grid empty", "grid steps x", "grid over the limit"])
     def test_thm2_refused_up_front(self, argv, names, capsys):
         # nothing to verify is an input error, not a failed verification
         code, out = run_cli(["repro", "thm2", "--radius", "2", *argv])

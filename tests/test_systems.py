@@ -172,7 +172,8 @@ def _ceiling_case(rank):
 
 
 class TestCeilingIntegerArithmetic:
-    """exponent and deficiency in integer arithmetic against f evaluated in Fractions."""
+    """deficiency in integer arithmetic, and the power at its ceiling, against
+    f evaluated in Fractions."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 4]).flatmap(_ceiling_case))
@@ -184,8 +185,7 @@ class TestCeilingIntegerArithmetic:
             f = max([Fraction(0)] + [sum(a * b for a, b in zip(form, u[:-1])) for form in forms])
             return f - u[-1]
 
-        assert system.exponent(v) == ceil(f_minus_y(v))
-        assert type(system.exponent(v)) is int
+        assert ceil(system.deficiency(v)) == max(ceil(f_minus_y(v)), 0)
         assert system.deficiency(v) == max(f_minus_y(v), 0)
         q = tuple(Fraction(x, den) for x in v)
         assert system.deficiency(q) == max(f_minus_y(q), 0)
@@ -215,10 +215,29 @@ class TestCeilingPowerTable:
         nef, eff = nef_points(system, radius), eff_points(system, radius)
         window = list(iterprod(range(-radius, radius + 1), repeat=2))
         assert len(window) > _CACHE_MAX and len(eff) == len(window)
-        exponents = {max(system.exponent(v), 0) for v in window}
-        assert len(nef) == sum(1 for v in window if system.exponent(v) <= 0)
-        assert set(calls) == exponents and max(calls.values()) == 1
+        exponents = {ceil(system.deficiency(v)) for v in window}
+        assert len(nef) == sum(1 for v in window if system.deficiency(v) == 0)
+        # the unit ideal at exponent 0 is no power
+        assert set(calls) == exponents - {0} and max(calls.values()) == 1
         assert len(exponents) < 200
+
+    def test_colon_sweep_forms_each_power_once(self, tmp_path, monkeypatch):
+        # the `system cones` sweep of a colon tree at radius 30: 3,721
+        # indices, and (a_v : I^n) reads I^n from the node's powers node, so
+        # each n = 1..30 is formed once, not once per index
+        (tmp_path / "p2.region").write_text("k=2\nhalfspace 1 2 >= 3\nhalfspace 3 1 >= 4\n")
+        (tmp_path / "i3.ideal").write_text("k=2\n2 0\n1 1\n0 3\n")
+        (tmp_path / "colon2.system").write_text("colon i3.ideal\n  region p2.region\n")
+        calls = Counter()
+        power = MonomialIdeal.power
+        monkeypatch.setattr(MonomialIdeal, "power",
+                            lambda self, n: calls.update([n]) or power(self, n))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["system", "cones", str(tmp_path / "colon2.system"),
+                         "--radius", "30"]) == 0
+        assert calls == Counter(range(1, 31))
+        assert out.getvalue().endswith("nef hull rays:\n  -1 0\n  2 3\n")
 
     def test_second_sweep_hits_what_the_first_stored(self):
         # a full cache admits nothing more and evicts nothing: the eff
@@ -502,6 +521,16 @@ class TestPowersBody:
                 system.limit_body(v)
         assert system.limit_body((2, 0)) == ideal((1, 1)).power(2).newton()
         assert system.limit_body((F(1, 2), -3)).vertices == ((F(1, 2), F(1, 2)),)
+
+    def test_ceiling_over_the_zero_ideal(self):
+        # off the cone a_v is a power of (0), which has no body; on it the
+        # body is the orthant
+        system = CeilingSystem(ConeRep.epigraph([(F(3, 2),), (F(-5, 3),)]),
+                               MonomialIdeal.zero(1))
+        with pytest.raises(ZeroIdealInDirection, match=r"^zero ideal at \(5/2\)$"):
+            system.limit_body((1, -1))
+        assert system.limit_body((0, 1)) == full_orthant(1)
+        assert system.eval((1, -1)).is_zero and system.eval((0, 1)).is_unit
 
     @pytest.mark.parametrize("v", [(0, 0), (-1, 0), (F(-1, 2), -3)])
     def test_nonpositive_direction_gives_the_orthant(self, v):
