@@ -319,10 +319,11 @@ TRUNC_RADIUS = 8  # of the eff-point sweep that checks the truncated system
 # facets at each of N + 2 points: 5.7, 50 and 575 s at N = 512, 1024 and
 # 2048 (Python 3.11.7, 2 shared vCPUs), so over an hour at 4096.
 MAX_TRUNCATED_KINKS = 2048
-# Largest --grid STEPS^2, the cells of the ord0 grid: 250,000 cells (STEPS
-# 500) take 8.3 s and 100 MB at N = 1 and 40 s and 440 MB at N = 2048, and
-# about 4.2 ms and 10 kB a cell at N = 16384, so 18 minutes and 2.5 GB
-# (Python 3.11.7, 2 shared vCPUs).
+# Largest --grid STEPS^2, the cells of the ord0 grid.  A cell keeps a row
+# only for --out: 250,000 cells (STEPS 500) take 6.2 s and 17 MB at N = 1
+# and 32 s and 68 MB at N = 2048, and with --out 9.5 s and 147 MB and 46 s
+# and 1.4 GB (the rows and the CSV text); a cell takes about 2.6 ms at
+# N = 16384, so 11 minutes (Python 3.11.7, 2 shared vCPUs).
 MAX_GRID_CELLS = 250_000
 
 
@@ -367,10 +368,11 @@ def cmd_repro_thm2(args) -> int:
             crossing = thm2_crossing(r, s, n_kinks)
             agree = crossing is not None and crossing[1] == vertex_route
             grid_ok &= agree
-            grid_rows.append(
-                (fmt_q(r), fmt_q(s), fmt_q(vertex_route), fmt_dec(vertex_route),
-                 "yes" if agree else "no")
-            )
+            if args.out:
+                grid_rows.append(
+                    (fmt_q(r), fmt_q(s), fmt_q(vertex_route), fmt_dec(vertex_route),
+                     "yes" if agree else "no")
+                )
     ok &= _pass(
         lines,
         grid_ok,

@@ -38,7 +38,9 @@ from .regions import (
 # nothing, so a second sweep over a window of more indices than this still
 # hits the first _CACHE_MAX of them; for a ceiling or colon node a miss costs
 # an integer exponent and a hit in its rank-1 powers node, since a window of
-# radius r reaches only O(r) exponents.
+# radius r reaches only O(r) exponents.  A powers node forms I^n from its
+# own entry at floor(n/2), so a sweep of I^1..I^30 costs 29 squarings and 14
+# products; past a full cache an uncached power redoes only its halving chain.
 _CACHE_MAX = 4096
 
 
@@ -122,6 +124,12 @@ class DirectionView:
 class IdealPowers(SystemExpr):
     """a_(n_1,...,n_rho) = I_1^{n_1} ... I_rho^{n_rho}, with I^n = (1) for n <= 0.
 
+    Powers are read through the node cache: I_i^n at n e_i (n >= 2) is the
+    square of the entry at floor(n/2) e_i, times I_i when n is odd, the
+    squarings and products of ``MonomialIdeal.power``'s left-to-right loop,
+    each formed once; an index with several positive entries is the product
+    of its entries' powers in index order, and negative entries count as 0.
+
     The limit body at v is the Minkowski sum of v_i N(I_i) over v_i > 0,
     as N(I J) = N(I) + N(J) and N(I^n) = n N(I): no power or product of
     the ideals is formed, and v may be rational.
@@ -137,9 +145,20 @@ class IdealPowers(SystemExpr):
         super().__init__(len(self.ideals), dims.pop())
 
     def _eval(self, v):
-        factors = [ideal.power(n) for ideal, n in zip(self.ideals, v) if n > 0]
-        return (reduce(MonomialIdeal.product, factors) if factors
-                else MonomialIdeal.unit(self.ambient_dim))
+        if min(v) < 0:
+            return self._at(tuple(max(n, 0) for n in v))
+        axes = [i for i, n in enumerate(v) if n > 0]
+        if not axes:
+            return MonomialIdeal.unit(self.ambient_dim)
+        if len(axes) > 1:
+            return reduce(MonomialIdeal.product,
+                          [self._at(tuple(n if j == i else 0 for j, n in enumerate(v)))
+                           for i in axes])
+        i, n = axes[0], v[axes[0]]
+        if n == 1:
+            return self.ideals[i]
+        square = self._at(v[:i] + (n // 2,) + v[i + 1:])._square()
+        return square.product(self.ideals[i]) if n % 2 else square
 
     def _body(self, v):
         terms = [(ideal, t) for ideal, t in zip(self.ideals, v) if t > 0]

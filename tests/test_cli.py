@@ -723,6 +723,20 @@ class TestRepro:
         assert code == 1
         assert out.count("[FAIL]") == 1 and "[FAIL] ord0 grid" in out
 
+    def test_thm2_grid_rows_formatted_only_for_out(self, tmp_path, monkeypatch):
+        # the CSV is the grid rows' only reader: without --out no cell is
+        # formatted, with it each of the 3 x 3 cells once
+        calls = []
+        monkeypatch.setattr(cli, "fmt_dec", lambda x: calls.append(x) or fmt_dec(x))
+        argv = ["repro", "thm2", "--kinks", "1", "--radius", "2",
+                "--grid", "3/4", "3/2", "3/4", "3/2", "3"]
+        code, plain = run_cli(argv)
+        bare = len(calls)
+        out_csv = tmp_path / "grid.csv"
+        assert (code, run_cli([*argv, "--out", str(out_csv)])) == (0, (0, plain))
+        assert len(calls) - 2 * bare == 9
+        assert len(out_csv.read_text().splitlines()) == 1 + 9
+
     @pytest.mark.parametrize("argv, names", [
         (["--kinks", "0"], "--kinks"), (["--kinks", "-1"], "--kinks"),
         (["--r", "0"], "--r"), (["--r", "-1"], "--r"),

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigraded import systems
+from multigraded import monomial, systems
 from multigraded.cli import main
 from multigraded.cones import ConeRep, abs_sum_cone, eff_points, lattice_window, nef_points
 from multigraded.errors import (
     RankMismatch,
+    WorkLimitExceeded,
     ZeroDirection,
     ZeroIdealInDirection,
 )
@@ -160,6 +161,57 @@ class TestNoUnitFactor:
         assert got == want
 
 
+C1, C2 = ideal((4, 0), (1, 2), (0, 5)), ideal((3, 0), (2, 1), (0, 4))
+
+
+class TestPowersChain:
+    """A powers node forms I^n as the square of its own entry at n // 2,
+    times I for odd n: the same ideals, and the same refusals, as
+    ``I.power(n)``."""
+
+    @pytest.mark.parametrize("ideals", [[C1], [C1, MonomialIdeal.zero(2), C2]],
+                             ids=["rank 1", "rank 3"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["up", "down"])
+    def test_axis_powers_match_power(self, ideals, order):
+        system = IdealPowers(ideals)
+        for n in range(65)[::order]:
+            for i, base in enumerate(ideals):
+                v = tuple(n if j == i else -j - 1 for j in range(len(ideals)))
+                assert repr(system.eval(v)) == repr(base.power(n))
+                # a negative entry counts as 0: both indices read one entry
+                assert system.eval(v) is system.eval(tuple(max(x, 0) for x in v))
+
+    @pytest.mark.parametrize("ideals", [[C1], [C1, MonomialIdeal.zero(2), C2]],
+                             ids=["rank 1", "rank 3"])
+    def test_chain_ends_with_nothing_cached(self, ideals, monkeypatch):
+        monkeypatch.setattr(systems, "_CACHE_MAX", 0)
+        system = IdealPowers(ideals)
+        for n in range(65):
+            for i, base in enumerate(ideals):
+                v = tuple(n if j == i else -1 for j in range(len(ideals)))
+                assert repr(system.eval(v)) == repr(base.power(n))
+        assert system._cache == {}
+
+    def test_refusal_matches_power(self, monkeypatch):
+        # at 2,200 pairs C1^48 is refused at its last squaring, of C1^24
+        monkeypatch.setattr(monomial, "MAX_GENERATOR_PAIRS", 2200)
+        system = IdealPowers([C1])
+        refused = 0
+        for n in range(40, 65):
+            try:
+                want = repr(C1.power(n))
+            except WorkLimitExceeded as exc:
+                refused += 1
+                with pytest.raises(WorkLimitExceeded) as got:
+                    system.eval((n,))
+                assert str(got.value) == str(exc)
+            else:
+                assert repr(system.eval((n,))) == want
+        assert 0 < refused < 25
+        with pytest.raises(WorkLimitExceeded, match="with 49 and 49 generators needs 2401 "):
+            system.eval((48,))
+
+
 def _rationals(lo, hi):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 7))
 
@@ -201,14 +253,23 @@ class TestCeilingIntegerArithmetic:
                 system.eval(v)
 
 
+def count_power_steps(monkeypatch):
+    """A Counter of the squarings and products of ideals run from now on."""
+    calls = Counter()
+    for name in ("_square", "product"):
+        step = getattr(MonomialIdeal, name)
+        monkeypatch.setattr(MonomialIdeal, name,
+                            lambda self, *other, name=name, step=step:
+                            calls.update([name]) or step(self, *other))
+    return calls
+
+
 class TestCeilingPowerTable:
     def test_one_power_per_distinct_exponent(self, monkeypatch):
         # both sweeps of `system cones`: 4,225 indices, more than the node
-        # cache holds, but only O(radius) distinct exponents
-        calls = Counter()
-        power = MonomialIdeal.power
-        monkeypatch.setattr(MonomialIdeal, "power",
-                            lambda self, n: calls.update([n]) or power(self, n))
+        # cache holds, but only O(radius) distinct exponents, and the powers
+        # node forms base^m once, as the square of its base^(m // 2)
+        calls = count_power_steps(monkeypatch)
         system = CeilingSystem(ConeRep.epigraph([(Fraction(3, 2),), (Fraction(-5, 3),)]),
                                minimalize([(1,)], 1))
         radius = 32
@@ -217,26 +278,27 @@ class TestCeilingPowerTable:
         assert len(window) > _CACHE_MAX and len(eff) == len(window)
         exponents = {ceil(system.deficiency(v)) for v in window}
         assert len(nef) == sum(1 for v in window if system.deficiency(v) == 0)
-        # the unit ideal at exponent 0 is no power
-        assert set(calls) == exponents - {0} and max(calls.values()) == 1
+        # every halving of a sampled exponent is sampled too, so the chains
+        # form no power beyond them; the unit ideal at 0 and base^1 are none
+        assert {m // 2 for m in exponents} <= exponents
+        assert calls == {"_square": sum(1 for m in exponents if m >= 2),
+                         "product": sum(1 for m in exponents if m >= 3 and m % 2)}
         assert len(exponents) < 200
 
     def test_colon_sweep_forms_each_power_once(self, tmp_path, monkeypatch):
         # the `system cones` sweep of a colon tree at radius 30: 3,721
         # indices, and (a_v : I^n) reads I^n from the node's powers node, so
-        # each n = 1..30 is formed once, not once per index
+        # each n = 2..30 is formed once, not once per index: one squaring of
+        # I^(n // 2) each, and a product by I for the 14 odd n >= 3
         (tmp_path / "p2.region").write_text("k=2\nhalfspace 1 2 >= 3\nhalfspace 3 1 >= 4\n")
         (tmp_path / "i3.ideal").write_text("k=2\n2 0\n1 1\n0 3\n")
         (tmp_path / "colon2.system").write_text("colon i3.ideal\n  region p2.region\n")
-        calls = Counter()
-        power = MonomialIdeal.power
-        monkeypatch.setattr(MonomialIdeal, "power",
-                            lambda self, n: calls.update([n]) or power(self, n))
+        calls = count_power_steps(monkeypatch)
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["system", "cones", str(tmp_path / "colon2.system"),
                          "--radius", "30"]) == 0
-        assert calls == Counter(range(1, 31))
+        assert calls == {"_square": 29, "product": 14}
         assert out.getvalue().endswith("nef hull rays:\n  -1 0\n  2 3\n")
 
     def test_second_sweep_hits_what_the_first_stored(self):
