@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 from fractions import Fraction
 from itertools import pairwise
@@ -56,6 +56,7 @@ from .textio import (
     format_polyhedron,
     load_cone,
     load_ideal,
+    open_atomic,
     parse_q,
     parse_system,
     write_text_atomic,
@@ -319,12 +320,36 @@ TRUNC_RADIUS = 8  # of the eff-point sweep that checks the truncated system
 # facets at each of N + 2 points: 5.7, 50 and 575 s at N = 512, 1024 and
 # 2048 (Python 3.11.7, 2 shared vCPUs), so over an hour at 4096.
 MAX_TRUNCATED_KINKS = 2048
-# Largest --grid STEPS^2, the cells of the ord0 grid.  A cell keeps a row
-# only for --out: 250,000 cells (STEPS 500) take 6.2 s and 17 MB at N = 1
-# and 32 s and 68 MB at N = 2048, and with --out 9.5 s and 147 MB and 46 s
-# and 1.4 GB (the rows and the CSV text); a cell takes about 2.6 ms at
-# N = 16384, so 11 minutes (Python 3.11.7, 2 shared vCPUs).
+# Largest --grid STEPS^2, the cells of the ord0 grid.  No cell keeps a row:
+# with --out each row goes to the temp file as it is computed.  250,000
+# cells (STEPS 500) take 7.7 s and 18 MB max RSS at N = 1 and 37 s and
+# 68 MB at N = 2048, and with --out 9.6 s and 17 MB and 43 s and 67 MB; a
+# cell takes about 2.6 ms at N = 16384, so 11 minutes (Python 3.11.7, 2
+# shared vCPUs).
 MAX_GRID_CELLS = 250_000
+
+
+def _thm2_grid(n_kinks, r_range, s_range, steps, csv) -> bool:
+    """True iff thm2_ord0 matches the crossing's closed form at each cell
+    (r, s) of the steps x steps grid; each cell's row is printed to csv,
+    if given.  Below s = r/2 the line misses the kinked boundary, so there
+    is no crossing, and ord0 is r: rP's lowest point (r, 0) lies in sQ."""
+    (rmin, rmax), (smin, smax) = r_range, s_range
+    if csv:
+        print("r", "s", "ord0", "ord0_decimal", "routes_agree", sep=",", file=csv)
+    ok = True
+    for i in range(steps):
+        r = rmin + (rmax - rmin) * Fraction(i, steps - 1)
+        for j in range(steps):
+            s = smin + (smax - smin) * Fraction(j, steps - 1)
+            vertex_route = thm2_ord0(r, s, n_kinks)
+            crossing = thm2_crossing(r, s, n_kinks)
+            agree = vertex_route == (r if crossing is None else crossing[1])
+            ok &= agree
+            if csv:
+                print(fmt_q(r), fmt_q(s), fmt_q(vertex_route), fmt_dec(vertex_route),
+                      "yes" if agree else "no", sep=",", file=csv)
+    return ok
 
 
 def cmd_repro_thm2(args) -> int:
@@ -356,76 +381,58 @@ def cmd_repro_thm2(args) -> int:
             f"the scan window [{fmt_q(s_lo)}, {fmt_q(s_hi)}] holds no kink of ord0 at "
             f"r = {fmt_q(r_fixed)}"
         )
-    lines, grid_rows, kink_rows = [], [], []
-    ok = True
+    lines, kink_rows = [], []
+    # the grid's rows stream into a temp file, renamed over --out only after
+    # every check has run
+    with open_atomic(args.out) if args.out else nullcontext() as grid_csv:
+        ok = _pass(
+            lines,
+            _thm2_grid(n_kinks, (rmin, rmax), (smin, smax), steps, grid_csv),
+            f"ord0 grid ({steps}x{steps}): vertex route equals s + x/2 formula at every cell",
+        )
 
-    grid_ok = True
-    for i in range(steps):
-        r = rmin + (rmax - rmin) * Fraction(i, steps - 1)
-        for j in range(steps):
-            s = smin + (smax - smin) * Fraction(j, steps - 1)
-            vertex_route = thm2_ord0(r, s, n_kinks)
-            crossing = thm2_crossing(r, s, n_kinks)
-            agree = crossing is not None and crossing[1] == vertex_route
-            grid_ok &= agree
-            if args.out:
-                grid_rows.append(
-                    (fmt_q(r), fmt_q(s), fmt_q(vertex_route), fmt_dec(vertex_route),
-                     "yes" if agree else "no")
-                )
-    ok &= _pass(
-        lines,
-        grid_ok,
-        f"ord0 grid ({steps}x{steps}): vertex route equals s + x/2 formula at every cell",
-    )
-
-    gaps_ok = _kink_lines(lines, kink_rows, zip(table.kinks(), crossings),
-                          lambda s0, x0: f"kink at s0 = {s0} (crossing x = {fmt_q(x0)})")
-    cells = len(crossings) + 1
-    ok &= _pass(
-        lines,
-        gaps_ok and table.matches(lambda s: thm2_ord0(r_fixed, s, n_kinks)),
-        f"kink table at r = {fmt_q(r_fixed)} over s in [{fmt_q(s_lo)}, {fmt_q(s_hi)}]: "
-        f"{len(crossings)} kink(s), every gap nonzero, vertex route matches it at "
-        f"{cells} cell midpoints and both ends",
-    )
-
-    system = kinked_intersection_system(n_kinks)
-    nef = nef_points(system, args.radius)
-    expected = list(lattice_window([(-args.radius, 0)] * 2))
-    ok &= _pass(
-        lines,
-        nef == expected,
-        f"nef points within radius {args.radius} are exactly the third quadrant",
-    )
-
-    if args.truncate is not None:
-        eps = parse_q(args.truncate)
-        cone = ConeRep.from_halfspaces(2, [(-eps.numerator, eps.denominator)])
-        truncated = Truncate(system, cone)
-        eff = eff_points(truncated, TRUNC_RADIUS)
+        gaps_ok = _kink_lines(lines, kink_rows, zip(table.kinks(), crossings),
+                              lambda s0, x0: f"kink at s0 = {s0} (crossing x = {fmt_q(x0)})")
+        cells = len(crossings) + 1
         ok &= _pass(
             lines,
-            all(cone.contains(v) for v in eff),
-            f"truncated system: eff points within radius {TRUNC_RADIUS} "
-            f"lie in s >= {fmt_q(eps)} r",
-        )
-        # the truncated system has no ideal below s = eps r: certify the part
-        # of the first cell inside its cone (a kink outside it fails the check)
-        inside = replace(table, cuts=(max(table.cuts[0], eps * r_fixed), *table.cuts[1:]))
-        ok &= _pass(
-            lines,
-            inside.matches(lambda s: truncated.limit_body((r_fixed, s)).ord0()),
-            f"truncation leaves the kink table unchanged: the truncated limit body "
-            f"matches it at {cells} cell midpoints and both ends",
+            gaps_ok and table.matches(lambda s: thm2_ord0(r_fixed, s, n_kinks)),
+            f"kink table at r = {fmt_q(r_fixed)} over s in [{fmt_q(s_lo)}, {fmt_q(s_hi)}]: "
+            f"{len(crossings)} kink(s), every gap nonzero, vertex route matches it at "
+            f"{cells} cell midpoints and both ends",
         )
 
-    print("\n".join(lines))
-    if args.out:
-        write_text_atomic(
-            args.out,
-            csv_text(("r", "s", "ord0", "ord0_decimal", "routes_agree"), grid_rows),
+        system = kinked_intersection_system(n_kinks)
+        nef = nef_points(system, args.radius)
+        expected = list(lattice_window([(-args.radius, 0)] * 2))
+        ok &= _pass(
+            lines,
+            nef == expected,
+            f"nef points within radius {args.radius} are exactly the third quadrant",
         )
+
+        if args.truncate is not None:
+            eps = parse_q(args.truncate)
+            cone = ConeRep.from_halfspaces(2, [(-eps.numerator, eps.denominator)])
+            truncated = Truncate(system, cone)
+            eff = eff_points(truncated, TRUNC_RADIUS)
+            ok &= _pass(
+                lines,
+                all(cone.contains(v) for v in eff),
+                f"truncated system: eff points within radius {TRUNC_RADIUS} "
+                f"lie in s >= {fmt_q(eps)} r",
+            )
+            # the truncated system has no ideal below s = eps r: certify the part
+            # of the first cell inside its cone (a kink outside it fails the check)
+            inside = replace(table, cuts=(max(table.cuts[0], eps * r_fixed), *table.cuts[1:]))
+            ok &= _pass(
+                lines,
+                inside.matches(lambda s: truncated.limit_body((r_fixed, s)).ord0()),
+                f"truncation leaves the kink table unchanged: the truncated limit body "
+                f"matches it at {cells} cell midpoints and both ends",
+            )
+
+        print("\n".join(lines))
     if args.kink_out:
         write_text_atomic(
             args.kink_out,

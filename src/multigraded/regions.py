@@ -116,7 +116,8 @@ def _hinge_sum(value0, slope0, jumps) -> PiecewiseLinearFn:
 
 # Largest kink counts of the two constructions, refused before anything is
 # built.  Their cost grows about as N^3, as the i-th term has about i bits:
-# `repro thm2` took 9.3, 55 and 478 s at N = 4096, 8192 and 16384, and
+# `repro thm2` took 9.3, 55 and 478 s at N = 4096, 8192 and 16384 (with a
+# 2x2 grid, 281 s and 2,956 MB max RSS at 16384), and
 # `repro appendix`, whose certificate takes N + 4 gauges of 4N + 4
 # functionals each, 6.4, 42 and 362 s at N = 256, 512 and 1024 (Python
 # 3.11.7, 2 shared vCPUs), so one more doubling of either would run for

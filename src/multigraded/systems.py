@@ -74,11 +74,13 @@ class SystemExpr:
 
     def _at(self, v) -> MonomialIdeal:
         hit = self._cache.get(v)
-        if hit is None:
-            hit = self._eval(v)
-            if len(self._cache) < _CACHE_MAX:
-                self._cache[v] = hit
-        return hit
+        return self._keep(v, self._eval(v)) if hit is None else hit
+
+    def _keep(self, v, ideal: MonomialIdeal) -> MonomialIdeal:
+        """ideal, cached at v while the cache has room."""
+        if len(self._cache) < _CACHE_MAX:
+            self._cache[v] = ideal
+        return ideal
 
     def _eval(self, v) -> MonomialIdeal:
         raise NotImplementedError
@@ -155,10 +157,25 @@ class IdealPowers(SystemExpr):
                           [self._at(tuple(n if j == i else 0 for j, n in enumerate(v)))
                            for i in axes])
         i, n = axes[0], v[axes[0]]
-        if n == 1:
-            return self.ideals[i]
-        square = self._at(v[:i] + (n // 2,) + v[i + 1:])._square()
-        return square.product(self.ideals[i]) if n % 2 else square
+
+        def at(m):
+            return v[:i] + (m,) + v[i + 1:]
+
+        # halve down to 1 or to a cached power, then square back up, caching
+        # each power below n as _at would: a loop, as n may have any length
+        chain = [n]
+        while chain[-1] > 1 and (power := self._cache.get(at(chain[-1] // 2))) is None:
+            chain.append(chain[-1] // 2)
+        for m in reversed(chain):
+            if m == 1:
+                power = self.ideals[i]
+            else:
+                power = power._square()
+                if m % 2:
+                    power = power.product(self.ideals[i])
+            if m < n:
+                self._keep(at(m), power)
+        return power
 
     def _body(self, v):
         terms = [(ideal, t) for ideal, t in zip(self.ideals, v) if t > 0]

@@ -8,7 +8,7 @@ significant digits, round-half-even, and is never authoritative.
 from __future__ import annotations
 
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -19,9 +19,9 @@ from .monomial import MonomialIdeal, minimalize
 from .newton import NewtonPolyhedron
 from .regions import (
     PiecewiseLinearFn,
-    build_kinked_f,
     epigraph_region,
     region_from_halfspaces,
+    thm2_regions,
 )
 from .systems import (
     CeilingSystem,
@@ -109,6 +109,14 @@ def _parse_int(token: str, what: str) -> int:
         raise ParseError(f"bad {what} {token!r}") from exc
 
 
+def _dimension(lines, missing: str) -> int:
+    """k of a first line 'k=<int>'; missing is the error for a file without one."""
+    head = " ".join(lines[0][1]) if lines else ""
+    if not head.startswith("k="):
+        raise ParseError(missing)
+    return _parse_int(head[2:], "dimension")
+
+
 def _clean(text: str) -> list[tuple[int, list[str]]]:
     """(indent, tokens) per meaningful line, comments stripped."""
     out = []
@@ -126,13 +134,7 @@ def _clean(text: str) -> list[tuple[int, list[str]]]:
 
 def parse_ideal(text: str) -> MonomialIdeal:
     lines = _clean(text)
-    if not lines or lines[0][1][0].replace(" ", "")[:2] != "k=":
-        raise ParseError("ideal file must start with 'k=<int>'")
-    head = " ".join(lines[0][1])
-    try:
-        k = int(head.split("=", 1)[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad dimension line {head!r}") from exc
+    k = _dimension(lines, "ideal file must start with 'k=<int>'")
     body = lines[1:]
     if body and body[0][1] == ["zero"]:
         if len(body) > 1:
@@ -174,17 +176,13 @@ def parse_region(text: str) -> NewtonPolyhedron:
         raise ParseError("empty region file")
     first = lines[0][1]
     if first[0] == "kinked":
-        n_kinks = _parse_int(_exact(first, 2, "kinked <N>")[1], "kink count")
-        return epigraph_region(build_kinked_f(n_kinks))
+        return thm2_regions(_parse_int(_exact(first, 2, "kinked <N>")[1], "kink count"))[0]
     if first[0] == "appendix":
         raise ParseError(
             "appendix bodies are symmetric convex bodies, not orthant regions; "
             "use 'repro appendix'"
         )
-    head = " ".join(first)
-    if not head.startswith("k="):
-        raise ParseError("region file must start with 'k=<int>' or a shorthand")
-    k = _parse_int(head.split("=", 1)[1], "dimension")
+    k = _dimension(lines, "region file must start with 'k=<int>' or a shorthand")
     body = lines[1:]
     if body and body[0][1][0] == "epigraph":
         if k != 2:
@@ -239,22 +237,22 @@ def parse_cone(text: str) -> ConeRep:
     if len(kinds) > 1:
         raise ParseError(f"cone file mixes line kinds {sorted(kinds)!r}")
     kind = kinds.pop()
-    rows = [[parse_q(t) for t in tokens[1:]] for _, tokens in lines[1:]]
+    if kind not in ("halfspace", "ray", "form"):
+        raise ParseError(f"unknown cone line kind {kind!r}")
+    width = rank - 1 if kind == "form" else rank
+    rows = []
+    for _, tokens in lines[1:]:
+        if len(tokens) != width + 1:
+            raise ParseError(f"{kind} line of wrong arity: {' '.join(tokens)!r}; "
+                             f"expected {width} number(s) at rank {rank}")
+        rows.append(tuple(parse_q(t) for t in tokens[1:]))
     if kind == "halfspace":
-        if any(len(r) != rank for r in rows):
-            raise ParseError("halfspace normals must have one entry per rank")
-        return ConeRep.from_halfspaces(rank, [tuple(r) for r in rows])
-    if kind == "ray":
-        if any(len(r) != rank for r in rows):
-            raise ParseError("rays must have one entry per rank")
-        if any(x.denominator != 1 for r in rows for x in r):
-            raise ParseError("rays must be integer vectors")
-        return ray_hull([tuple(int(x) for x in r) for r in rows], rank)
+        return ConeRep.from_halfspaces(rank, rows)
     if kind == "form":
-        if any(len(r) != rank - 1 for r in rows):
-            raise ParseError("epigraph forms must have rank-1 entries")
-        return ConeRep.epigraph([tuple(r) for r in rows])
-    raise ParseError(f"unknown cone line kind {kind!r}")
+        return ConeRep.epigraph(rows)
+    if any(x.denominator != 1 for r in rows for x in r):
+        raise ParseError("rays must be integer vectors")
+    return ray_hull([tuple(map(int, r)) for r in rows], rank)
 
 
 def load_cone(path) -> ConeRep:
@@ -264,8 +262,20 @@ def load_cone(path) -> ConeRep:
 # -- system trees ----------------------------------------------------------------
 
 
+# Deepest nesting of a system tree, in nodes from the root to a leaf.  Parsing,
+# evaluation and limit bodies recurse once or twice per level, and a chain
+# of 500 pullbacks exhausts Python's default recursion limit of 1000 frames.
+MAX_SYSTEM_DEPTH = 200
+
+# children each node header takes
+_ARITY = {"powers": 0, "region": 0, "ceiling": 0, "pullback": 1, "truncate": 1,
+          "colon": 1, "product": 2, "intersect": 2}
+
+
 def parse_system(path) -> SystemExpr:
-    """Indentation tree: children are indented strictly deeper than their parent.
+    """Indentation tree: children are indented strictly deeper than their
+    parent, siblings equally deep, and no path from the root holds more than
+    MAX_SYSTEM_DEPTH nodes.
 
     Node headers: powers <idealfile>... | region <file> | ceiling <conefile>
     [base <idealfile>] | pullback r11 r12 [; r21 r22 ...] | product | intersect
@@ -275,26 +285,10 @@ def parse_system(path) -> SystemExpr:
     lines = _clean(path.read_text())
     if not lines:
         raise ParseError(f"empty system file {path}")
-    node, rest = _parse_node(lines, 0, path.parent)
+    node, rest = _parse_node(lines, 0, path.parent, 1)
     if rest != len(lines):
         raise ParseError(f"trailing content at line {rest + 1} of {path}")
     return node
-
-
-def _children(lines, i, parent_indent):
-    """Indices of the child nodes of the node at line i."""
-    out = []
-    j = i + 1
-    child_indent = None
-    while j < len(lines) and lines[j][0] > parent_indent:
-        if child_indent is None:
-            child_indent = lines[j][0]
-        if lines[j][0] == child_indent:
-            out.append(j)
-        elif lines[j][0] < child_indent:
-            raise ParseError(f"inconsistent indentation at line {j + 1}")
-        j += 1
-    return out, j
 
 
 def _groups(tokens, parse, skip=None) -> list[tuple]:
@@ -309,69 +303,69 @@ def _groups(tokens, parse, skip=None) -> list[tuple]:
     return [tuple(g) for g in groups]
 
 
-def _parse_node(lines, i, base_dir) -> tuple[SystemExpr, int]:
+def _parse_node(lines, i, base_dir, depth) -> tuple[SystemExpr, int]:
+    """The node at line i, at depth levels from the root, and the index of
+    the line after its subtree.  Each child is parsed, in one pass, before
+    the node's own tokens are read."""
+    if depth > MAX_SYSTEM_DEPTH:
+        raise ParseError(f"system tree nested deeper than {MAX_SYSTEM_DEPTH} levels "
+                         f"at line {i + 1}")
     indent, tokens = lines[i]
     head = tokens[0]
-    kids, end = _children(lines, i, indent)
+    if head not in _ARITY:
+        raise ParseError(f"unknown system node {head!r}")
+    kids, end = [], i + 1
+    while end < len(lines) and lines[end][0] > indent:
+        if lines[end][0] != lines[i + 1][0]:
+            raise ParseError(f"inconsistent indentation at line {end + 1}")
+        kid, end = _parse_node(lines, end, base_dir, depth + 1)
+        kids.append(kid)
+    if len(kids) != _ARITY[head]:
+        raise ParseError(f"{head!r} needs {_ARITY[head]} child node(s), found {len(kids)}")
+    return _node(head, tokens, kids, base_dir), end
 
-    def need_children(n):
-        if len(kids) != n:
-            raise ParseError(f"{head!r} needs {n} child node(s), found {len(kids)}")
 
+def _node(head, tokens, kids, base_dir) -> SystemExpr:
     if head == "powers":
-        need_children(0)
         if len(tokens) < 2:
             raise ParseError("'powers' needs at least one ideal file")
-        return IdealPowers([load_ideal(base_dir / t) for t in tokens[1:]]), end
+        return IdealPowers([load_ideal(base_dir / t) for t in tokens[1:]])
     if head == "region":
-        need_children(0)
-        return RegionSystem(load_region(base_dir / _exact(tokens, 2, "region <file>")[1])), end
+        return RegionSystem(load_region(base_dir / _exact(tokens, 2, "region <file>")[1]))
     if head == "ceiling":
-        need_children(0)
         cone = load_cone(base_dir / _token(tokens, 1, "ceiling <conefile>"))
         base = None
         if len(tokens) > 2:
             if tokens[2] != "base" or len(tokens) != 4:
                 raise ParseError("'ceiling <conefile> [base <idealfile>]'")
             base = load_ideal(base_dir / tokens[3])
-        return CeilingSystem(cone, base), end
+        return CeilingSystem(cone, base)
     if head == "pullback":
-        need_children(1)
-        rows = _groups(tokens[1:], lambda t: _parse_int(t, "pullback entry"))
-        child, _ = _parse_node(lines, kids[0], base_dir)
-        return Pullback(rows, child), end
+        return Pullback(_groups(tokens[1:], lambda t: _parse_int(t, "pullback entry")), *kids)
     if head in ("product", "intersect"):
-        need_children(2)
         _exact(tokens, 1, head)
-        left, _ = _parse_node(lines, kids[0], base_dir)
-        right, _ = _parse_node(lines, kids[1], base_dir)
-        return (Product if head == "product" else Intersect)(left, right), end
+        return (Product if head == "product" else Intersect)(*kids)
     if head == "truncate":
-        need_children(1)
-        child, _ = _parse_node(lines, kids[0], base_dir)
         kind = _token(tokens, 1, "truncate cone <file> | truncate halfspace a1 ...")
         if kind == "cone":
             cone = load_cone(base_dir / _exact(tokens, 3, "truncate cone <file>")[2])
         elif kind == "halfspace":
-            cone = ConeRep.from_halfspaces(child.rank, _groups(tokens[2:], parse_q, "halfspace"))
+            cone = ConeRep.from_halfspaces(kids[0].rank, _groups(tokens[2:], parse_q, "halfspace"))
         else:
             raise ParseError("'truncate cone <file>' or 'truncate halfspace a1 ...'")
-        return Truncate(child, cone), end
-    if head == "colon":
-        need_children(1)
-        child, _ = _parse_node(lines, kids[0], base_dir)
-        ideal = load_ideal(base_dir / _exact(tokens, 2, "colon <idealfile>")[1])
-        return ColonSystem(child, ideal), end
-    raise ParseError(f"unknown system node {head!r}")
+        return Truncate(*kids, cone)
+    return ColonSystem(*kids, load_ideal(base_dir / _exact(tokens, 2, "colon <idealfile>")[1]))
 
 
 # -- atomic output ----------------------------------------------------------------
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write a unique temp file beside the target, then rename it over the
-    target, so neither a failed run nor a concurrent one writing the same
-    path ever leaves a partial file."""
+@contextmanager
+def open_atomic(path):
+    """A text file to write in place of path: a unique temp file beside it,
+    renamed over path when the block ends and removed if the block raises,
+    so neither a failed run nor a concurrent one writing the same path ever
+    leaves a partial file."""
     path = Path(path)
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
@@ -384,11 +378,16 @@ def write_text_atomic(path, text: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def csv_text(header, rows) -> str:

@@ -31,7 +31,18 @@ from multigraded.regions import (
     PiecewiseLinearFn,
     appendix_boundary,
 )
-from multigraded.systems import CeilingSystem
+from multigraded.cones import ConeRep
+from multigraded.invariants import thm2_crossing, thm2_kink_table, thm2_ord0
+from multigraded.systems import (
+    CeilingSystem,
+    ColonSystem,
+    IdealPowers,
+    Intersect,
+    Product,
+    Pullback,
+    SystemExpr,
+    Truncate,
+)
 from multigraded.textio import (
     ParseError,
     fmt_dec,
@@ -252,6 +263,153 @@ class TestFormats:
             parse_system(bad)
 
 
+def tree(node):
+    """A system tree as nested (class, attributes) pairs, so that two trees
+    compare by repr: children expanded, every other attribute by its repr."""
+    return type(node).__name__, {key: tree(v) if isinstance(v, SystemExpr) else repr(v)
+                                 for key, v in vars(node).items()}
+
+
+A2, B2 = "k=2\n2 0\n1 1\n0 3\n", "k=2\n3 0\n0 1\n"
+QUAD = "rank 2\nray 1 0\nray 0 1\n"
+
+
+class TestSystemTreeParser:
+    """``parse_system`` reads each line once: a node's children are parsed
+    first, in order, and its own tokens after them."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        for name, text in (("a.ideal", A2), ("b.ideal", B2), ("q.cone", QUAD)):
+            (tmp_path / name).write_text(text)
+        return tmp_path
+
+    def parse(self, files, text):
+        (files / "t.system").write_text(text)
+        return parse_system(files / "t.system")
+
+    def test_wide_tree(self, files):
+        # a full binary tree of 32 leaves, leaves alternating between powers
+        # and ceiling nodes, siblings at one indentation per level
+        leaves = iter(range(1000))
+
+        def text(depth, pad):
+            if depth == 0:
+                leaf = ("powers a.ideal b.ideal", "ceiling q.cone base a.ideal")[next(leaves) % 2]
+                return [pad + leaf]
+            head, kid = "product" if depth % 2 else "intersect", pad + " " * depth
+            return [pad + head, *text(depth - 1, kid), *text(depth - 1, kid)]
+
+        a, b, cone = parse_ideal(A2), parse_ideal(B2), parse_cone(QUAD)
+        hand_leaves = iter(range(1000))
+
+        def hand(depth):
+            if depth == 0:
+                if next(hand_leaves) % 2:
+                    return CeilingSystem(cone, a)
+                return IdealPowers([a, b])
+            return (Product if depth % 2 else Intersect)(hand(depth - 1), hand(depth - 1))
+
+        got = self.parse(files, "\n".join(text(5, "")) + "\n")
+        assert repr(tree(got)) == repr(tree(hand(5)))
+
+    def test_deep_tree(self, files):
+        # 60 levels, each child indented 1 to 3 spaces deeper than its parent
+        wrappers = [
+            ("pullback 1 0 ; 0 1", lambda t: Pullback([(1, 0), (0, 1)], t)),
+            ("truncate halfspace 1 1 ; 0 1", lambda t: Truncate(
+                t, ConeRep.from_halfspaces(2, [(1, 1), (0, 1)]))),
+            ("truncate cone q.cone", lambda t: Truncate(t, parse_cone(QUAD))),
+            ("pullback 2 1 ; 0 1", lambda t: Pullback([(2, 1), (0, 1)], t)),
+        ]
+        lines, pad = [], ""
+        for d in range(59):
+            lines.append(pad + wrappers[d % 4][0])
+            pad += " " * (1 + d % 3)
+        lines.append(pad + "powers a.ideal b.ideal")
+        hand = IdealPowers([parse_ideal(A2), parse_ideal(B2)])
+        for d in reversed(range(59)):
+            hand = wrappers[d % 4][1](hand)
+        got = self.parse(files, "\n".join(lines) + "\n")
+        assert repr(tree(got)) == repr(tree(hand))
+        top = self.parse(files, "colon b.ideal\n" + "\n".join(" " + line for line in lines))
+        assert repr(tree(top)) == repr(tree(ColonSystem(hand, parse_ideal(B2))))
+
+    @pytest.mark.parametrize("text, message", [
+        ("product\n    powers a.ideal\n  powers a.ideal\n", "inconsistent indentation at line 3"),
+        ("product\n  pullback 1\n      powers a.ideal\n    powers a.ideal\n  powers a.ideal\n",
+         "inconsistent indentation at line 4"),
+        ("product\n  powers a.ideal\n    powers b.ideal\n  powers a.ideal\n",
+         "'powers' needs 0 child node(s), found 1"),
+        ("product\n  powers a.ideal\n", "'product' needs 2 child node(s), found 1"),
+        ("pullback 1 0\n", "'pullback' needs 1 child node(s), found 0"),
+        ("intersect\n  powers a.ideal\n  powers a.ideal\n  powers b.ideal\n",
+         "'intersect' needs 2 child node(s), found 3"),
+        ("powers a.ideal\npowers b.ideal\n", "trailing content at line 2 of {}"),
+        ("  powers a.ideal\npowers b.ideal\n", "trailing content at line 2 of {}"),
+        ("frobnicate\n  powers a.ideal\n", "unknown system node 'frobnicate'"),
+        # a child's error comes before its parent's own
+        ("pullback x\n  powers\n", "'powers' needs at least one ideal file"),
+    ], ids=["between parent and first child", "between in a subtree",
+            "grandchild under a sibling", "too few children", "no child", "too many children",
+            "second root", "indented root", "unknown node", "child first"])
+    def test_tree_errors(self, files, text, message):
+        with pytest.raises(ParseError) as exc:
+            self.parse(files, text)
+        assert str(exc.value) == message.format(files / "t.system")
+
+    def test_nesting_limit(self, files, capsys):
+        # MAX_SYSTEM_DEPTH levels evaluate; one more is refused while parsing
+        depth = textio.MAX_SYSTEM_DEPTH
+        (files / "x.ideal").write_text("k=1\n1\n")
+        for levels, code, out in ((depth, 0, "k=1\n3\n"), (depth + 1, 2, "")):
+            lines = [" " * d + "pullback 1" for d in range(levels - 1)]
+            lines.append(" " * (levels - 1) + "powers x.ideal")
+            (files / "t.system").write_text("\n".join(lines))
+            assert run_cli(["system", "eval", str(files / "t.system"), "--at", "3"]) == (code, out)
+        assert capsys.readouterr().err == (f"error: system tree nested deeper than {depth} levels "
+                                           f"at line {depth + 1}\n")
+
+
+class TestHeadersAndConeLines:
+    """One reader of the 'k=<int>' header, one arity rule for cone lines."""
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_ideal, "k=two\n1 0\n", "bad dimension 'two'"),
+        (parse_region, "k=two\nhalfspace 1 1 >= 1\n", "bad dimension 'two'"),
+        (parse_ideal, "2 0\n", "ideal file must start with 'k=<int>'"),
+        (parse_ideal, "# nothing\n", "ideal file must start with 'k=<int>'"),
+        (parse_region, "halfspace 1 >= 1\n",
+         "region file must start with 'k=<int>' or a shorthand"),
+    ], ids=["ideal dimension", "region dimension", "ideal header", "empty ideal",
+            "region header"])
+    def test_header_messages(self, parse, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    def test_header_with_space(self):
+        assert parse_ideal("k= 2\n1 0\n0 1\n").dim == 2
+        assert parse_region("k= 1\nhalfspace 2 >= 5\n").dim == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("rank 2\nform 1 2\n", "form line of wrong arity: 'form 1 2'; expected 1 number(s) "
+                               "at rank 2"),
+        ("rank 3\nform 1 2\nform 1\n", "form line of wrong arity: 'form 1'; expected 2 "
+                                        "number(s) at rank 3"),
+        ("rank 2\nray 1\n", "ray line of wrong arity: 'ray 1'; expected 2 number(s) at rank 2"),
+        ("rank 1\nhalfspace 1 0\n", "halfspace line of wrong arity: 'halfspace 1 0'; "
+                                    "expected 1 number(s) at rank 1"),
+        # an unknown kind is refused before any entry is read
+        ("rank 2\nwedge x y\n", "unknown cone line kind 'wedge'"),
+    ], ids=["form long", "form short", "ray", "halfspace", "unknown kind"])
+    def test_cone_line_messages(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_cone(text)
+
+    def test_kinked_region_is_the_cached_one(self):
+        assert parse_region("kinked 8\n") is regions.thm2_regions(8)[0]
+
+
 class TestTruncatedInput:
     @pytest.mark.parametrize(
         "files",
@@ -423,6 +581,44 @@ class TestHostileInput:
                 if code == 2:
                     assert err.getvalue().count("\n") == 1, (argv, data, err.getvalue())
                     assert err.getvalue().endswith("\n")
+
+
+class TestIndicesOfHundredsOfDigits:
+    """Indices far past 2^490, where one recursion per bit of the index
+    would exhaust the interpreter's stack: a powers node halves down and
+    squares back up in a loop."""
+
+    FILES = {
+        "unit.ideal": "k=2\n0 0\n", "x.ideal": "k=1\n1\n", "m2.ideal": "k=2\n1 0\n0 1\n",
+        "pm.cone": "rank 2\nform 1\nform -1\n", "unit.system": "powers unit.ideal\n",
+        "x.system": "powers x.ideal\n", "m2.system": "powers m2.ideal\n",
+        "ceiling.system": "ceiling pm.cone base x.ideal\n",
+    }
+
+    @pytest.mark.parametrize("name, at, code, out, err", [
+        ("unit.system", str(10**200), 0, "k=2\n0 0\n", ""),
+        ("x.system", str(2**600), 0, f"k=1\n{2**600}\n", ""),
+        ("m2.system", str(10**200), 2, "",
+         "error: product of ideals with 2676 and 2676 generators needs 7160976 generator "
+         "pairs, over the limit of 2000000\n"),
+        ("ceiling.system", f"{10**160},0", 0, f"k=1\n{10**160}\n", ""),
+    ], ids=["unit ideal", "x", "maximal ideal refused", "ceiling"])
+    def test_eval(self, tmp_path, capsys, name, at, code, out, err):
+        for file, text in self.FILES.items():
+            (tmp_path / file).write_text(text)
+        assert run_cli(["system", "eval", str(tmp_path / name), "--at", at]) == (code, out)
+        assert capsys.readouterr().err == err
+
+    def test_sequence_invariants(self, tmp_path):
+        (tmp_path / "x.ideal").write_text("k=1\n1\n")
+        (tmp_path / "x.system").write_text("powers x.ideal\n")
+        code, out = run_cli(["system", "invariants", str(tmp_path / "x.system"),
+                             "--direction", str(10**200), "--method", "sequence"])
+        sample = f"{10**200} (1.00000000000E+200)"
+        assert (code, out) == (0, f"direction: ({10**200})\n" + "".join(
+            f"{q} samples (factorial):\n"
+            + "".join(f"  n={n} value={sample}\n" for n in (1, 2, 6, 24, 120))
+            for q in ("ord0", "arn", "mult")))
 
 
 class TestIdealInfo:
@@ -713,15 +909,75 @@ class TestRepro:
         assert "kink at s0 = 5/4" in out
         assert "gap 1/39" in out
 
-    def test_thm2_grid_failure_exit_1(self):
-        # cells with s < r/2 have no boundary crossing: the formula route
-        # is inapplicable and the command must report failure
+    def test_thm2_grid_failure_exit_1(self, monkeypatch):
+        # a closed form off by 1/2 at one cell fails the grid, and only it
+        real = cli.thm2_crossing
+        monkeypatch.setattr(cli, "thm2_crossing", lambda r, s, n: (
+            (real(r, s, n)[0], real(r, s, n)[1] + Fraction(1, 2)) if (r, s) == (1, 1)
+            else real(r, s, n)))
         code, out = run_cli(
             ["repro", "thm2", "--kinks", "1", "--radius", "2",
-             "--grid", "2", "3", "1/4", "1/2", "3", "--scan", "1", "2"]
+             "--grid", "1", "2", "1", "2", "3", "--scan", "1", "2"]
         )
         assert code == 1
         assert out.count("[FAIL]") == 1 and "[FAIL] ord0 grid" in out
+
+    @pytest.mark.parametrize("kinks", [1, 4])
+    def test_thm2_grid_below_half(self, kinks, tmp_path):
+        # below s = r/2 the line misses the kinked boundary and has no
+        # crossing; rP's lowest point (r, 0) lies in sQ, so ord0 = r
+        assert thm2_crossing(1, Fraction(1, 8), kinks) is None
+        assert thm2_ord0(1, Fraction(1, 8), kinks) == 1
+        out_csv = tmp_path / "grid.csv"
+        code, out = run_cli(["repro", "thm2", "--kinks", str(kinks),
+                             "--grid", "1", "2", "1/8", "1/4", "3", "--out", str(out_csv)])
+        assert code == 0
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        rows = [row.split(",") for row in out_csv.read_text().splitlines()[1:]]
+        assert [(row[0], row[2], row[4]) for row in rows] == [
+            (r, r, "yes") for r in ("1", "3/2", "2") for _ in range(3)]
+
+    def test_thm2_grid_csv_streams_and_leaves_nothing_on_failure(self, tmp_path, monkeypatch):
+        # the rows are in the temp file, all but a write buffer's worth,
+        # before the nef check runs; when that check raises, neither the temp
+        # file nor --out is left behind
+        argv = ["repro", "thm2", "--kinks", "2", "--radius", "2",
+                "--grid", "3/4", "3/2", "1/4", "3/2", "30"]
+        code, plain = run_cli(argv)
+        out_csv = tmp_path / "grid.csv"
+        assert run_cli([*argv, "--out", str(out_csv)]) == (code, plain)
+        want = out_csv.read_text()
+        assert len(want.splitlines()) == 1 + 900
+        out_csv.unlink()
+        seen = []
+
+        def nef_points(system, radius):
+            [tmp] = tmp_path.iterdir()
+            seen.append(tmp.read_text())
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(cli, "nef_points", nef_points)
+        with redirect_stderr(io.StringIO()) as err:
+            assert run_cli([*argv, "--out", str(out_csv)]) == (2, "")
+        assert err.getvalue() == "error: disk gone\n"
+        [part] = seen
+        assert want.startswith(part) and len(part) >= len(want) - 2 * io.DEFAULT_BUFFER_SIZE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_thm2_kink_out_matches_the_kink_table(self, tmp_path):
+        defaults = build_parser().parse_args(["repro", "thm2"])
+        kink_csv = tmp_path / "kinks.csv"
+        code, out = run_cli(["repro", "thm2", "--kinks", "8", "--kink-out", str(kink_csv)])
+        assert code == 0 and "[FAIL]" not in out
+        table, crossings = thm2_kink_table(Fraction(defaults.r), 8,
+                                           *(Fraction(t) for t in defaults.scan))
+        kinks = list(table.kinks())
+        assert len(kinks) == len(crossings) > 1
+        want = ["s0,left,right,gap,gap_decimal"] + [
+            ",".join((fmt_q(s0), fmt_q(left), fmt_q(right), fmt_q(right - left),
+                      fmt_dec(right - left)))
+            for s0, left, right in kinks]
+        assert kink_csv.read_text().splitlines() == want
 
     def test_thm2_grid_rows_formatted_only_for_out(self, tmp_path, monkeypatch):
         # the CSV is the grid rows' only reader: without --out no cell is

@@ -192,6 +192,29 @@ class TestPowersChain:
                 assert repr(system.eval(v)) == repr(base.power(n))
         assert system._cache == {}
 
+    @pytest.mark.parametrize("base, n, want", [
+        (MonomialIdeal.unit(2), 10**200, MonomialIdeal.unit(2)),
+        (ideal((1,), k=1), 2**600 + 5, ideal((2**600 + 5,), k=1)),
+    ], ids=["unit at 10^200", "x at 2^600 + 5"])
+    def test_index_of_hundreds_of_bits(self, base, n, want, monkeypatch):
+        # the halving chain is a loop, not a recursion per bit: one squaring
+        # per bit after the leading one and one product per further one bit,
+        # as in power(n), and every power below n cached on the way
+        calls = count_power_steps(monkeypatch)
+        system = IdealPowers([base])
+        assert repr(system.eval((n,))) == repr(want)
+        assert calls == Counter(_square=n.bit_length() - 1, product=bin(n).count("1") - 1)
+        assert sorted(system._cache) == sorted((n >> b,) for b in range(n.bit_length()))
+        # a warm chain stops at the longest cached prefix: 2n + 1 from n
+        calls.clear()
+        system.eval((2 * n + 1,))
+        assert calls == Counter(_square=1, product=1)
+
+    def test_refusal_at_an_index_of_hundreds_of_bits(self):
+        with pytest.raises(WorkLimitExceeded, match="^product of ideals with 2676 and 2676 "
+                                                    "generators needs 7160976 generator pairs"):
+            IdealPowers([MonomialIdeal.maximal(2)]).eval((10**200,))
+
     def test_refusal_matches_power(self, monkeypatch):
         # at 2,200 pairs C1^48 is refused at its last squaring, of C1^24
         monkeypatch.setattr(monomial, "MAX_GENERATOR_PAIRS", 2200)
